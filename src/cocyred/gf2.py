@@ -1,10 +1,12 @@
 """Dense exact linear algebra over GF(2).
 
 Matrices are 2-D numpy arrays with entries in {0, 1} (dtype uint8 at the
-API level).  The elimination kernels pack rows into uint64 words so that
-row operations are word-parallel; this matters for the brute-force
+API level).  One elimination, `column_sweep`, answers every rank, span and
+greedy-selection question; it works on rows packed into uint64 words so
+that row operations are word-parallel, which matters for the brute-force
 cohomology oracle, whose matrices reach a few thousand rows by ~2^16
-columns.
+columns.  The Smith normal form, which also needs its transforms, is the
+only other elimination.
 
 Row-vector convention throughout: row m of a matrix is the image of the
 m-th basis element, and a coordinate row x maps to x @ M.
@@ -50,90 +52,76 @@ def unpack_rows(words: np.ndarray, cols: int) -> np.ndarray:
     return np.ascontiguousarray(bits[:, :cols])
 
 
-class Echelon:
-    """Incremental row echelon basis over GF(2).
+def column_sweep(w: np.ndarray, ncols: int) -> list[int]:
+    """Row-reduce packed rows in place by a left-to-right column sweep.
 
-    Rows are packed uint64 arrays.  Supports membership queries and
-    rank-increasing insertion; used by greedy row selection and by the
-    representative-cocycle filtering step.
+    Each column that has a 1 at or below the current row gets a pivot: the
+    first such row is swapped up and added to every later row with that
+    bit.  Returns the pivot columns.  Afterwards the first len(pivots) rows
+    span the row space and every later row is zero in columns < ncols.
+
+    Works one word of columns at a time on a contiguous copy of that word,
+    kept in step with the row operations; the OR of its live rows skips
+    every column that can no longer hold a pivot.
     """
-
-    def __init__(self, cols: int):
-        self.cols = cols
-        self.nwords = max(1, (cols + WORD - 1) // WORD)
-        self._rows: list[np.ndarray] = []
-        self._pivots: list[int] = []
-
-    @staticmethod
-    def _leading_bit(row: np.ndarray) -> int:
-        nz = np.nonzero(row)[0]
-        if nz.size == 0:
-            return -1
-        w = nz[-1]
-        return int(w) * WORD + int(row[w]).bit_length() - 1
-
-    def reduce(self, row: np.ndarray) -> np.ndarray:
-        out = row.copy()
-        for piv, basis_row in zip(self._pivots, self._rows):
-            w, b = divmod(piv, WORD)
-            if (int(out[w]) >> b) & 1:
-                out ^= basis_row
-        return out
-
-    def contains(self, row: np.ndarray) -> bool:
-        return not self.reduce(row).any()
-
-    def add(self, row: np.ndarray) -> bool:
-        """Insert row if independent of the current basis; return True if added."""
-        red = self.reduce(row)
-        piv = self._leading_bit(red)
-        if piv < 0:
-            return False
-        # keep pivots sorted descending so reduce() sees high bits first
-        pos = 0
-        while pos < len(self._pivots) and self._pivots[pos] > piv:
-            pos += 1
-        self._pivots.insert(pos, piv)
-        self._rows.insert(pos, red)
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
+    rows, _ = w.shape
+    pivots: list[int] = []
+    r = 0
+    for word in range((ncols + WORD - 1) // WORD):
+        if r == rows:
+            break
+        col = w[r:, word].copy()
+        base = r
+        live_mask = (1 << min(WORD, ncols - word * WORD)) - 1
+        while r < rows:
+            live = int(np.bitwise_or.reduce(col[r - base:])) & live_mask
+            if not live:
+                break
+            bit = (live & -live).bit_length() - 1
+            live_mask &= ~((2 << bit) - 1)
+            hits = r + np.flatnonzero(col[r - base:] & np.uint64(1 << bit))
+            piv = int(hits[0])
+            if piv != r:
+                w[[r, piv]] = w[[piv, r]]
+                col[[r - base, piv - base]] = col[[piv - base, r - base]]
+            below = hits[1:]
+            if below.size:
+                # rows >= r are zero left of this word, so XOR from it on
+                w[below, word:] ^= w[r, word:]
+                col[below - base] ^= col[r - base]
+            pivots.append(word * WORD + bit)
+            r += 1
+    return pivots
 
 
 def greedy_independent_rows(m) -> tuple[list[int], int]:
     """Scan rows in index order, keeping each row iff it enlarges the span.
 
     Returns (selected 0-based row indices, rank).  The selection is the
-    lexicographically first maximal independent subset of rows.
+    lexicographically first maximal independent subset of rows: the pivot
+    columns of the sweep over the transpose, since column i of M^T gets a
+    pivot iff row i of M is outside the span of the rows before it.
     """
     m = as_bits(m)
-    if m.size == 0:
-        return [], 0
-    packed = pack_rows(m)
-    ech = Echelon(m.shape[1])
-    selected = []
-    for i in range(m.shape[0]):
-        if ech.add(packed[i]):
-            selected.append(i)
-    return selected, ech.rank
+    selected = column_sweep(pack_rows(m.T), m.shape[0])
+    return selected, len(selected)
 
 
 def gf2_rank(m) -> int:
-    return greedy_independent_rows(m)[1]
+    """Rank of M: the pivot count of the sweep over M itself, which for a
+    wide matrix fills in far less than the sweep over its transpose."""
+    m = as_bits(m)
+    return len(column_sweep(pack_rows(m), m.shape[1]))
 
 
 def in_row_space(basis, x) -> bool:
     """True iff x lies in the GF(2) span of the given rows."""
-    basis = as_bits(basis) if len(basis) else np.zeros((0, len(x)), dtype=np.uint8)
     x = np.asarray(x, dtype=np.uint8).reshape(1, -1)
-    if basis.shape[0] and basis.shape[1] != x.shape[1]:
+    basis = as_bits(basis) if len(basis) else np.zeros((0, x.shape[1]), dtype=np.uint8)
+    if basis.shape[1] != x.shape[1]:
         raise ValueError("row length mismatch")
-    ech = Echelon(x.shape[1])
-    for row in pack_rows(basis) if basis.shape[0] else []:
-        ech.add(row)
-    return ech.contains(pack_rows(x)[0])
+    selected, _ = greedy_independent_rows(np.vstack([basis, x]))
+    return basis.shape[0] not in selected
 
 
 @dataclass
@@ -198,44 +186,18 @@ def smith_normal_form_gf2(m) -> SnfResult:
 def left_kernel(m) -> tuple[int, np.ndarray]:
     """Rank of M and a basis for {x : x @ M = 0}, as rows.
 
-    Augmented elimination: [M | I] is row-reduced with pivots restricted to
-    the M block; the identity parts of the zero rows span the kernel.  Works
-    on the packed representation, so it scales to the oracle's bar-complex
-    matrices.  Accepts either an unpacked 0/1 matrix or (packed, ncols).
+    Augmented elimination: the sweep row-reduces [M | I] with pivots
+    restricted to the M block; the identity parts of the zero rows span the
+    kernel.  Accepts either an unpacked 0/1 matrix or (packed, ncols).
     """
     if isinstance(m, tuple):
         packed, ncols = m
-        packed = packed.copy()
     else:
         m = as_bits(m)
-        ncols = m.shape[1]
-        packed = pack_rows(m)
-    return _left_kernel_packed(packed, ncols)
-
-
-def _left_kernel_packed(w: np.ndarray, ncols: int) -> tuple[int, np.ndarray]:
-    rows = w.shape[0]
+        packed, ncols = pack_rows(m), m.shape[1]
+    rows, nw = packed.shape
     if rows == 0:
         return 0, np.zeros((0, 0), dtype=np.uint8)
-    aug = np.hstack([w, pack_rows(np.eye(rows, dtype=np.uint8))])
-    nw = w.shape[1]
-    r = 0
-    one = np.uint64(1)
-    for c in range(ncols):
-        if r == rows:
-            break
-        word, bit = divmod(c, WORD)
-        mask = one << np.uint64(bit)
-        col = (aug[r:, word] & mask) != 0
-        idx = np.nonzero(col)[0]
-        if idx.size == 0:
-            continue
-        piv = r + int(idx[0])
-        if piv != r:
-            aug[[r, piv]] = aug[[piv, r]]
-        below = r + 1 + np.nonzero((aug[r + 1:, word] & mask) != 0)[0]
-        if below.size:
-            aug[below] ^= aug[r]
-        r += 1
-    kernel = unpack_rows(np.ascontiguousarray(aug[r:, nw:]), rows)
-    return r, kernel
+    aug = np.hstack([packed, pack_rows(np.eye(rows, dtype=np.uint8))])
+    rank = len(column_sweep(aug, ncols))
+    return rank, unpack_rows(np.ascontiguousarray(aug[rank:, nw:]), rows)

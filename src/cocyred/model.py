@@ -206,10 +206,6 @@ def builtin_model(spec: GroupSpec, degree: int) -> CohModel:
                     lift_table=lift, tabulated=TABULATED[(fam, degree, par)])
 
 
-def codifferential_matrix(model: CohModel, i: int) -> np.ndarray:
-    return model.codifferential_matrix(i)
-
-
 # -- model files ---------------------------------------------------------
 
 

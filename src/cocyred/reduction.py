@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import (Echelon, SnfResult, greedy_independent_rows, left_kernel,
-                  pack_rows, smith_normal_form_gf2)
+from .gf2 import (WORD, SnfResult, column_sweep, greedy_independent_rows,
+                  smith_normal_form_gf2)
 from .groups import FiniteGroup
 from .model import CohModel
 
@@ -141,13 +141,21 @@ def coboundary_matrix(g: FiniteGroup, n: int, mode: str = "all"):
 
 def coboundary_basis(g: FiniteGroup, n: int, mode: str = "all") -> CochainBasis:
     """Greedy independent subset of the coboundary generators, labeled cob:T."""
+    return _greedy_coboundaries(g, n, mode, np.zeros((0, g.order ** n), np.uint8))[0]
+
+
+def _greedy_coboundaries(g: FiniteGroup, n: int, mode: str,
+                         tail: np.ndarray) -> tuple[CochainBasis, int]:
+    """coboundary_basis(g, n, mode), and the number of rows of `tail` that
+    are independent modulo it, from one greedy pass over the generators
+    followed by `tail` (the greedy selection of a prefix is its own)."""
     if n < 2:
         raise ValueError("coboundary bases start at degree 2")
     rows, labels = coboundary_matrix(g, n, mode)
-    selected, _ = greedy_independent_rows(rows)
-    v = g.order
-    entries = [(f"cob:{labels[i]}", Cochain(v, n, rows[i])) for i in selected]
-    return CochainBasis(entries)
+    selected, rank = greedy_independent_rows(np.vstack([rows, tail]))
+    entries = [(f"cob:{labels[i]}", Cochain(g.order, n, rows[i]))
+               for i in selected if i < len(rows)]
+    return CochainBasis(entries), rank - len(entries)
 
 
 def representative_cocycles(model: CohModel, n: int) -> CochainBasis:
@@ -158,23 +166,23 @@ def representative_cocycles(model: CohModel, n: int) -> CochainBasis:
     first-fit selection of kernel rows outside the image span, then lift
     through the model's projection coefficients.
     """
+    return _lift_representatives(model, n, *_model_smith_forms(model, n))
+
+
+def _model_smith_forms(model: CohModel, n: int) -> tuple[SnfResult, SnfResult]:
     if n != model.degree:
         raise ValueError(f"model is for degree {model.degree}, not {n}")
-    snf_lo = smith_normal_form_gf2(model.diff[n - 1])
-    snf_hi = smith_normal_form_gf2(model.diff[n])
-    r = model.dims[n]
-    l, k = snf_lo.rank, snf_hi.rank
-    image_rows = snf_lo.Qinv[:l]
-    kernel_rows = snf_hi.P[k:]
+    return (smith_normal_form_gf2(model.diff[n - 1]),
+            smith_normal_form_gf2(model.diff[n]))
 
-    ech = Echelon(r)
-    for row in pack_rows(image_rows) if l else []:
-        ech.add(row)
-    kept = []
-    for row in kernel_rows:
-        if ech.add(pack_rows(row.reshape(1, -1))[0]):
-            kept.append(row)
-    if len(kept) != r - k - l:
+
+def _lift_representatives(model: CohModel, n: int, snf_lo: SnfResult,
+                          snf_hi: SnfResult) -> CochainBasis:
+    l, k = snf_lo.rank, snf_hi.rank
+    kernel_rows = snf_hi.P[k:]
+    selected, _ = greedy_independent_rows(np.vstack([snf_lo.Qinv[:l], kernel_rows]))
+    kept = [kernel_rows[i - l] for i in selected if i >= l]
+    if len(kept) != model.dims[n] - k - l:
         raise AssertionError("kernel filtering did not yield r-k-l representatives")
 
     v = model.group.order
@@ -196,15 +204,13 @@ def full_cocycle_basis(model: CohModel, n: int,
     """Juxtaposed representative + coboundary basis, with joint independence
     asserted."""
     mode = default_mode(n) if mode is None else mode
-    reps = representative_cocycles(model, n)
-    cobs = coboundary_basis(model.group, n, mode)
-    joint = [c.bits for _, c in reps.entries] + [c.bits for _, c in cobs.entries]
-    if joint:
-        _, rank = greedy_independent_rows(np.stack(joint))
-        if rank != len(joint):
-            raise AssertionError("representatives and coboundaries are not independent")
-    snf_lo = smith_normal_form_gf2(model.diff[n - 1])
-    snf_hi = smith_normal_form_gf2(model.diff[n])
+    snf_lo, snf_hi = _model_smith_forms(model, n)
+    reps = _lift_representatives(model, n, snf_lo, snf_hi)
+    rep_rows = np.array([c.bits for _, c in reps.entries], dtype=np.uint8)
+    cobs, free = _greedy_coboundaries(
+        model.group, n, mode, rep_rows.reshape(len(reps), model.group.order ** n))
+    if free != len(reps):
+        raise AssertionError("representatives and coboundaries are not independent")
     hdim = model.dims[n] - snf_hi.rank - snf_lo.rank
     return ReductionOutput(reps=reps, cobs=cobs, hdim=hdim,
                            snf_lower=snf_lo, snf_upper=snf_hi)
@@ -212,39 +218,32 @@ def full_cocycle_basis(model: CohModel, n: int,
 
 # -- brute-force oracle ----------------------------------------------------
 
-ORACLE_LIMIT = 2 ** 20
+# Budget for the packed d^n, the oracle's largest array.  The sweep reduces
+# it in place; v=20 at degree 3 (160 MB) fits, v=32 at degree 3 (4 GiB)
+# does not.
+ORACLE_BYTES = 2 ** 28
 
 
 class OracleSizeError(ValueError):
-    """The bar complex at this size exceeds the oracle guard."""
+    """The packed bar-complex matrix at this size exceeds the oracle budget."""
 
 
 @dataclass
 class BruteForceResult:
     hdim: int
-    kernel: np.ndarray  # rows span Ker d^n  (dim_ker, v**n)
-    image: np.ndarray   # rows span Im d^{n-1}  (dim_im, v**n)
+    ker_dim: int  # dim Ker d^n
+    im_rank: int  # rank d^{n-1} = dim Im d^{n-1}
 
 
 def _codifferential_matrix_packed(g: FiniteGroup, n: int):
-    """Packed matrix of d on degree-n cochains: v**n rows, v**(n+1) columns.
-
-    Assembled in column chunks to bound the unpacked buffer.
-    """
+    """Packed matrix of d on degree-n cochains: v**n rows, v**(n+1) columns."""
     v = g.order
     nrows, ncols = v ** n, v ** (n + 1)
-    terms = _face_indices(g, n)
-    nwords = (ncols + 63) // 64
-    packed = np.zeros((nrows, nwords), dtype=np.uint64)
-    chunk = max(64, min(ncols, (1 << 25) // max(nrows, 1) // 64 * 64))
-    for start in range(0, ncols, chunk):
-        stop = min(ncols, start + chunk)
-        buf = np.zeros((nrows, stop - start), dtype=np.uint8)
-        cols = np.arange(start, stop)
-        for idx in terms:
-            buf[idx[start:stop], cols - start] ^= 1
-        w0 = start // 64
-        packed[:, w0:w0 + (stop - start + 63) // 64] = pack_rows(buf)
+    packed = np.zeros((nrows, (ncols + WORD - 1) // WORD), dtype=np.uint64)
+    cols = np.arange(ncols)
+    bits = np.left_shift(np.uint64(1), (cols % WORD).astype(np.uint64))
+    for idx in _face_indices(g, n):
+        np.bitwise_xor.at(packed, (idx, cols // WORD), bits)
     return packed, ncols
 
 
@@ -252,17 +251,18 @@ def brute_force_cohomology(g: FiniteGroup, n: int) -> BruteForceResult:
     """Cohomology of the full bar cochain complex at degree n.
 
     Independent of the model path: builds the actual coboundary matrices on
-    v**(n-1) and v**n tuples and ranks them.  Guarded by v^(n+1) <= 2^20.
+    v**(n-1) and v**n tuples and ranks them with the sweep, in place.
+    Refuses before allocating when the packed d^n exceeds ORACLE_BYTES.
     """
-    v = g.order
-    if v ** (n + 1) > ORACLE_LIMIT:
-        raise OracleSizeError(
-            f"v^(n+1) = {v ** (n + 1)} exceeds the oracle guard {ORACLE_LIMIT}")
     if n < 2:
         raise ValueError("oracle supports degree >= 2")
-    lower, _ = coboundary_matrix(g, n, mode="all")
-    sel, im_rank = greedy_independent_rows(lower)
-    image = lower[sel]
-    rank, kernel = left_kernel(_codifferential_matrix_packed(g, n))
-    ker_dim = v ** n - rank
-    return BruteForceResult(hdim=ker_dim - im_rank, kernel=kernel, image=image)
+    v = g.order
+    need = v ** n * ((v ** (n + 1) + WORD - 1) // WORD) * 8
+    if need > ORACLE_BYTES:
+        raise OracleSizeError(
+            f"packed d^{n} needs {need} bytes at v = {v}, over the "
+            f"{ORACLE_BYTES}-byte oracle budget")
+    im_rank = len(column_sweep(*_codifferential_matrix_packed(g, n - 1)))
+    ker_dim = v ** n - len(column_sweep(*_codifferential_matrix_packed(g, n)))
+    return BruteForceResult(hdim=ker_dim - im_rank, ker_dim=ker_dim,
+                            im_rank=im_rank)

@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import gf2_rank, greedy_independent_rows, in_row_space, smith_normal_form_gf2
+from .gf2 import gf2_rank
 from .groups import Family, FiniteGroup, GroupSpec, build_group, group_axioms_hold
 from .model import CohModel, builtin_model
-from .reduction import (Cochain, ORACLE_LIMIT, bar_codifferential,
-                        brute_force_cohomology, coboundary_generator,
-                        default_mode, full_cocycle_basis)
+from .reduction import (Cochain, CochainBasis, OracleSizeError,
+                        bar_codifferential, brute_force_cohomology,
+                        coboundary_basis, coboundary_generator, default_mode,
+                        full_cocycle_basis)
 from .tensor import (all_ones, alternating_back_negacyclic,
                      alternating_columns, alternating_forward_block,
                      back_negacyclic, forward_negacyclic,
@@ -205,6 +206,10 @@ def _is_cocycle(g: FiniteGroup, n: int, bits: np.ndarray) -> bool:
     return not bar_codifferential(g, n, Cochain(g.order, n, bits)).bits.any()
 
 
+def _non_cocycles(g: FiniteGroup, n: int, basis: CochainBasis) -> int:
+    return sum(1 for _, c in basis.entries if not _is_cocycle(g, n, c.bits))
+
+
 def run_verify(spec: GroupSpec, degree: int) -> list[CheckResult]:
     checks: list[CheckResult] = []
     ok = lambda name, cond, detail: checks.append(
@@ -234,8 +239,8 @@ def run_verify(spec: GroupSpec, degree: int) -> list[CheckResult]:
     ok("lift-normalization", not model.lift_table[has_id].any(),
        "tuples containing the identity lift to the zero vector")
 
-    snf_lo = smith_normal_form_gf2(model.diff[n - 1])
-    snf_hi = smith_normal_form_gf2(model.diff[n])
+    out = full_cocycle_basis(model, n)
+    snf_lo, snf_hi = out.snf_lower, out.snf_upper
     l, k = snf_lo.rank, snf_hi.rank
 
     kernel_rows = snf_hi.P[k:]
@@ -270,7 +275,6 @@ def run_verify(spec: GroupSpec, degree: int) -> list[CheckResult]:
         ok("snf-ranks", (l, k) == (tl, tk),
            f"ranks (l, k) = ({l}, {k}), tabulated ({tl}, {tk})")
 
-    out = full_cocycle_basis(model, n)
     hdim = out.hdim
     if model.tabulated is not None:
         th = model.tabulated[2]
@@ -285,26 +289,16 @@ def run_verify(spec: GroupSpec, degree: int) -> list[CheckResult]:
     ok("rep-count", len(out.reps) == r - k - l,
        f"{len(out.reps)} representatives = r-k-l = {r - k - l}")
 
-    basis_mat = out.basis.matrix()
-    _, joint_rank = greedy_independent_rows(basis_mat)
+    joint_rank = gf2_rank(out.basis.matrix())
     ok("joint-independence", joint_rank == len(out.basis),
        f"reps ∪ cobs has full rank {joint_rank}")
 
-    bad = sum(1 for _, c in out.basis.entries if not _is_cocycle(g, n, c.bits))
-    ok("emitted-cocycles", bad == 0,
+    emitted_bad = _non_cocycles(g, n, out.basis)
+    ok("emitted-cocycles", emitted_bad == 0,
        f"all {len(out.basis)} emitted basis elements pass the cocycle condition")
 
-    bad = 0
-    if len(out.reps):
-        rep_rows = out.reps.matrix()
-        for i, row in enumerate(rep_rows):
-            others = [np.delete(rep_rows, i, axis=0)]
-            if len(out.cobs):
-                others.append(out.cobs.matrix())
-            stacked = np.vstack(others)
-            if stacked.size and in_row_space(stacked, row):
-                bad += 1
-    ok("reps-independent-mod-cobs", bad == 0,
+    ok("reps-independent-mod-cobs",
+       joint_rank == len(out.reps) + gf2_rank(out.cobs.matrix()),
        "no representative lies in the span of the others plus coboundaries")
 
     mode = default_mode(n)
@@ -345,26 +339,30 @@ def run_verify(spec: GroupSpec, degree: int) -> list[CheckResult]:
             ok("proper-implies-improper", is_improper_hadamard(ten),
                "spot check on the first representative")
 
-    if v ** (n + 1) <= ORACLE_LIMIT:
+    try:
         bf = brute_force_cohomology(g, n)
-        ok("oracle-hdim", bf.hdim == hdim,
-           f"brute-force bar complex gives dim H^{n} = {bf.hdim}")
-        all_out = out if mode == "all" else full_cocycle_basis(model, n, mode="all")
-        mat = all_out.basis.matrix()
-        ker_dim = bf.kernel.shape[0]
-        _, rank_basis = greedy_independent_rows(mat)
-        _, rank_joint = greedy_independent_rows(np.vstack([mat, bf.kernel]))
-        ok("oracle-span",
-           rank_basis == len(all_out.basis) == ker_dim == rank_joint,
-           f"span(reps ∪ cobs(all)) = Ker d^{n} (dimension {ker_dim})")
-        _, im_rank = greedy_independent_rows(bf.image)
-        _, im_joint = greedy_independent_rows(
-            np.vstack([bf.image, all_out.cobs.matrix()]))
-        ok("oracle-coboundary-span", im_rank == im_joint == len(all_out.cobs),
-           f"span(cobs(all)) = Im d^{n - 1} (dimension {im_rank})")
+    except OracleSizeError as exc:
+        checks.append(CheckResult("SKIP", "oracle", str(exc)))
+        return checks
+    ok("oracle-hdim", bf.hdim == hdim,
+       f"brute-force bar complex gives dim H^{n} = {bf.hdim}")
+    # span ⊆ Ker (cocycles) and ⊆ Im (generators), so independence plus the
+    # oracle's dimensions give equality of spans
+    if mode == "all":
+        all_cobs, all_bad, all_rank = out.cobs, emitted_bad, joint_rank
     else:
-        checks.append(CheckResult(
-            "SKIP", "oracle",
-            f"v^(n+1) = {v ** (n + 1)} exceeds the {ORACLE_LIMIT} guard"))
-
+        all_cobs = coboundary_basis(g, n, mode="all")
+        all_basis = CochainBasis(out.reps.entries + all_cobs.entries)
+        all_bad = _non_cocycles(g, n, all_basis)
+        all_rank = gf2_rank(all_basis.matrix())
+    size = len(out.reps) + len(all_cobs)
+    independent = all_rank == size
+    ok("oracle-span", independent and size == bf.ker_dim and all_bad == 0,
+       f"span(reps ∪ cobs(all)) = Ker d^{n} (dimension {bf.ker_dim})")
+    generators = all(
+        (c.bits == coboundary_generator(g, n, int(lab.split(":")[1])).bits).all()
+        for lab, c in all_cobs.entries)
+    ok("oracle-coboundary-span",
+       independent and generators and len(all_cobs) == bf.im_rank,
+       f"span(cobs(all)) = Im d^{n - 1} (dimension {bf.im_rank})")
     return checks

@@ -3,13 +3,25 @@ import itertools
 import numpy as np
 import pytest
 
-from cocyred.gf2 import (Echelon, as_bits, gf2_rank, greedy_independent_rows,
+from cocyred.gf2 import (as_bits, gf2_rank, greedy_independent_rows,
                          in_row_space, left_kernel, pack_rows,
                          smith_normal_form_gf2, unpack_rows)
 
 
 def rand_matrix(rng, rows, cols):
     return rng.integers(0, 2, size=(rows, cols)).astype(np.uint8)
+
+
+def span(mat):
+    """Every GF(2) combination of the rows, as a set of byte strings."""
+    vecs = set()
+    for picks in itertools.product((0, 1), repeat=mat.shape[0]):
+        acc = np.zeros(mat.shape[1], dtype=np.uint8)
+        for p, row in zip(picks, mat):
+            if p:
+                acc ^= row
+        vecs.add(acc.tobytes())
+    return vecs
 
 
 def test_pack_unpack_roundtrip():
@@ -43,8 +55,9 @@ def test_greedy_dependent_rows():
 
 
 def test_greedy_is_lexicographically_first():
-    # brute force over all subsets: the greedy result must be the
-    # lexicographically smallest maximal independent index set
+    # brute force over all subsets, independent iff its span has 2^size
+    # elements: the greedy result must be the lexicographically smallest
+    # maximal independent index set
     rng = np.random.default_rng(1)
     for _ in range(50):
         m = rand_matrix(rng, 5, 4)
@@ -52,12 +65,12 @@ def test_greedy_is_lexicographically_first():
         best = None
         for size in range(5, -1, -1):
             candidates = [c for c in itertools.combinations(range(5), size)
-                          if gf2_rank(m[list(c)]) == size]
+                          if len(span(m[list(c)])) == 2 ** size]
             if candidates:
                 best = min(candidates)
                 break
         assert tuple(sel) == best
-        assert rank == gf2_rank(m)
+        assert rank == len(best) == gf2_rank(m)
 
 
 def test_snf_zero_matrix():
@@ -103,17 +116,6 @@ def test_row_space_equals_leading_qinv_rows(seed):
     rows, cols = rng.integers(1, 7), rng.integers(1, 11)
     m = rand_matrix(rng, rows, cols)
     s = smith_normal_form_gf2(m)
-
-    def span(mat):
-        vecs = set()
-        for picks in itertools.product((0, 1), repeat=mat.shape[0]):
-            acc = np.zeros(cols, dtype=np.uint8)
-            for p, row in zip(picks, mat):
-                if p:
-                    acc ^= row
-            vecs.add(acc.tobytes())
-        return vecs
-
     assert span(m) == span(s.Qinv[:s.rank])
 
 
@@ -146,19 +148,9 @@ def test_left_kernel_random():
     for _ in range(30):
         m = rand_matrix(rng, rng.integers(1, 9), rng.integers(1, 15))
         rank, ker = left_kernel(m)
-        assert rank == gf2_rank(m)
+        assert rank == gf2_rank(m) == smith_normal_form_gf2(m).rank
         assert ker.shape[0] == m.shape[0] - rank
         if ker.size:
             assert not ((ker.astype(int) @ m.astype(int)) % 2).any()
             assert gf2_rank(ker) == ker.shape[0]
 
-
-def test_echelon_add_and_contains():
-    e = Echelon(4)
-    r1 = pack_rows(np.array([[1, 0, 1, 0]], dtype=np.uint8))[0]
-    r2 = pack_rows(np.array([[0, 1, 1, 0]], dtype=np.uint8))[0]
-    r3 = pack_rows(np.array([[1, 1, 0, 0]], dtype=np.uint8))[0]
-    assert e.add(r1) and e.add(r2)
-    assert not e.add(r3)          # r3 = r1 ^ r2
-    assert e.contains(r3)
-    assert e.rank == 2
