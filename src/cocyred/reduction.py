@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2 import (WORD, SnfResult, column_sweep, greedy_independent_rows,
-                  smith_normal_form_gf2)
+                  pack_rows, smith_normal_form_gf2)
 from .groups import FiniteGroup
 from .model import CohModel
 
@@ -102,6 +102,30 @@ def bar_codifferential(g: FiniteGroup, n: int, f: Cochain) -> Cochain:
     for idx in _face_indices(g, n):
         out ^= f.bits[idx]
     return Cochain(g.order, n + 1, out)
+
+
+def count_non_cocycles(g: FiniteGroup, n: int, rows: np.ndarray) -> int:
+    """How many rows of a (k, v**n) 0/1 matrix of degree-n cochains have a
+    nonzero coboundary.
+
+    Packs each block of 64 cochains into one uint64 word per tuple and
+    gathers each face index once per block; the temporaries are three
+    arrays of at most v**(n+1) words.
+    """
+    rows = np.asarray(rows, dtype=np.uint8)
+    if len(rows) and rows.shape[1] != g.order ** n:
+        raise ValueError("cochain rows do not match group/degree")
+    faces = _face_indices(g, n)
+    acc = np.empty(len(faces[0]), dtype=np.uint64)
+    term = np.empty_like(acc)
+    bad = 0
+    for start in range(0, len(rows), WORD):
+        words = pack_rows(rows[start:start + WORD].T).ravel()
+        np.take(words, faces[0], out=acc)
+        for idx in faces[1:]:
+            acc ^= np.take(words, idx, out=term)
+        bad += int(np.bitwise_count(np.bitwise_or.reduce(acc)))
+    return bad
 
 
 def coboundary_generator(g: FiniteGroup, n: int, tuple_index: int) -> Cochain:

@@ -1,23 +1,28 @@
 """Exhaustive and sampled enumeration of the 2^m span of a cocycle basis.
 
-Exhaustive mode walks the span in reflected-Gray-code order, so each step
-updates the current ±1 tensor with a single pointwise multiplication.  The
-index space may be partitioned across workers by its leading bits; counts
-and retained witnesses are independent of the partitioning because
-retention keeps the numerically smallest combination masks.
+Both modes are one walk over a stream of combination masks: each step
+multiplies the current ±1 tensor by the basis rows where the mask differs
+from the previous one.  Exhaustive mode streams reflected-Gray-code masks,
+so each step is a single pointwise multiplication; sampled mode streams
+seeded random masks.  The exhaustive index space may be partitioned across
+workers by its leading bits; counts and retained witnesses are independent
+of the partitioning because retention keeps the numerically smallest
+combination masks.  `limit` caps the walk before the size refusal, so a
+limited prefix of a span with more than 2^62 combinations may be walked.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
+import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .reduction import Cochain, CochainBasis, ReductionOutput
+from .reduction import CochainBasis, ReductionOutput
 from .tensor import SignTensor
 
 MAX_EXHAUSTIVE_BITS = 62
@@ -59,15 +64,16 @@ class SearchSpace:
     def m(self) -> int:
         return len(self.labels)
 
+    def _mask_rows(self, mask: int) -> list[int]:
+        if not 0 <= mask < 1 << self.m:
+            raise ValueError(f"mask {mask} is not a combination of {self.m} rows")
+        return [i for i in range(self.m) if mask >> i & 1]
+
     def combo_labels(self, mask: int) -> list[str]:
-        return [self.labels[i] for i in range(self.m) if (mask >> i) & 1]
+        return [self.labels[i] for i in self._mask_rows(mask)]
 
     def combo_bits(self, mask: int) -> np.ndarray:
-        out = np.zeros(self.v ** self.n, dtype=np.uint8)
-        for i in range(self.m):
-            if (mask >> i) & 1:
-                out ^= self.bits[i]
-        return out
+        return np.bitwise_xor.reduce(self.bits[self._mask_rows(mask)], axis=0)
 
     def combo_tensor(self, mask: int) -> SignTensor:
         signs = (1 - 2 * self.combo_bits(mask).astype(np.int8))
@@ -89,7 +95,6 @@ class SearchReport:
     duration: float
     mode: str
     seed: int | None = None
-    extras: dict[str, int] = field(default_factory=dict)
 
 
 def tensor_of_combination(space: SearchSpace, combo) -> SignTensor:
@@ -102,6 +107,8 @@ def tensor_of_combination(space: SearchSpace, combo) -> SignTensor:
     for lab in combo:
         if lab not in index:
             raise KeyError(f"unknown basis label {lab!r}")
+        if mask >> index[lab] & 1:
+            raise ValueError(f"basis label {lab!r} appears more than once")
         mask |= 1 << index[lab]
     return space.combo_tensor(mask)
 
@@ -111,17 +118,18 @@ class _Tester:
 
     def __init__(self, space: SearchSpace, predicates: tuple[str, ...]):
         v, n = space.v, space.n
-        self.v, self.n = v, n
         self.predicates = predicates
         flat = np.arange(v ** n).reshape((v,) * n)
         self.axis_idx = [np.moveaxis(flat, ax, 0).reshape(v, -1) for ax in range(n)]
+        self.row_idx = self.axis_idx[:1]
         self.pair_idx = [(np.moveaxis(flat, (l, j), (0, 1)).reshape(v, v, -1))
                          for l in range(n) for j in range(n) if j != l]
         self.offdiag = ~np.eye(v, dtype=bool)
-        self.half = v ** (n - 1)
 
-    def improper(self, pm: np.ndarray) -> bool:
-        for idx in self.axis_idx:
+    def orthogonal(self, pm: np.ndarray, axis_idx) -> bool:
+        # improper: sections orthogonal along every axis; a planar Hadamard
+        # matrix is the axis-0 case, orthogonal rows
+        for idx in axis_idx:
             s = pm[idx]
             if (np.matmul(s, s.T)[self.offdiag] != 0).any():
                 return False
@@ -136,30 +144,20 @@ class _Tester:
                 return False
         return True
 
-    def hadamard2d(self, pm: np.ndarray) -> bool:
-        s = pm[self.axis_idx[0]]
-        return not (np.matmul(s, s.T)[self.offdiag] != 0).any()
-
     def evaluate(self, pm: np.ndarray) -> list[str]:
         passed = []
-        improper_known = None
+        improper = None
         for pred in self.predicates:
-            if pred == "improper":
-                improper_known = self.improper(pm)
-                if improper_known:
-                    passed.append(pred)
-            elif pred == "proper":
+            if pred == "hadamard2d":
+                ok = self.orthogonal(pm, self.row_idx)
+            else:
+                if improper is None:
+                    improper = self.orthogonal(pm, self.axis_idx)
                 # proper implies improper: skip the expensive check when the
                 # cheaper one already failed
-                if improper_known is False:
-                    continue
-                if improper_known is None and not self.improper(pm):
-                    continue
-                if self.proper_full(pm):
-                    passed.append(pred)
-            elif pred == "hadamard2d":
-                if self.hadamard2d(pm):
-                    passed.append(pred)
+                ok = improper and (pred == "improper" or self.proper_full(pm))
+            if ok:
+                passed.append(pred)
         return passed
 
 
@@ -187,37 +185,33 @@ def _gray(i: int) -> int:
     return i ^ (i >> 1)
 
 
-def _scan_range(space: SearchSpace, predicates: tuple[str, ...],
-                start: int, stop: int, cap: int):
+def _scan(space: SearchSpace, predicates: tuple[str, ...], masks, cap: int):
+    """Test the product of every mask in `masks`; returns the examined
+    count, the hit counts and the `cap` smallest hit masks."""
     tester = _Tester(space, predicates)
     pm_rows = (1 - 2 * space.bits.astype(np.int32))
+    current = np.ones(space.v ** space.n, dtype=np.int32)
     counts = dict.fromkeys(predicates, 0)
     heap = _WitnessHeap(cap)
-
-    mask = _gray(start)
-    current = np.ones(space.v ** space.n, dtype=np.int32)
-    for i in range(space.m):
-        if (mask >> i) & 1:
-            current *= pm_rows[i]
-
-    def test(msk):
+    examined = prev = 0
+    for examined, mask in enumerate(masks, 1):
+        diff = mask ^ prev
+        while diff:  # multiply in the row of each bit that changed
+            low = diff & -diff
+            current *= pm_rows[low.bit_length() - 1]
+            diff ^= low
+        prev = mask
         passed = tester.evaluate(current)
         for p in passed:
             counts[p] += 1
         if passed:
-            heap.offer(msk, tuple(passed))
-
-    test(mask)
-    for i in range(start + 1, stop):
-        flip = (i & -i).bit_length() - 1
-        current *= pm_rows[flip]
-        mask ^= 1 << flip
-        test(mask)
-    return stop - start, counts, heap.items()
+            heap.offer(mask, tuple(passed))
+    return examined, counts, heap.items()
 
 
-def _scan_range_task(args):
-    return _scan_range(*args)
+def _scan_gray_range(args):
+    space, predicates, start, stop, cap = args
+    return _scan(space, predicates, map(_gray, range(start, stop)), cap)
 
 
 def enumerate_span(space: SearchSpace,
@@ -230,10 +224,10 @@ def enumerate_span(space: SearchSpace,
                    limit: int | None = None) -> SearchReport:
     """Count predicate hits over the span of the basis.
 
-    Exhaustive mode (the default) visits all 2^m combinations in Gray-code
-    order and refuses when m exceeds 62 bits; sampled mode draws
-    sample_count masks from a seeded generator.  Counts and witnesses are
-    independent of the worker count.
+    Exhaustive mode (the default) visits the first `limit` (default all
+    2^m) combinations in Gray-code order and refuses when that count
+    exceeds 2^62; sampled mode draws sample_count masks from a seeded
+    generator.  Counts and witnesses are independent of the worker count.
     """
     predicates = tuple(predicates)
     for p in predicates:
@@ -241,58 +235,36 @@ def enumerate_span(space: SearchSpace,
             raise ValueError(f"unknown predicate {p!r}")
     if "hadamard2d" in predicates and space.n != 2:
         raise ValueError("hadamard2d applies only to 2-dimensional spans")
+    for name, count in (("sample_count", sample_count), ("limit", limit)):
+        if count is not None and count < 0:
+            raise ValueError(f"{name} must be nonnegative, got {count}")
     t0 = time.perf_counter()
 
-    if sample_count is not None:
-        import random
+    sampled = sample_count is not None
+    if sampled:
         rng = random.Random(seed)
-        tester = _Tester(space, predicates)
-        counts = dict.fromkeys(predicates, 0)
-        heap = _WitnessHeap(max_witnesses)
-        pm_rows = (1 - 2 * space.bits.astype(np.int32))
-        for _ in range(sample_count):
-            mask = rng.getrandbits(space.m) if space.m else 0
-            current = np.ones(space.v ** space.n, dtype=np.int32)
-            for i in range(space.m):
-                if (mask >> i) & 1:
-                    current *= pm_rows[i]
-            passed = tester.evaluate(current)
-            for p in passed:
-                counts[p] += 1
-            if passed:
-                heap.offer(mask, tuple(passed))
-        witnesses = [Witness(m, space.combo_labels(m), list(p))
-                     for m, p in heap.items()]
-        return SearchReport(examined=sample_count, hits=counts,
-                            witnesses=witnesses,
-                            duration=time.perf_counter() - t0,
-                            mode="sampled", seed=seed)
-
-    if space.m > MAX_EXHAUSTIVE_BITS:
-        raise SpanTooLargeError(
-            f"2^{space.m} combinations exceed exhaustive limits; "
-            f"use sampling (--sample)")
-    total = 1 << space.m
-    if limit is not None:
-        total = min(total, limit)
-
-    nworkers = max(1, int(workers))
-    nranges = 1
-    while nranges < nworkers:
-        nranges *= 2
-    bounds = [(total * k // nranges, total * (k + 1) // nranges)
-              for k in range(nranges)]
-    bounds = [(a, b) for a, b in bounds if b > a]
-
-    if nworkers == 1 or len(bounds) == 1:
-        results = [_scan_range(space, predicates, a, b, max_witnesses)
-                   for a, b in bounds]
+        masks = (rng.getrandbits(space.m) for _ in range(sample_count))
+        results = [_scan(space, predicates, masks, max_witnesses)]
     else:
-        args = [(space, predicates, a, b, max_witnesses) for a, b in bounds]
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            results = list(pool.map(_scan_range_task, args))
+        total = 1 << space.m if limit is None else min(1 << space.m, limit)
+        if total > 1 << MAX_EXHAUSTIVE_BITS:
+            raise SpanTooLargeError(
+                f"2^{space.m} combinations exceed exhaustive limits; "
+                f"use sampling (--sample)")
+        nworkers = max(1, int(workers))
+        nranges = 1
+        while nranges < nworkers:
+            nranges *= 2
+        bounds = [(total * k // nranges, total * (k + 1) // nranges)
+                  for k in range(nranges)]
+        args = [(space, predicates, a, b, max_witnesses)
+                for a, b in bounds if b > a]
+        if nworkers == 1 or len(args) == 1:
+            results = [_scan_gray_range(a) for a in args]
+        else:
+            with ProcessPoolExecutor(max_workers=nworkers) as pool:
+                results = list(pool.map(_scan_gray_range, args))
 
-    examined = sum(r[0] for r in results)
     counts = dict.fromkeys(predicates, 0)
     merged = []
     for _, c, items in results:
@@ -300,10 +272,13 @@ def enumerate_span(space: SearchSpace,
             counts[p] += c[p]
         merged.extend(items)
     merged.sort()
-    merged = merged[:max_witnesses]
-    witnesses = [Witness(m, space.combo_labels(m), list(p)) for m, p in merged]
-    return SearchReport(examined=examined, hits=counts, witnesses=witnesses,
-                        duration=time.perf_counter() - t0, mode="exhaustive")
+    witnesses = [Witness(m, space.combo_labels(m), list(p))
+                 for m, p in merged[:max_witnesses]]
+    return SearchReport(examined=sum(r[0] for r in results), hits=counts,
+                        witnesses=witnesses,
+                        duration=time.perf_counter() - t0,
+                        mode="sampled" if sampled else "exhaustive",
+                        seed=seed if sampled else None)
 
 
 def default_workers() -> int:

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2 import gf2_rank
-from .groups import Family, FiniteGroup, GroupSpec, build_group, group_axioms_hold
+from .groups import Family, GroupSpec, build_group, group_axioms_hold
 from .model import CohModel, builtin_model
 from .reduction import (Cochain, CochainBasis, OracleSizeError,
                         bar_codifferential, brute_force_cohomology,
-                        coboundary_basis, coboundary_generator, default_mode,
-                        full_cocycle_basis)
+                        coboundary_basis, coboundary_generator,
+                        count_non_cocycles, default_mode, full_cocycle_basis)
 from .tensor import (all_ones, alternating_back_negacyclic,
                      alternating_columns, alternating_forward_block,
                      back_negacyclic, forward_negacyclic,
@@ -202,14 +202,6 @@ def product_identity_holds(spec: GroupSpec, degree: int = 2) -> bool | None:
 # -- the suite ---------------------------------------------------------------
 
 
-def _is_cocycle(g: FiniteGroup, n: int, bits: np.ndarray) -> bool:
-    return not bar_codifferential(g, n, Cochain(g.order, n, bits)).bits.any()
-
-
-def _non_cocycles(g: FiniteGroup, n: int, basis: CochainBasis) -> int:
-    return sum(1 for _, c in basis.entries if not _is_cocycle(g, n, c.bits))
-
-
 def run_verify(spec: GroupSpec, degree: int) -> list[CheckResult]:
     checks: list[CheckResult] = []
     ok = lambda name, cond, detail: checks.append(
@@ -243,10 +235,8 @@ def run_verify(spec: GroupSpec, degree: int) -> list[CheckResult]:
     snf_lo, snf_hi = out.snf_lower, out.snf_upper
     l, k = snf_lo.rank, snf_hi.rank
 
-    kernel_rows = snf_hi.P[k:]
-    bad = sum(1 for row in kernel_rows
-              if not _is_cocycle(g, n, ((model.lift_table @ row.astype(np.int64)) % 2
-                                        ).astype(np.uint8)))
+    lifts = (snf_hi.P[k:].astype(np.int64) @ model.lift_table.T) % 2
+    bad = count_non_cocycles(g, n, lifts)
     ok("kernel-lifts-are-cocycles", bad == 0,
        f"all {r - k} kernel coordinate rows lift to {n}-cocycles"
        + (f" ({bad} failed)" if bad else ""))
@@ -293,7 +283,7 @@ def run_verify(spec: GroupSpec, degree: int) -> list[CheckResult]:
     ok("joint-independence", joint_rank == len(out.basis),
        f"reps ∪ cobs has full rank {joint_rank}")
 
-    emitted_bad = _non_cocycles(g, n, out.basis)
+    emitted_bad = count_non_cocycles(g, n, out.basis.matrix())
     ok("emitted-cocycles", emitted_bad == 0,
        f"all {len(out.basis)} emitted basis elements pass the cocycle condition")
 
@@ -352,9 +342,9 @@ def run_verify(spec: GroupSpec, degree: int) -> list[CheckResult]:
         all_cobs, all_bad, all_rank = out.cobs, emitted_bad, joint_rank
     else:
         all_cobs = coboundary_basis(g, n, mode="all")
-        all_basis = CochainBasis(out.reps.entries + all_cobs.entries)
-        all_bad = _non_cocycles(g, n, all_basis)
-        all_rank = gf2_rank(all_basis.matrix())
+        all_matrix = CochainBasis(out.reps.entries + all_cobs.entries).matrix()
+        all_bad = count_non_cocycles(g, n, all_matrix)
+        all_rank = gf2_rank(all_matrix)
     size = len(out.reps) + len(all_cobs)
     independent = all_rank == size
     ok("oracle-span", independent and size == bf.ker_dim and all_bad == 0,

@@ -65,6 +65,18 @@ def test_search_sampled(capsys):
     assert out1 == out2
 
 
+def test_search_negative_sample_is_usage_error(capsys):
+    code, out, err = run(capsys, "search", "--group", "cyclic:2", "--degree", "3",
+                         "--test", "improper", "--sample", "-5")
+    assert code == 1 and out == "" and "nonnegative" in err
+
+
+def test_tensor_repeated_combo_label_is_usage_error(capsys):
+    code, out, err = run(capsys, "tensor", "--group", "g1:1", "--degree", "3",
+                         "--combo", "c4,c4")
+    assert code == 1 and out == "" and "'cob:4'" in err
+
+
 def test_search_dump(capsys, tmp_path):
     dump = tmp_path / "w.json"
     code, _, _ = run(capsys, "search", "--group", "cyclic:2", "--degree", "3",

@@ -8,8 +8,8 @@ from cocyred.groups import Family, GroupSpec, build_group
 from cocyred.model import builtin_model
 from cocyred.reduction import (Cochain, OracleSizeError, bar_codifferential,
                                brute_force_cohomology, coboundary_basis,
-                               coboundary_generator, full_cocycle_basis,
-                               representative_cocycles)
+                               coboundary_generator, count_non_cocycles,
+                               full_cocycle_basis, representative_cocycles)
 from cocyred.verify import closed_form_rep_tensors
 from cocyred.tensor import tensor_from_cochain
 
@@ -44,6 +44,25 @@ def test_d_squared_is_zero_exhaustively(spec, n):
     for flat in range(v ** n):
         df = bar_codifferential(g, n, delta(v, n, flat))
         assert not bar_codifferential(g, n + 1, df).bits.any()
+
+
+@pytest.mark.parametrize("spec,n", [(GroupSpec(Family.G1, 1), 3),
+                                    (GroupSpec(Family.D4T, 2), 2),
+                                    (GroupSpec(Family.G1, 2), 3)])
+def test_count_non_cocycles_matches_referee(spec, n):
+    # basis cocycles mixed with random cochains, more than one word of rows
+    g = build_group(spec)
+    basis = full_cocycle_basis(builtin_model(spec, n), n, mode="all").basis
+    rng = np.random.default_rng(7)
+    rows = np.vstack([basis.matrix(),
+                      rng.integers(0, 2, (70, g.order ** n), dtype=np.uint8)])
+    rows = rows[rng.permutation(len(rows))]
+    want = sum(bool(bar_codifferential(g, n, Cochain(g.order, n, r)).bits.any())
+               for r in rows)
+    assert 0 < want < len(rows) and len(rows) > 64
+    assert count_non_cocycles(g, n, rows) == want
+    assert count_non_cocycles(g, n, basis.matrix()) == 0
+    assert count_non_cocycles(g, n, rows[:0]) == 0
 
 
 def test_degree_mismatch_raises():

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -97,8 +99,9 @@ def test_gray_matches_naive_improper():
 
 
 def test_gray_state_equals_from_scratch_product(monkeypatch):
-    # record the incremental tensor at every step and compare it against
-    # the mask's from-scratch product
+    # record the incremental tensor at every step of the Gray walk and of a
+    # seeded sampled walk, and compare it against the mask's from-scratch
+    # product
     import cocyred.search as search_mod
     space = space_for(Family.CYCLIC, 1, 3)  # m = 3
     snapshots = []
@@ -109,12 +112,29 @@ def test_gray_state_equals_from_scratch_product(monkeypatch):
         return orig(self, pm)
 
     monkeypatch.setattr(search_mod._Tester, "evaluate", spy)
-    enumerate_span(space, ("improper",))
-    assert len(snapshots) == 2 ** space.m
-    for i, pm in enumerate(snapshots):
-        mask = i ^ (i >> 1)
-        expect = 1 - 2 * space.combo_bits(mask).astype(np.int32)
-        assert (pm == expect).all()
+    rng = random.Random(3)
+    for sample_count, masks in (
+            (None, [i ^ (i >> 1) for i in range(2 ** space.m)]),
+            (40, [rng.getrandbits(space.m) for _ in range(40)])):
+        snapshots.clear()
+        enumerate_span(space, ("improper",), sample_count=sample_count, seed=3)
+        assert len(snapshots) == len(masks)
+        for mask, pm in zip(masks, snapshots):
+            expect = 1 - 2 * space.combo_bits(mask).astype(np.int32)
+            assert (pm == expect).all()
+
+
+def test_sampled_hits_match_referee():
+    # replay the seeded masks and count hits with the tensor.py predicates
+    space = space_for(Family.G1, 1, 3)
+    report = enumerate_span(space, ("improper", "proper"), sample_count=3000,
+                            seed=5)
+    rng = random.Random(5)
+    masks = [rng.getrandbits(space.m) for _ in range(3000)]
+    hits = sorted(m for m in masks
+                  if is_improper_hadamard(space.combo_tensor(m)))
+    assert hits and report.hits == {"improper": len(hits), "proper": 0}
+    assert [w.mask for w in report.witnesses] == hits
 
 
 def test_worker_independence():
@@ -173,6 +193,43 @@ def test_limit_option():
     space = space_for(Family.CYCLIC, 2, 3)
     report = enumerate_span(space, ("improper",), limit=100)
     assert report.examined == 100
+
+
+def test_limit_applies_before_refusal():
+    bits = np.eye(63, 64, dtype=np.uint8)
+    space = SearchSpace(v=8, n=2, labels=[f"cob:{i+1}" for i in range(63)],
+                        bits=bits)
+    report = enumerate_span(space, ("hadamard2d",), limit=10)
+    assert report.mode == "exhaustive" and report.examined == 10
+    with pytest.raises(SpanTooLargeError, match="2\\^63 combinations"):
+        enumerate_span(space, ("hadamard2d",))
+    with pytest.raises(SpanTooLargeError):
+        enumerate_span(space, ("hadamard2d",), limit=2 ** 62 + 1)
+
+
+@pytest.mark.parametrize("kwargs", ({"sample_count": -5}, {"limit": -1}))
+def test_negative_counts_raise(kwargs):
+    space = space_for(Family.CYCLIC, 2, 3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        enumerate_span(space, ("improper",), **kwargs)
+
+
+def test_duplicate_label_raises():
+    space = space_for(Family.G1, 1, 3)
+    with pytest.raises(ValueError, match="'cob:4'"):
+        tensor_of_combination(space, ["cob:4", "cob:4"])
+
+
+def test_combo_decoding():
+    space = space_for(Family.CYCLIC, 2, 3)
+    mask = 0b1000000000101
+    assert space.combo_labels(mask) == [space.labels[i] for i in (0, 2, 12)]
+    assert (space.combo_bits(mask)
+            == space.bits[0] ^ space.bits[2] ^ space.bits[12]).all()
+    assert not space.combo_bits(0).any()
+    for bad in (-1, 1 << space.m):
+        with pytest.raises(ValueError):
+            space.combo_bits(bad)
 
 
 def test_unknown_label_raises():
