@@ -1,12 +1,14 @@
 """Dense exact linear algebra over GF(2).
 
 Matrices are 2-D numpy arrays with entries in {0, 1} (dtype uint8 at the
-API level).  One elimination, `column_sweep`, answers every rank, span and
-greedy-selection question; it works on rows packed into uint64 words so
-that row operations are word-parallel, which matters for the brute-force
+API level).  Eliminations work on rows packed into uint64 words so that
+row operations are word-parallel, which matters for the brute-force
 cohomology oracle, whose matrices reach a few thousand rows by ~2^16
-columns.  The Smith normal form, which also needs its transforms, is the
-only other elimination.
+columns.  The column sweep, `column_sweep`, answers rank and kernel
+questions.  Greedy selection and span membership sweep the rows of M in
+order: the column sweep over M^T selects the same rows but fills in far
+more when M^T is tall.  The Smith normal form, which also needs its
+transforms, is the only other elimination.
 
 Row-vector convention throughout: row m of a matrix is the image of the
 m-th basis element, and a coordinate row x maps to x @ M.
@@ -98,12 +100,26 @@ def greedy_independent_rows(m) -> tuple[list[int], int]:
     """Scan rows in index order, keeping each row iff it enlarges the span.
 
     Returns (selected 0-based row indices, rank).  The selection is the
-    lexicographically first maximal independent subset of rows: the pivot
-    columns of the sweep over the transpose, since column i of M^T gets a
-    pivot iff row i of M is outside the span of the rows before it.
+    lexicographically first maximal independent subset of rows.  A
+    row-order sweep over M itself: a row is kept iff it is nonzero after
+    reduction by the kept rows before it; its lowest set bit becomes its
+    pivot column and is cleared from every later row.
     """
     m = as_bits(m)
-    selected = column_sweep(pack_rows(m.T), m.shape[0])
+    w = pack_rows(m)
+    selected: list[int] = []
+    for i, row in enumerate(w):
+        if len(selected) == m.shape[1]:
+            break
+        nonzero = np.flatnonzero(row)
+        if not nonzero.size:
+            continue
+        word = int(nonzero[0])
+        low = int(row[word]) & -int(row[word])
+        # row is zero left of its pivot word, so XOR from that word on
+        later = i + 1 + np.flatnonzero(w[i + 1:, word] & np.uint64(low))
+        w[later, word:] ^= row[word:]
+        selected.append(i)
     return selected, len(selected)
 
 

@@ -1,14 +1,26 @@
 """Exhaustive and sampled enumeration of the 2^m span of a cocycle basis.
 
-Both modes are one walk over a stream of combination masks: each step
-multiplies the current ±1 tensor by the basis rows where the mask differs
-from the previous one.  Exhaustive mode streams reflected-Gray-code masks,
-so each step is a single pointwise multiplication; sampled mode streams
-seeded random masks.  The exhaustive index space may be partitioned across
-workers by its leading bits; counts and retained witnesses are independent
-of the partitioning because retention keeps the numerically smallest
-combination masks.  `limit` caps the walk before the size refusal, so a
-limited prefix of a span with more than 2^62 combinations may be walked.
+Both modes are one walk over a stream of combination masks, taken in
+batches whose size follows from the byte budget `SCAN_BYTES`.  Exhaustive
+mode streams the reflected Gray codes g = i ^ (i >> 1) of an index range;
+sampled mode streams seeded `getrandbits(m)` draws.  The exhaustive index
+space may be partitioned across workers by its leading bits; counts and
+retained witnesses are independent of the partitioning because retention
+keeps the numerically smallest distinct combination masks.  `limit` caps
+the walk before the size refusal, so a limited prefix of a span with more
+than 2^62 combinations may be walked.
+
+One kernel, `_Kernel`, evaluates every predicate on a batch at once, with
+integer and bit operations only.  The basis rows are packed so that each
+tested axis holds v sections of ceil(v^(n-1)/64) uint64 words, and
+grouped four at a time into XOR tables of 16 entries (the method of four
+Russians): a product is the XOR of one table entry per 4-bit digit of its
+mask.  Two ±1 sections of length L are orthogonal iff they differ in
+exactly L/2 places, popcount(s_i ^ s_j) = L/2.  The improper test checks
+this for every pair of sections along every axis, each axis on the
+survivors of the one before; the planar Hadamard test is its axis-0 case;
+the proper test runs on the improper survivors only.  The predicates of
+`tensor.py` are the slow referee that the tests judge this kernel by.
 """
 
 from __future__ import annotations
@@ -19,13 +31,19 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from .gf2 import WORD
 from .reduction import CochainBasis, ReductionOutput
 from .tensor import SignTensor
 
 MAX_EXHAUSTIVE_BITS = 62
+
+# Bytes one `_scan` call may hold in its XOR tables plus one batch's
+# temporaries; the batch size follows from it.
+SCAN_BYTES = 1 << 19
 
 PREDICATES = ("improper", "proper", "hadamard2d")
 
@@ -113,105 +131,217 @@ def tensor_of_combination(space: SearchSpace, combo) -> SignTensor:
     return space.combo_tensor(mask)
 
 
-class _Tester:
-    """Per-process predicate evaluator over a flat ±1 vector."""
+class _Kernel:
+    """Bit-packed products of one span and the one predicate test.
+
+    Each tested axis holds v sections of `words` = ceil(v^(n-1)/64) uint64
+    words, section i holding, in row-major order and zero padded, the bits
+    whose coordinate on that axis is i; axis 0 comes first, so its sections
+    are the cochain bits in order.  A product is one row of these words.
+    """
 
     def __init__(self, space: SearchSpace, predicates: tuple[str, ...]):
         v, n = space.v, space.n
-        self.predicates = predicates
-        flat = np.arange(v ** n).reshape((v,) * n)
-        self.axis_idx = [np.moveaxis(flat, ax, 0).reshape(v, -1) for ax in range(n)]
-        self.row_idx = self.axis_idx[:1]
-        self.pair_idx = [(np.moveaxis(flat, (l, j), (0, 1)).reshape(v, v, -1))
-                         for l in range(n) for j in range(n) if j != l]
-        self.offdiag = ~np.eye(v, dtype=bool)
+        self.v, self.n, self.predicates = v, n, predicates
+        self.length = v ** (n - 1)
+        self.words = -(-self.length // WORD)
+        # planar Hadamard tests rows only; improper and proper test every axis
+        self.axes = 1 if set(predicates) == {"hadamard2d"} else n
+        self.pairs = np.triu_indices(v, 1)
+        # ±1 vectors of odd length have odd dot products
+        self.never = self.length % 2 == 1 and v > 1
+        groups, width = -(-space.m // 4), self.axes * v * self.words
+        cube = space.bits.reshape((space.m,) + (v,) * n)
+        rows = np.zeros((4 * groups, self.axes, v, 8 * self.words), dtype=np.uint8)
+        for a in range(self.axes):
+            sections = np.moveaxis(cube, 1 + a, 1).reshape(space.m, v, self.length)
+            rows[:space.m, a, :, :-(-self.length // 8)] = np.packbits(
+                sections, axis=2, bitorder="little")
+        rows = rows.view(np.uint64).reshape(groups, 4, width)
+        # four-Russians tables: entry d of group g is the XOR of the rows
+        # 4g + b over the set bits b of d
+        self.tables = np.zeros((groups, 16, width), dtype=np.uint64)
+        for b in range(4):
+            np.bitwise_xor(self.tables[:, :1 << b], rows[:, b, None],
+                           out=self.tables[:, 1 << b:2 << b])
+        npairs = len(self.pairs[0])
+        # tables past the budget (spans far beyond exhaustive reach) still
+        # leave a quarter of it to a batch
+        room = max(SCAN_BYTES - self.tables.nbytes, SCAN_BYTES // 4)
+        # a batch holds its mask stream and digits, the product and one
+        # gathered table entry per mask, and one section row's XORs and
+        # popcounts
+        per_mask = 16 * width + 8 * v * self.words \
+            + (25 * self.words + 5) * v + 128
+        self.batch = max(1, room // per_mask)
+        # the proper test unpacks each survivor and XORs its axis-aligned rows
+        per_survivor = 2 * v ** n + 3 * npairs * self.length \
+            + 5 * npairs * self.length // v + 72 * v * self.words
+        self.proper_batch = max(1, room // per_survivor)
 
-    def orthogonal(self, pm: np.ndarray, axis_idx) -> bool:
-        # improper: sections orthogonal along every axis; a planar Hadamard
-        # matrix is the axis-0 case, orthogonal rows
-        for idx in axis_idx:
-            s = pm[idx]
-            if (np.matmul(s, s.T)[self.offdiag] != 0).any():
-                return False
-        return True
+    def products(self, raw: np.ndarray) -> np.ndarray:
+        """Packed products of a batch of masks, given as rows of
+        little-endian mask bytes: one table entry per 4-bit digit.
 
-    def proper_full(self, pm: np.ndarray) -> bool:
-        # orthogonality for every fixing of the n-2 spectator coordinates
-        for idx in self.pair_idx:
-            a = pm[idx]
-            prod = np.einsum("xkr,ykr->xyr", a, a)
-            if (prod[self.offdiag] != 0).any():
-                return False
-        return True
-
-    def evaluate(self, pm: np.ndarray) -> list[str]:
-        passed = []
-        improper = None
-        for pred in self.predicates:
-            if pred == "hadamard2d":
-                ok = self.orthogonal(pm, self.row_idx)
+        A digit that is the same throughout the batch (the high digits of
+        a run of Gray codes) adds one fixed entry instead of a gather.
+        """
+        groups = min(len(self.tables), 2 * raw.shape[1])
+        used = np.ascontiguousarray(raw[:, :(groups + 1) // 2].T)
+        spread = np.bitwise_or.reduce(used ^ used[:, :1], axis=1).tolist()
+        digits = np.empty((2 * len(used), len(raw)), dtype=np.uint8)
+        np.bitwise_and(used, 15, out=digits[0::2])
+        np.right_shift(used, 4, out=digits[1::2])
+        prod = np.zeros((len(raw), self.tables.shape[2]), dtype=np.uint64)
+        entry = np.empty_like(prod)
+        fixed = np.zeros_like(prod[0])
+        for g in range(groups):
+            if spread[g // 2] >> 4 * (g % 2) & 15:
+                # digits are below 16, so "clip" only skips the bounds check
+                np.take(self.tables[g], digits[g], axis=0, out=entry, mode="clip")
+                prod ^= entry
             else:
-                if improper is None:
-                    improper = self.orthogonal(pm, self.axis_idx)
-                # proper implies improper: skip the expensive check when the
-                # cheaper one already failed
-                ok = improper and (pred == "improper" or self.proper_full(pm))
-            if ok:
-                passed.append(pred)
-        return passed
+                fixed ^= self.tables[g, digits[g, 0]]
+        prod ^= fixed
+        return prod
+
+    def bits(self, prod: np.ndarray) -> np.ndarray:
+        """Cochain bits of packed products, from their axis-0 sections."""
+        sections = prod[:, :self.v * self.words].reshape(len(prod), self.v, -1)
+        unpacked = np.unpackbits(sections.view(np.uint8), axis=2,
+                                 bitorder="little")
+        return unpacked[:, :, :self.length].reshape(len(prod), -1)
+
+    def hits(self, prod: np.ndarray) -> dict[str, np.ndarray]:
+        """Batch positions of the products that pass each predicate."""
+        if self.never:
+            return {p: np.zeros(0, dtype=np.intp) for p in self.predicates}
+        sections = prod.reshape(len(prod), self.axes, self.v, self.words)
+        alive = self._orthogonal(sections[:, 0], np.arange(len(prod)))
+        found = {"hadamard2d": alive}
+        # improper: orthogonal along every axis, tested on the survivors of
+        # the previous axes
+        for a in range(1, self.axes):
+            alive = self._orthogonal(sections[alive, a], alive)
+        found["improper"] = alive
+        if "proper" in self.predicates:
+            # proper implies improper, so only improper survivors are tested
+            found["proper"] = np.concatenate(
+                [self._proper(prod, alive[k:k + self.proper_batch])
+                 for k in range(0, len(alive), self.proper_batch)] + [alive[:0]])
+        return {p: found[p] for p in self.predicates}
+
+    def _orthogonal(self, s: np.ndarray, alive: np.ndarray) -> np.ndarray:
+        """The positions in `alive` whose v sections, the rows of `s`, are
+        pairwise orthogonal.
+
+        s_i . s_j = L - 2 popcount(s_i ^ s_j), so two sections are
+        orthogonal iff they differ in exactly L/2 places.  The pair (0, 1)
+        is tested on every position, then section i against the later ones
+        on the survivors of the sections before it.
+        """
+        half = self.length // 2
+        for i in range(self.v - 1):
+            if not len(alive):
+                break
+            if i == 0:
+                keep = self._ones(s[:, 1] ^ s[:, 0]) == half
+                alive, s = alive[keep], s[keep]
+            first = max(i + 1, 2)
+            keep = (self._ones(s[:, first:] ^ s[:, i:i + 1]) == half).all(axis=1)
+            alive, s = alive[keep], s[keep]
+        return alive
+
+    def _ones(self, x: np.ndarray) -> np.ndarray:
+        """Popcounts of packed sections, summed over their words."""
+        ones = np.bitwise_count(x)
+        return ones[..., 0] if self.words == 1 else ones.sum(axis=-1, dtype=np.int32)
+
+    def _proper(self, prod: np.ndarray, alive: np.ndarray) -> np.ndarray:
+        """The positions in `alive` whose parallel axis-aligned rows are
+        pairwise orthogonal: for every pair of distinct axes (l, j) and
+        every fixing of the other coordinates, the rows along j at two
+        positions of l differ in exactly v/2 places."""
+        v, n = self.v, self.n
+        bits = self.bits(prod[alive]).reshape((len(alive),) + (v,) * n)
+        x, y = self.pairs
+        for l in range(n):
+            for j in range(n):
+                if j == l or not len(alive):
+                    continue
+                a = np.moveaxis(bits, (1 + l, 1 + j), (1, 2))
+                a = a.reshape(len(alive), v, v, -1)
+                differ = (a[:, x] ^ a[:, y]).sum(axis=2)
+                keep = (differ == v // 2).all(axis=(1, 2))
+                alive, bits = alive[keep], bits[keep]
+        return alive
 
 
 class _WitnessHeap:
-    """Keeps the `cap` numerically smallest masks (deterministic retention)."""
+    """Keeps the `cap` numerically smallest distinct masks (deterministic
+    retention); a mask it already holds is not offered twice."""
 
     def __init__(self, cap: int):
         self.cap = cap
         self._heap: list[tuple[int, tuple[str, ...]]] = []  # max-heap via negation
+        self._held: set[int] = set()
 
     def offer(self, mask: int, passed: tuple[str, ...]):
-        if self.cap <= 0:
+        if self.cap <= 0 or mask in self._held:
             return
         item = (-mask, passed)
         if len(self._heap) < self.cap:
             heapq.heappush(self._heap, item)
         elif item > self._heap[0]:
-            heapq.heapreplace(self._heap, item)
+            self._held.discard(-heapq.heapreplace(self._heap, item)[0])
+        else:
+            return
+        self._held.add(mask)
 
     def items(self) -> list[tuple[int, tuple[str, ...]]]:
         return sorted((-m, p) for m, p in self._heap)
 
 
-def _gray(i: int) -> int:
-    return i ^ (i >> 1)
+def _gray_batches(start: int, stop: int, size: int):
+    """Reflected Gray codes of the indices [start, stop), in batches."""
+    for a in range(start, stop, size):
+        i = np.arange(a, min(a + size, stop), dtype=np.int64)
+        masks = i ^ (i >> 1)
+        yield masks, masks.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
 
 
-def _scan(space: SearchSpace, predicates: tuple[str, ...], masks, cap: int):
-    """Test the product of every mask in `masks`; returns the examined
-    count, the hit counts and the `cap` smallest hit masks."""
-    tester = _Tester(space, predicates)
-    pm_rows = (1 - 2 * space.bits.astype(np.int32))
-    current = np.ones(space.v ** space.n, dtype=np.int32)
+def _sampled_batches(rng: random.Random, m: int, count: int, size: int):
+    """`count` draws of `rng.getrandbits(m)`, in order, in batches."""
+    width = (m + 7) // 8
+    for a in range(0, count, size):
+        masks = [rng.getrandbits(m) for _ in range(min(size, count - a))]
+        raw = b"".join(x.to_bytes(width, "little") for x in masks)
+        yield masks, np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
+
+
+def _scan(space: SearchSpace, predicates: tuple[str, ...], stream, cap: int):
+    """Test the product of every mask of `stream(batch)`, an iterable of
+    (masks, their little-endian bytes) batches; returns the examined
+    count, the hit counts and the `cap` smallest distinct hit masks."""
+    kernel = _Kernel(space, predicates)
     counts = dict.fromkeys(predicates, 0)
     heap = _WitnessHeap(cap)
-    examined = prev = 0
-    for examined, mask in enumerate(masks, 1):
-        diff = mask ^ prev
-        while diff:  # multiply in the row of each bit that changed
-            low = diff & -diff
-            current *= pm_rows[low.bit_length() - 1]
-            diff ^= low
-        prev = mask
-        passed = tester.evaluate(current)
-        for p in passed:
-            counts[p] += 1
-        if passed:
-            heap.offer(mask, tuple(passed))
+    examined = 0
+    for masks, raw in stream(kernel.batch):
+        examined += len(masks)
+        passed: dict[int, list[str]] = {}
+        for p, where in kernel.hits(kernel.products(raw)).items():
+            counts[p] += len(where)
+            for k in where.tolist():
+                passed.setdefault(k, []).append(p)
+        for k, ps in passed.items():
+            heap.offer(int(masks[k]), tuple(ps))
     return examined, counts, heap.items()
 
 
 def _scan_gray_range(args):
     space, predicates, start, stop, cap = args
-    return _scan(space, predicates, map(_gray, range(start, stop)), cap)
+    return _scan(space, predicates, partial(_gray_batches, start, stop), cap)
 
 
 def enumerate_span(space: SearchSpace,
@@ -242,9 +372,9 @@ def enumerate_span(space: SearchSpace,
 
     sampled = sample_count is not None
     if sampled:
-        rng = random.Random(seed)
-        masks = (rng.getrandbits(space.m) for _ in range(sample_count))
-        results = [_scan(space, predicates, masks, max_witnesses)]
+        stream = partial(_sampled_batches, random.Random(seed), space.m,
+                         sample_count)
+        results = [_scan(space, predicates, stream, max_witnesses)]
     else:
         total = 1 << space.m if limit is None else min(1 << space.m, limit)
         if total > 1 << MAX_EXHAUSTIVE_BITS:

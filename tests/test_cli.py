@@ -88,6 +88,19 @@ def test_search_dump(capsys, tmp_path):
     assert all("labels" in w for w in doc["witnesses"])
 
 
+def test_search_sampled_dump_holds_distinct_masks(capsys, tmp_path):
+    # seed 1 draws one hit mask twice: stdout counts both draws, the dump
+    # and witnesses_kept list the mask once
+    dump = tmp_path / "w.json"
+    code, out, err = run(capsys, "search", "--group", "g1:1", "--degree", "3",
+                         "--test", "improper", "--sample", "4096", "--seed",
+                         "1", "--dump", str(dump))
+    assert code == 0 and "improper: 6, proper-among-hits: 0" in out
+    assert "witnesses_kept: 5" in err
+    masks = [w["mask"] for w in json.loads(dump.read_text())["witnesses"]]
+    assert masks == sorted(set(masks)) and len(masks) == 5
+
+
 def test_tensor_text_output(capsys):
     code, out, _ = run(capsys, "tensor", "--group", "cyclic:2", "--degree", "3",
                        "--combo", "c4,c7,c8,c9")

@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from cocyred.gf2 import (as_bits, gf2_rank, greedy_independent_rows,
-                         in_row_space, left_kernel, pack_rows,
-                         smith_normal_form_gf2, unpack_rows)
+from cocyred.gf2 import (as_bits, column_sweep, gf2_rank,
+                         greedy_independent_rows, in_row_space, left_kernel,
+                         pack_rows, smith_normal_form_gf2, unpack_rows)
 
 
 def rand_matrix(rng, rows, cols):
@@ -71,6 +71,22 @@ def test_greedy_is_lexicographically_first():
                 break
         assert tuple(sel) == best
         assert rank == len(best) == gf2_rank(m)
+
+
+def test_greedy_equals_transpose_sweep():
+    # the row-order sweep selects the pivot columns of the column sweep over
+    # the transpose: row i of M is kept iff column i of M^T gets a pivot
+    rng = np.random.default_rng(7)
+    for k in range(200):
+        short, long = int(rng.integers(1, 40)), int(rng.integers(40, 200))
+        rows, cols = (long, short) if k % 2 else (short, long)
+        sparsity = int(rng.integers(1, 8))  # about one entry in `sparsity`
+        m = (rng.integers(0, sparsity, size=(rows, cols)) == 0).astype(np.uint8)
+        m[rng.integers(0, rows, size=rows // 4)] = 0  # some zero rows
+        m = np.vstack([m, m[rng.integers(0, rows, size=3)]])  # repeats
+        sel, rank = greedy_independent_rows(m)
+        assert sel == column_sweep(pack_rows(m.T), m.shape[0])
+        assert rank == len(sel) == gf2_rank(m)
 
 
 def test_snf_zero_matrix():

@@ -1,8 +1,13 @@
 import random
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import cocyred.search as search_mod
 from cocyred.gf2 import in_row_space
 from cocyred.groups import Family, GroupSpec
 from cocyred.model import builtin_model
@@ -99,19 +104,19 @@ def test_gray_matches_naive_improper():
 
 
 def test_gray_state_equals_from_scratch_product(monkeypatch):
-    # record the incremental tensor at every step of the Gray walk and of a
-    # seeded sampled walk, and compare it against the mask's from-scratch
-    # product
+    # record every batched product of the Gray walk and of a seeded sampled
+    # walk, and compare it against the mask's from-scratch product
     import cocyred.search as search_mod
     space = space_for(Family.CYCLIC, 1, 3)  # m = 3
     snapshots = []
-    orig = search_mod._Tester.evaluate
+    orig = search_mod._Kernel.products
 
-    def spy(self, pm):
-        snapshots.append(pm.copy())
-        return orig(self, pm)
+    def spy(self, raw):
+        prod = orig(self, raw)
+        snapshots.extend(1 - 2 * self.bits(prod).astype(np.int32))
+        return prod
 
-    monkeypatch.setattr(search_mod._Tester, "evaluate", spy)
+    monkeypatch.setattr(search_mod._Kernel, "products", spy)
     rng = random.Random(3)
     for sample_count, masks in (
             (None, [i ^ (i >> 1) for i in range(2 ** space.m)]),
@@ -248,3 +253,230 @@ def test_empty_combo_is_all_ones():
     space = space_for(Family.G1, 1, 2)
     ten = tensor_of_combination(space, [])
     assert (ten.entries == 1).all()
+
+
+# -- the bit-packed kernel against the tensor.py referees --------------------
+
+REFEREES = {"improper": is_improper_hadamard, "proper": is_proper_hadamard,
+            "hadamard2d": is_hadamard_2d}
+
+
+def hadamard_matrix(v):
+    """A Hadamard matrix of order v (Sylvester, or Paley for 12), or None."""
+    if v == 12:
+        q = 11
+        squares = {x * x % q for x in range(1, q)}
+        s = np.zeros((12, 12), dtype=np.int64)
+        s[0, 1:], s[1:, 0] = 1, -1
+        for i in range(q):
+            for j in range(q):
+                if i != j:
+                    s[1 + i, 1 + j] = 1 if (j - i) % q in squares else -1
+        h = np.eye(12, dtype=np.int64) + s
+    else:
+        h = np.ones((1, 1), dtype=np.int64)
+        while len(h) < v:
+            h = np.kron(h, [[1, 1], [1, -1]])
+        if len(h) != v:
+            return None
+    assert (h @ h.T == v * np.eye(v, dtype=np.int64)).all()
+    return h
+
+
+def planted_tensor(v, n, kind, rng):
+    """±1 tensor of shape (v,)*n: proper ("proper", H[x,y]H[y,z]H[x,z]),
+    improper only ("improper", H[x,y]H[x,z]) or random, with every axis
+    permuted.  Odd v and v=10 have no Hadamard matrix and get a random one."""
+    h = hadamard_matrix(v)
+    if h is None or kind == "random":
+        return rng.choice(np.array([-1, 1]), size=(v,) * n)
+    if n == 2:
+        t = h
+    elif kind == "proper":
+        t = h[:, :, None] * h[None, :, :] * h[:, None, :]
+    else:
+        t = h[:, :, None] * h[:, None, :]
+    return t[np.ix_(*[rng.permutation(v) for _ in range(n)])]
+
+
+def span_around(t, m, rng):
+    """A space of m rows: t, one single-axis sign change per axis (which
+    keep every predicate) and a random row, in that order."""
+    v, n = t.shape[0], t.ndim
+    rows = [(1 - t.reshape(-1)) // 2]
+    for axis in range(n):
+        signs = rng.integers(0, 2, size=v)
+        signs[:2] = (0, 1)  # neither constant nor zero
+        shape = [1] * n
+        shape[axis] = v
+        rows.append(np.broadcast_to(signs.reshape(shape), t.shape).reshape(-1))
+    rows.append(rng.integers(0, 2, size=v ** n))
+    bits = np.array(rows[:m], dtype=np.uint8)
+    assume(len(np.unique(bits, axis=0)) == m)
+    return SearchSpace(v=v, n=n, labels=[f"r{i}" for i in range(m)], bits=bits)
+
+
+@settings(max_examples=80, deadline=None)
+@given(v=st.sampled_from([3, 4, 8, 10, 12, 16]), n=st.sampled_from([2, 3]),
+       kind=st.sampled_from(["proper", "improper", "random"]),
+       m=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_kernel_verdicts_equal_referees(v, n, kind, m, seed, data):
+    sets = [("improper", "proper"), ("proper",)]
+    if n == 2:
+        sets.append(("hadamard2d", "improper"))
+    predicates = data.draw(st.sampled_from(sets))
+    rng = np.random.default_rng(seed)
+    m = min(m, n + 2)
+    space = span_around(planted_tensor(v, n, kind, rng), m, rng)
+    expect = []
+    for mask in range(2 ** m):
+        ten = space.combo_tensor(mask)
+        passed = [p for p in predicates if REFEREES[p](ten)]
+        if passed:
+            expect.append((mask, passed))
+    report = enumerate_span(space, predicates, max_witnesses=2 ** m)
+    assert [(w.mask, w.passed) for w in report.witnesses] == expect
+    assert report.hits == {p: sum(p in ps for _, ps in expect)
+                           for p in predicates}
+    if v % 2:
+        assert not expect
+
+
+@pytest.mark.parametrize("v,n", [(3, 2), (4, 3), (5, 3), (10, 3), (12, 2),
+                                 (16, 3)])
+def test_packed_sections_give_exact_dot_products(v, n):
+    # v=10 at n=3 has two-word sections of 100 bits and 28 padding bits
+    rng = np.random.default_rng(10 * v + n)
+    pm = rng.choice(np.array([-1, 1]), size=(v,) * n)
+    bits = ((1 - pm) // 2).reshape(1, -1).astype(np.uint8)
+    space = SearchSpace(v=v, n=n, labels=["t"], bits=bits)
+    kernel = search_mod._Kernel(space, ("improper",))
+    prod = kernel.products(np.array([[1]], dtype=np.uint8))
+    assert (kernel.bits(prod) == bits).all()
+    sections = prod.reshape(n, v, kernel.words)
+    length = v ** (n - 1)
+    for axis in range(n):
+        s = np.moveaxis(pm, axis, 0).reshape(v, -1).astype(np.int64)
+        gram = s @ s.T
+        dots = [[length - 2 * int(kernel._ones(sections[axis, i]
+                                               ^ sections[axis, j]))
+                 for j in range(v)] for i in range(v)]
+        assert (np.array(dots) == gram).all()
+
+
+def test_every_sign_matrix_of_order_4():
+    # the span of the 16 unit cochains is every 4x4 sign matrix; at n=2 all
+    # three predicates mean HH^T = 4I, which holds for 768 of them
+    space = SearchSpace(v=4, n=2, labels=[f"e{k}" for k in range(16)],
+                        bits=np.eye(16, dtype=np.uint8))
+    masks = np.arange(2 ** 16)
+    pm = (1 - 2 * (masks[:, None] >> np.arange(16) & 1)).reshape(-1, 4, 4)
+    gram = pm @ pm.transpose(0, 2, 1)
+    hadamard = masks[(gram == 4 * np.eye(4, dtype=np.int64)).all(axis=(1, 2))]
+    assert len(hadamard) == 768
+    for predicates in (("hadamard2d", "improper"), ("improper", "proper")):
+        report = enumerate_span(space, predicates)
+        assert report.hits == dict.fromkeys(predicates, 768)
+        assert [w.mask for w in report.witnesses] == hadamard.tolist()
+
+
+def test_odd_order_never_passes():
+    # every two rows differ in exactly 2 = 5 // 2 places, and none of them
+    # is orthogonal to another: odd length never passes
+    rows = [[0] * 5] + [[int(c in (0, k)) for c in range(5)] for k in range(1, 5)]
+    space = SearchSpace(v=5, n=2, labels=["t"],
+                        bits=np.array(rows, dtype=np.uint8).reshape(1, -1))
+    assert not is_hadamard_2d(space.combo_tensor(1))
+    assert enumerate_span(space, ("hadamard2d",)).hits == {"hadamard2d": 0}
+
+
+# -- batch edges -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("budget", [0, 20_000, None])
+def test_batch_edges_keep_counts_and_witnesses(monkeypatch, budget):
+    # limits around and between batch boundaries, at batches of 1, of a few
+    # dozen and of the default budget
+    space = space_for(Family.CYCLIC, 2, 3)
+    predicates = ("improper", "proper")
+    full = {w.mask: w.passed for w in enumerate_span(space, predicates).witnesses}
+    assert len(full) == 32
+    if budget is not None:
+        monkeypatch.setattr(search_mod, "SCAN_BYTES", budget)
+    batch = search_mod._Kernel(space, predicates).batch
+    for limit in (1, batch - 1, batch + 1, 3 * batch + 7, None):
+        walked = 2 ** space.m if limit is None else min(limit, 2 ** space.m)
+        masks = {i ^ (i >> 1) for i in range(walked)}
+        expect = sorted((mask, p) for mask, p in full.items() if mask in masks)
+        report = enumerate_span(space, predicates, limit=limit)
+        assert report.examined == walked
+        assert report.hits == {"improper": len(expect), "proper": 0}
+        assert [(w.mask, w.passed) for w in report.witnesses] == expect
+
+
+def test_worker_ranges_split_batches():
+    # two ranges of 16384 and of 10000/10001 masks, none a multiple of the
+    # batch
+    space = space_for(Family.G1, 1, 3)
+    batch = search_mod._Kernel(space, ("improper", "proper")).batch
+    assert 16384 % batch and 10000 % batch and 10001 % batch
+    for limit in (None, 20001):
+        r1 = enumerate_span(space, ("improper", "proper"), limit=limit)
+        r2 = enumerate_span(space, ("improper", "proper"), limit=limit,
+                            workers=2)
+        assert r1.examined == r2.examined == (limit or 2 ** 15)
+        assert r1.hits == r2.hits and r1.hits["improper"] > 0
+        assert [w.mask for w in r1.witnesses] == [w.mask for w in r2.witnesses]
+
+
+def test_empty_basis_sampled():
+    space = SearchSpace(v=2, n=3, labels=[], bits=np.zeros((0, 8), dtype=np.uint8))
+    report = enumerate_span(space, ("improper", "proper"), sample_count=5)
+    assert report.examined == 5
+    assert report.hits == {"improper": 0, "proper": 0}
+
+
+@pytest.mark.parametrize("family,t,degree,stream", [
+    (Family.CYCLIC, 5, 3, "sampled"),  # m = 91, v = 10
+    (Family.D4T, 4, 2, "gray")])       # m = 16, v = 16
+def test_scan_stays_within_byte_budget(family, t, degree, stream):
+    space = space_for(family, t, degree)
+    if stream == "sampled":
+        predicates = ("improper", "proper")
+        masks = partial(search_mod._sampled_batches, random.Random(1),
+                        space.m, 4096)
+    else:
+        predicates = ("hadamard2d",)
+        masks = partial(search_mod._gray_batches, 0, 8192)
+    tracemalloc.start()
+    try:
+        examined, _, _ = search_mod._scan(space, predicates, masks, 1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert examined in (4096, 8192)
+    assert peak < search_mod.SCAN_BYTES
+
+
+# -- sampled witnesses -------------------------------------------------------
+
+
+def test_sampled_witnesses_are_distinct_masks():
+    # seed 1 draws one hit mask twice: it counts twice, it is kept once
+    space = space_for(Family.G1, 1, 3)
+    report = enumerate_span(space, ("improper", "proper"), sample_count=4096,
+                            seed=1)
+    rng = random.Random(1)
+    draws = [rng.getrandbits(space.m) for _ in range(4096)]
+    hit_draws = [m for m in draws if is_improper_hadamard(space.combo_tensor(m))]
+    assert report.hits == {"improper": len(hit_draws), "proper": 0}
+    assert len(hit_draws) == 6
+    assert [w.mask for w in report.witnesses] == sorted(set(hit_draws))
+    assert len(report.witnesses) == 5
+
+
+def test_witness_heap_ignores_held_masks():
+    heap = search_mod._WitnessHeap(2)
+    for mask in (5, 3, 5, 9, 3, 1, 5):
+        heap.offer(mask, ("improper",))
+    assert heap.items() == [(1, ("improper",)), (3, ("improper",))]
