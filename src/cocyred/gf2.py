@@ -1,14 +1,23 @@
 """Dense exact linear algebra over GF(2).
 
 Matrices are 2-D numpy arrays with entries in {0, 1} (dtype uint8 at the
-API level).  Eliminations work on rows packed into uint64 words so that
-row operations are word-parallel, which matters for the brute-force
-cohomology oracle, whose matrices reach a few thousand rows by ~2^16
-columns.  The column sweep, `column_sweep`, answers rank and kernel
-questions.  Greedy selection and span membership sweep the rows of M in
-order: the column sweep over M^T selects the same rows but fills in far
-more when M^T is tall.  The Smith normal form, which also needs its
-transforms, is the only other elimination.
+API level).  One engine, the incremental row basis `Basis`, answers every
+rank, greedy-selection, span-membership and kernel question, and ranks
+the brute-force cohomology oracle's bar-complex matrices.  Its rows are
+Python ints (bit j is column j) kept under their highest set bit; a new
+row is reduced by XORing in the basis row under its current top bit
+until it is zero or its top bit is new, and then enlarges the basis.  A
+row enlarges the basis iff it lies outside the span of the rows offered
+before it, whatever the pivot rule, so greedy selection is the
+lexicographically first maximal independent subset.  The highest-bit
+pivot is chosen for fill-in: every row of the bar complex's d^n has a bit
+in its top column block (from the drop-first face), so most rows bring a
+new top bit and need few XORs, where lowest-bit pivots XOR long runs of
+zero words.
+
+The Smith normal form, which also needs its transforms, is a separate
+elimination on unpacked matrices; the tests use it as the independent
+referee of the engine.
 
 Row-vector convention throughout: row m of a matrix is the image of the
 m-th basis element, and a coordinate row x maps to x @ M.
@@ -54,80 +63,68 @@ def unpack_rows(words: np.ndarray, cols: int) -> np.ndarray:
     return np.ascontiguousarray(bits[:, :cols])
 
 
-def column_sweep(w: np.ndarray, ncols: int) -> list[int]:
-    """Row-reduce packed rows in place by a left-to-right column sweep.
+class Basis:
+    """Incremental GF(2) row basis.
 
-    Each column that has a 1 at or below the current row gets a pivot: the
-    first such row is swapped up and added to every later row with that
-    bit.  Returns the pivot columns.  Afterwards the first len(pivots) rows
-    span the row space and every later row is zero in columns < ncols.
-
-    Works one word of columns at a time on a contiguous copy of that word,
-    kept in step with the row operations; the OR of its live rows skips
-    every column that can no longer hold a pivot.
+    Rows are Python ints, bit j being column j, and each basis row is kept
+    under its bit_length(), so a row operation is one big-int XOR.  A row
+    is reduced by XORing in the basis row under its current top bit until
+    it is zero or its top bit is new.
     """
-    rows, _ = w.shape
-    pivots: list[int] = []
-    r = 0
-    for word in range((ncols + WORD - 1) // WORD):
-        if r == rows:
-            break
-        col = w[r:, word].copy()
-        base = r
-        live_mask = (1 << min(WORD, ncols - word * WORD)) - 1
-        while r < rows:
-            live = int(np.bitwise_or.reduce(col[r - base:])) & live_mask
-            if not live:
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows: dict[int, int] = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, x: int) -> int:
+        """x reduced by the basis: 0 iff x lies in its span."""
+        rows = self.rows
+        while x:
+            b = rows.get(x.bit_length())
+            if b is None:
                 break
-            bit = (live & -live).bit_length() - 1
-            live_mask &= ~((2 << bit) - 1)
-            hits = r + np.flatnonzero(col[r - base:] & np.uint64(1 << bit))
-            piv = int(hits[0])
-            if piv != r:
-                w[[r, piv]] = w[[piv, r]]
-                col[[r - base, piv - base]] = col[[piv - base, r - base]]
-            below = hits[1:]
-            if below.size:
-                # rows >= r are zero left of this word, so XOR from it on
-                w[below, word:] ^= w[r, word:]
-                col[below - base] ^= col[r - base]
-            pivots.append(word * WORD + bit)
-            r += 1
-    return pivots
+            x ^= b
+        return x
+
+    def add(self, x: int) -> int:
+        """Reduce x and keep the result if it is nonzero; returns it."""
+        x = self.reduce(x)
+        if x:
+            self.rows[x.bit_length()] = x
+        return x
+
+
+def int_rows(packed: np.ndarray) -> list[int]:
+    """Rows of a little-endian packed bit matrix (uint8 bytes or pack_rows
+    words) as ints, bit j of a row being column j."""
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def greedy_independent_rows(m) -> tuple[list[int], int]:
     """Scan rows in index order, keeping each row iff it enlarges the span.
 
     Returns (selected 0-based row indices, rank).  The selection is the
-    lexicographically first maximal independent subset of rows.  A
-    row-order sweep over M itself: a row is kept iff it is nonzero after
-    reduction by the kept rows before it; its lowest set bit becomes its
-    pivot column and is cleared from every later row.
+    lexicographically first maximal independent subset of rows: a row
+    enlarges the basis iff it lies outside the span of the rows before it.
     """
     m = as_bits(m)
-    w = pack_rows(m)
+    basis = Basis()
     selected: list[int] = []
-    for i, row in enumerate(w):
-        if len(selected) == m.shape[1]:
+    for i, x in enumerate(int_rows(pack_rows(m))):
+        if len(basis) == m.shape[1]:
             break
-        nonzero = np.flatnonzero(row)
-        if not nonzero.size:
-            continue
-        word = int(nonzero[0])
-        low = int(row[word]) & -int(row[word])
-        # row is zero left of its pivot word, so XOR from that word on
-        later = i + 1 + np.flatnonzero(w[i + 1:, word] & np.uint64(low))
-        w[later, word:] ^= row[word:]
-        selected.append(i)
+        if basis.add(x):
+            selected.append(i)
     return selected, len(selected)
 
 
 def gf2_rank(m) -> int:
-    """Rank of M: the pivot count of the sweep over M itself, which for a
-    wide matrix fills in far less than the sweep over its transpose."""
-    m = as_bits(m)
-    return len(column_sweep(pack_rows(m), m.shape[1]))
+    """Rank of M."""
+    return greedy_independent_rows(m)[1]
 
 
 def in_row_space(basis, x) -> bool:
@@ -136,8 +133,10 @@ def in_row_space(basis, x) -> bool:
     basis = as_bits(basis) if len(basis) else np.zeros((0, x.shape[1]), dtype=np.uint8)
     if basis.shape[1] != x.shape[1]:
         raise ValueError("row length mismatch")
-    selected, _ = greedy_independent_rows(np.vstack([basis, x]))
-    return basis.shape[0] not in selected
+    span = Basis()
+    for row in int_rows(pack_rows(basis)):
+        span.add(row)
+    return not span.reduce(int_rows(pack_rows(x))[0])
 
 
 @dataclass
@@ -202,18 +201,23 @@ def smith_normal_form_gf2(m) -> SnfResult:
 def left_kernel(m) -> tuple[int, np.ndarray]:
     """Rank of M and a basis for {x : x @ M = 0}, as rows.
 
-    Augmented elimination: the sweep row-reduces [M | I] with pivots
-    restricted to the M block; the identity parts of the zero rows span the
-    kernel.  Accepts either an unpacked 0/1 matrix or (packed, ncols).
+    Row i enters the engine as (row_i << rows) | (1 << i): M in the high
+    bits, the identity in the low bits.  Its remainder keeps bit i, and a
+    remainder whose M part is zero is a kernel vector; bit i is its top
+    bit, so the kernel rows are independent.  Accepts either an unpacked
+    0/1 matrix or (packed, ncols).
     """
     if isinstance(m, tuple):
-        packed, ncols = m
+        packed, _ = m
     else:
-        m = as_bits(m)
-        packed, ncols = pack_rows(m), m.shape[1]
-    rows, nw = packed.shape
+        packed = pack_rows(as_bits(m))
+    rows = packed.shape[0]
     if rows == 0:
         return 0, np.zeros((0, 0), dtype=np.uint8)
-    aug = np.hstack([packed, pack_rows(np.eye(rows, dtype=np.uint8))])
-    rank = len(column_sweep(aug, ncols))
-    return rank, unpack_rows(np.ascontiguousarray(aug[rank:, nw:]), rows)
+    basis = Basis()
+    kernel = [r for i, x in enumerate(int_rows(packed))
+              if not (r := basis.add((x << rows) | (1 << i))) >> rows]
+    nwords = (rows + WORD - 1) // WORD
+    words = np.frombuffer(b"".join(x.to_bytes(nwords * 8, "little") for x in kernel),
+                          dtype=np.uint64).reshape(len(kernel), nwords)
+    return rows - len(kernel), unpack_rows(words, rows)

@@ -16,11 +16,12 @@ function of the (n-1)-tuple with index T.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import (WORD, SnfResult, column_sweep, greedy_independent_rows,
+from .gf2 import (WORD, Basis, SnfResult, greedy_independent_rows, int_rows,
                   pack_rows, smith_normal_form_gf2)
 from .groups import FiniteGroup
 from .model import CohModel
@@ -242,14 +243,18 @@ def full_cocycle_basis(model: CohModel, n: int,
 
 # -- brute-force oracle ----------------------------------------------------
 
-# Budget for the packed d^n, the oracle's largest array.  The sweep reduces
-# it in place; v=20 at degree 3 (160 MB) fits, v=32 at degree 3 (4 GiB)
+# Budget for what the oracle holds at its largest (`oracle_bytes`): the
+# basis of d^n, one chunk of its rows and the arrays that pick the chunk.
+# v=20 at degree 3 (about 183 MB) fits, v=32 at degree 3 (about 4.7 GB)
 # does not.
 ORACLE_BYTES = 2 ** 28
 
+# Bytes of rows of d^n built at a time.
+ORACLE_CHUNK_BYTES = 1 << 20
+
 
 class OracleSizeError(ValueError):
-    """The packed bar-complex matrix at this size exceeds the oracle budget."""
+    """The bar-complex rank at this size exceeds the oracle budget."""
 
 
 @dataclass
@@ -259,34 +264,71 @@ class BruteForceResult:
     im_rank: int  # rank d^{n-1} = dim Im d^{n-1}
 
 
-def _codifferential_matrix_packed(g: FiniteGroup, n: int):
-    """Packed matrix of d on degree-n cochains: v**n rows, v**(n+1) columns."""
-    v = g.order
-    nrows, ncols = v ** n, v ** (n + 1)
-    packed = np.zeros((nrows, (ncols + WORD - 1) // WORD), dtype=np.uint64)
-    cols = np.arange(ncols)
-    bits = np.left_shift(np.uint64(1), (cols % WORD).astype(np.uint64))
-    for idx in _face_indices(g, n):
-        np.bitwise_xor.at(packed, (idx, cols // WORD), bits)
-    return packed, ncols
+def oracle_bytes(v: int, n: int) -> int:
+    """Upper bound on the bytes `brute_force_cohomology` holds at degree n
+    and order v, while it ranks d^n (v**n rows of v**(n+1) bits): a basis of
+    at most v**n ints, one row chunk, and the face indices with their
+    per-row column orders."""
+    rows, cols = v ** n, v ** (n + 1)
+    digits = -(-cols // sys.int_info.bits_per_digit)
+    basis = rows * digits * sys.int_info.sizeof_digit
+    chunk = max(ORACLE_CHUNK_BYTES, -(-cols // 8))
+    # n+2 int64 face arrays and int32 column orders, one int64 argsort at
+    # a time, n+2 int64 row offsets
+    select = (n + 2) * cols * 12 + cols * 8 + (n + 2) * (rows + 1) * 8
+    return basis + chunk + select
+
+
+def _codifferential_rows(g: FiniteGroup, n: int):
+    """Rows of d on degree-n cochains (v**n rows, v**(n+1) columns) as
+    ints, bit c being column c, built ORACLE_CHUNK_BYTES at a time.
+
+    Row r of d holds column c once for each face index equal to r at c.
+    Each face's columns are sorted by the row they hit, so a chunk of rows
+    takes one contiguous run of every face.
+    """
+    faces = _face_indices(g, n)
+    nrows, width = g.order ** n, -(-g.order ** (n + 1) // 8)
+    orders = [np.argsort(f, kind="stable").astype(np.int32) for f in faces]
+    starts = [np.concatenate(([0], np.cumsum(np.bincount(f, minlength=nrows))))
+              for f in faces]
+    step = max(1, ORACLE_CHUNK_BYTES // width)
+    buf = np.empty(step * width, dtype=np.uint8)
+    for r0 in range(0, nrows, step):
+        r1 = min(r0 + step, nrows)
+        chunk = buf[:(r1 - r0) * width]
+        chunk.fill(0)
+        for face, order, start in zip(faces, orders, starts):
+            cols = order[start[r0]:start[r1]]
+            np.bitwise_xor.at(chunk, (face[cols] - r0) * width + (cols >> 3),
+                              np.left_shift(1, cols & 7).astype(np.uint8))
+        yield from int_rows(chunk.reshape(r1 - r0, width))
+
+
+def _codifferential_rank(g: FiniteGroup, n: int) -> int:
+    basis = Basis()
+    for row in _codifferential_rows(g, n):
+        basis.add(row)
+    return len(basis)
 
 
 def brute_force_cohomology(g: FiniteGroup, n: int) -> BruteForceResult:
     """Cohomology of the full bar cochain complex at degree n.
 
-    Independent of the model path: builds the actual coboundary matrices on
-    v**(n-1) and v**n tuples and ranks them with the sweep, in place.
-    Refuses before allocating when the packed d^n exceeds ORACLE_BYTES.
+    Independent of the model path: ranks the actual coboundary matrices on
+    v**(n-1) and v**n tuples by feeding their rows, a chunk at a time, to
+    the GF(2) basis engine.  Refuses before allocating when
+    `oracle_bytes(v, n)` exceeds ORACLE_BYTES.
     """
     if n < 2:
         raise ValueError("oracle supports degree >= 2")
     v = g.order
-    need = v ** n * ((v ** (n + 1) + WORD - 1) // WORD) * 8
+    need = oracle_bytes(v, n)
     if need > ORACLE_BYTES:
         raise OracleSizeError(
             f"packed d^{n} needs {need} bytes at v = {v}, over the "
             f"{ORACLE_BYTES}-byte oracle budget")
-    im_rank = len(column_sweep(*_codifferential_matrix_packed(g, n - 1)))
-    ker_dim = v ** n - len(column_sweep(*_codifferential_matrix_packed(g, n)))
+    im_rank = _codifferential_rank(g, n - 1)
+    ker_dim = v ** n - _codifferential_rank(g, n)
     return BruteForceResult(hdim=ker_dim - im_rank, ker_dim=ker_dim,
                             im_rank=im_rank)

@@ -4,11 +4,12 @@ Both modes are one walk over a stream of combination masks, taken in
 batches whose size follows from the byte budget `SCAN_BYTES`.  Exhaustive
 mode streams the reflected Gray codes g = i ^ (i >> 1) of an index range;
 sampled mode streams seeded `getrandbits(m)` draws.  The exhaustive index
-space may be partitioned across workers by its leading bits; counts and
-retained witnesses are independent of the partitioning because retention
-keeps the numerically smallest distinct combination masks.  `limit` caps
-the walk before the size refusal, so a limited prefix of a span with more
-than 2^62 combinations may be walked.
+space may be partitioned across workers by its leading bits, walked in a
+process pool when each worker gets at least `POOL_MIN_COMBOS` of them and
+inline otherwise; counts and retained witnesses are independent of the
+partitioning because retention keeps the numerically smallest distinct
+combination masks.  `limit` caps the walk before the size refusal, so a
+limited prefix of a span with more than 2^62 combinations may be walked.
 
 One kernel, `_Kernel`, evaluates every predicate on a batch at once, with
 integer and bit operations only.  The basis rows are packed so that each
@@ -44,6 +45,10 @@ MAX_EXHAUSTIVE_BITS = 62
 # Bytes one `_scan` call may hold in its XOR tables plus one batch's
 # temporaries; the batch size follows from it.
 SCAN_BYTES = 1 << 19
+
+# Fewest combinations per worker that pay for starting a process pool;
+# below it the worker ranges are walked inline, one after another.
+POOL_MIN_COMBOS = 1 << 17
 
 PREDICATES = ("improper", "proper", "hadamard2d")
 
@@ -389,7 +394,7 @@ def enumerate_span(space: SearchSpace,
                   for k in range(nranges)]
         args = [(space, predicates, a, b, max_witnesses)
                 for a, b in bounds if b > a]
-        if nworkers == 1 or len(args) == 1:
+        if nworkers == 1 or total // nranges < POOL_MIN_COMBOS:
             results = [_scan_gray_range(a) for a in args]
         else:
             with ProcessPoolExecutor(max_workers=nworkers) as pool:

@@ -2,10 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cocyred.gf2 import (as_bits, column_sweep, gf2_rank,
-                         greedy_independent_rows, in_row_space, left_kernel,
-                         pack_rows, smith_normal_form_gf2, unpack_rows)
+from cocyred.gf2 import (as_bits, gf2_rank, greedy_independent_rows,
+                         in_row_space, left_kernel, pack_rows,
+                         smith_normal_form_gf2, unpack_rows)
 
 
 def rand_matrix(rng, rows, cols):
@@ -73,9 +75,34 @@ def test_greedy_is_lexicographically_first():
         assert rank == len(best) == gf2_rank(m)
 
 
-def test_greedy_equals_transpose_sweep():
-    # the row-order sweep selects the pivot columns of the column sweep over
-    # the transpose: row i of M is kept iff column i of M^T gets a pivot
+def snf_selection(m):
+    """Rows i with rank(m[:i+1]) > rank(m[:i]), ranks from the Smith form.
+
+    Prefix ranks rise by at most 1 per row, never at a zero row, and never
+    fall.  So among the nonzero rows, an interval of prefixes whose end
+    ranks agree holds no rise, and one whose ranks differ by its length
+    rises at every row; bisecting the others finds every rise with far
+    fewer Smith forms than one per row.
+    """
+    nonzero = np.flatnonzero(m.any(axis=1))
+
+    def rank(i):
+        return smith_normal_form_gf2(m[nonzero[:i]]).rank
+
+    def rises(lo, hi, rlo, rhi):
+        if rhi - rlo in (0, hi - lo):
+            return list(nonzero[lo:hi]) if rhi > rlo else []
+        mid = (lo + hi) // 2
+        rmid = rank(mid)
+        return rises(lo, mid, rlo, rmid) + rises(mid, hi, rmid, rhi)
+
+    total = rank(len(nonzero))
+    return rises(0, len(nonzero), 0, total), total
+
+
+def test_greedy_equals_snf_prefix_ranks():
+    # row i is kept iff the Smith-form rank of the prefix m[:i+1] exceeds
+    # that of m[:i], on tall and wide matrices with zero and repeated rows
     rng = np.random.default_rng(7)
     for k in range(200):
         short, long = int(rng.integers(1, 40)), int(rng.integers(40, 200))
@@ -85,8 +112,59 @@ def test_greedy_equals_transpose_sweep():
         m[rng.integers(0, rows, size=rows // 4)] = 0  # some zero rows
         m = np.vstack([m, m[rng.integers(0, rows, size=3)]])  # repeats
         sel, rank = greedy_independent_rows(m)
-        assert sel == column_sweep(pack_rows(m.T), m.shape[0])
-        assert rank == len(sel) == gf2_rank(m)
+        want, total = snf_selection(m)
+        assert sel == want
+        assert rank == len(sel) == total == gf2_rank(m)
+
+
+@st.composite
+def gf2_matrices(draw):
+    """Random 0/1 matrices whose widths straddle 64-bit word boundaries,
+    with zero rows, repeated rows and empty shapes."""
+    rows = draw(st.integers(0, 24))
+    cols = draw(st.sampled_from([0, 1, 2, 31, 63, 64, 65, 127, 128, 129, 191, 200]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sparsity = draw(st.integers(1, 12))
+    m = (rng.integers(0, sparsity, size=(rows, cols)) == 0).astype(np.uint8)
+    if rows:
+        m[draw(st.lists(st.integers(0, rows - 1), max_size=4))] = 0
+        repeats = draw(st.lists(st.integers(0, rows - 1), max_size=4))
+        m = np.vstack([m, m[repeats]]) if repeats else m
+    order = draw(st.permutations(range(m.shape[0])))
+    return m[list(order)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=gf2_matrices())
+def test_rank_equals_snf_rank(m):
+    assert gf2_rank(m) == smith_normal_form_gf2(m).rank
+    sel, rank = greedy_independent_rows(m)
+    assert rank == len(sel) == smith_normal_form_gf2(m[sel]).rank
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=gf2_matrices(), data=st.data())
+def test_in_row_space_random_shapes(m, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    picks = rng.integers(0, 2, size=m.shape[0]).astype(np.uint8)
+    x = (picks.astype(int) @ m.astype(int) % 2).astype(np.uint8)
+    assert in_row_space(m, x)
+    y = x ^ rng.integers(0, 2, size=m.shape[1]).astype(np.uint8)
+    inside = (smith_normal_form_gf2(np.vstack([m, y])).rank
+              == smith_normal_form_gf2(m).rank)
+    assert in_row_space(m, y) == inside
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=gf2_matrices())
+def test_left_kernel_random_shapes(m):
+    rank, ker = left_kernel(m)
+    assert rank == smith_normal_form_gf2(m).rank
+    assert ker.shape == (m.shape[0] - rank, m.shape[0])
+    assert not ((ker.astype(int) @ m.astype(int)) % 2).any()
+    assert smith_normal_form_gf2(ker).rank == ker.shape[0]
+    packed_rank, packed_ker = left_kernel((pack_rows(m), m.shape[1]))
+    assert packed_rank == rank and (packed_ker == ker).all()
 
 
 def test_snf_zero_matrix():

@@ -3,13 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cocyred.gf2 import gf2_rank, greedy_independent_rows, in_row_space
+from cocyred.gf2 import (gf2_rank, greedy_independent_rows, in_row_space,
+                         smith_normal_form_gf2)
 from cocyred.groups import Family, GroupSpec, build_group
 from cocyred.model import builtin_model
-from cocyred.reduction import (Cochain, OracleSizeError, bar_codifferential,
-                               brute_force_cohomology, coboundary_basis,
-                               coboundary_generator, count_non_cocycles,
-                               full_cocycle_basis, representative_cocycles)
+from cocyred.reduction import (ORACLE_BYTES, Cochain, OracleSizeError,
+                               bar_codifferential, brute_force_cohomology,
+                               coboundary_basis, coboundary_generator,
+                               coboundary_matrix, count_non_cocycles,
+                               full_cocycle_basis, oracle_bytes,
+                               representative_cocycles)
 from cocyred.verify import closed_form_rep_tensors
 from cocyred.tensor import tensor_from_cochain
 
@@ -207,6 +210,46 @@ def test_brute_force_guard():
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, spec
+
+
+@pytest.mark.parametrize("spec,n", [
+    (GroupSpec(Family.G1, 1), 2), (GroupSpec(Family.D4T, 1), 2),
+    (GroupSpec(Family.CYCLIC, 3), 2), (GroupSpec(Family.G1, 2), 2),
+    (GroupSpec(Family.G2, 2), 2), (GroupSpec(Family.D4T, 2), 2),
+    (GroupSpec(Family.CYCLIC, 4), 2), (GroupSpec(Family.CYCLIC, 1), 3),
+    (GroupSpec(Family.G1, 1), 3), (GroupSpec(Family.CYCLIC, 2), 3),
+    (GroupSpec(Family.CYCLIC, 3), 3),
+])
+def test_oracle_ranks_equal_snf_ranks(spec, n):
+    # d^{n-1} and d^n unpacked from coboundary_matrix (rows d(δ_T)) and
+    # ranked by the Smith form; v=8 at degree 3 is left out because its
+    # Smith form of d^3 takes about 30 s
+    g = build_group(spec)
+    bf = brute_force_cohomology(g, n)
+    d_lo, _ = coboundary_matrix(g, n, "all")
+    d_hi, _ = coboundary_matrix(g, n + 1, "all")
+    assert bf.im_rank == smith_normal_form_gf2(d_lo).rank
+    assert bf.ker_dim == g.order ** n - smith_normal_form_gf2(d_hi).rank
+    assert bf.hdim == bf.ker_dim - bf.im_rank
+
+
+def test_oracle_guard_admits_v20_degree3():
+    # the largest admitted cases: g1:5 and g2:5 at degree 3 (v=20); v=32
+    # and v=40 at degree 3 are refused
+    assert oracle_bytes(20, 3) <= ORACLE_BYTES < oracle_bytes(32, 3)
+    assert oracle_bytes(32, 3) < oracle_bytes(40, 3)
+
+
+def test_oracle_peak_within_its_estimate():
+    g = build_group(GroupSpec(Family.G1, 4))
+    tracemalloc.start()
+    try:
+        bf = brute_force_cohomology(g, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bf.hdim == 4
+    assert peak < oracle_bytes(16, 3)
 
 
 def test_snf_ranks_match_tabulated_g2_odd():

@@ -151,6 +151,40 @@ def test_worker_independence():
     assert [w.mask for w in r1.witnesses] == [w.mask for w in r4.witnesses]
 
 
+def test_pool_runs_at_threshold(monkeypatch):
+    # the full span of g2:4 at degree 2 (m = 18) gives each of two workers
+    # 2^17 = POOL_MIN_COMBOS combinations: the real pool runs and agrees
+    # with one worker
+    started = []
+
+    class Pool(search_mod.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(search_mod, "ProcessPoolExecutor", Pool)
+    space = space_for(Family.G2, 4, 2, mode="normalized")
+    assert 2 ** space.m // 2 == search_mod.POOL_MIN_COMBOS
+    r1 = enumerate_span(space, ("hadamard2d",), workers=1)
+    r2 = enumerate_span(space, ("hadamard2d",), workers=2)
+    assert started == [2]
+    assert r1.examined == r2.examined == 2 ** space.m
+    assert r1.hits == r2.hits and r1.hits["hadamard2d"] > 0
+    assert [(w.mask, w.passed) for w in r1.witnesses] == \
+        [(w.mask, w.passed) for w in r2.witnesses]
+
+
+def test_small_walks_run_inline(monkeypatch):
+    # 2^15 combinations over 4 workers is under POOL_MIN_COMBOS each
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(search_mod, "ProcessPoolExecutor", refuse)
+    report = enumerate_span(space_for(Family.G1, 1, 3), ("improper", "proper"),
+                            workers=4)
+    assert report.hits == {"improper": 64, "proper": 0}
+
+
 def test_basis_order_invariance():
     space = space_for(Family.CYCLIC, 2, 3)
     rng = np.random.default_rng(5)
