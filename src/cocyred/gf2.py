@@ -53,16 +53,6 @@ def pack_rows(a: np.ndarray) -> np.ndarray:
     return packed.view(np.uint64).reshape(rows, nwords)
 
 
-def unpack_rows(words: np.ndarray, cols: int) -> np.ndarray:
-    """Inverse of pack_rows."""
-    rows = words.shape[0]
-    if rows == 0:
-        return np.zeros((0, cols), dtype=np.uint8)
-    bits = np.unpackbits(words.view(np.uint8).reshape(rows, -1),
-                         axis=1, bitorder="little")
-    return np.ascontiguousarray(bits[:, :cols])
-
-
 class Basis:
     """Incremental GF(2) row basis.
 
@@ -102,6 +92,15 @@ def int_rows(packed: np.ndarray) -> list[int]:
     """Rows of a little-endian packed bit matrix (uint8 bytes or pack_rows
     words) as ints, bit j of a row being column j."""
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def bit_rows(rows: list[int], cols: int) -> np.ndarray:
+    """Inverse of int_rows: ints (bit j = column j) as a (len(rows), cols)
+    0/1 uint8 matrix."""
+    width = -(-cols // 8)
+    packed = np.frombuffer(b"".join(x.to_bytes(width, "little") for x in rows),
+                           dtype=np.uint8).reshape(len(rows), width)
+    return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
 
 
 def greedy_independent_rows(m) -> tuple[list[int], int]:
@@ -204,20 +203,13 @@ def left_kernel(m) -> tuple[int, np.ndarray]:
     Row i enters the engine as (row_i << rows) | (1 << i): M in the high
     bits, the identity in the low bits.  Its remainder keeps bit i, and a
     remainder whose M part is zero is a kernel vector; bit i is its top
-    bit, so the kernel rows are independent.  Accepts either an unpacked
-    0/1 matrix or (packed, ncols).
+    bit, so the kernel rows are independent.
     """
-    if isinstance(m, tuple):
-        packed, _ = m
-    else:
-        packed = pack_rows(as_bits(m))
-    rows = packed.shape[0]
+    m = as_bits(m)
+    rows = m.shape[0]
     if rows == 0:
         return 0, np.zeros((0, 0), dtype=np.uint8)
     basis = Basis()
-    kernel = [r for i, x in enumerate(int_rows(packed))
+    kernel = [r for i, x in enumerate(int_rows(pack_rows(m)))
               if not (r := basis.add((x << rows) | (1 << i))) >> rows]
-    nwords = (rows + WORD - 1) // WORD
-    words = np.frombuffer(b"".join(x.to_bytes(nwords * 8, "little") for x in kernel),
-                          dtype=np.uint64).reshape(len(kernel), nwords)
-    return rows - len(kernel), unpack_rows(words, rows)
+    return rows - len(kernel), bit_rows(kernel, rows)

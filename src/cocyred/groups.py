@@ -86,17 +86,6 @@ class FiniteGroup:
         self.inv = np.zeros(self.order, dtype=np.int64)
         self.inv[inv[:, 0]] = inv[:, 1]
 
-    def mul_of(self, a: int, b: int) -> int:
-        v = self.order
-        if not (0 <= a < v and 0 <= b < v):
-            raise IndexError(f"element index out of range for order {v}")
-        return int(self.mul[a, b])
-
-    def inv_of(self, a: int) -> int:
-        if not (0 <= a < self.order):
-            raise IndexError(f"element index out of range for order {self.order}")
-        return int(self.inv[a])
-
     # -- coordinate maps -------------------------------------------------
 
     def coords_of(self, idx: np.ndarray | int):
@@ -180,7 +169,3 @@ def group_axioms_hold(g: FiniteGroup) -> bool:
     ab_c = m[m, :][:, :, :]
     a_bc = m[:, m]
     return bool((ab_c == a_bc).all())
-
-
-def is_abelian(g: FiniteGroup) -> bool:
-    return bool((g.mul == g.mul.T).all())

@@ -69,23 +69,6 @@ class CohModel:
         if self.lift_table.shape != (self.group.order ** n, r):
             raise ValueError("lift table has wrong shape")
 
-    def lift(self, tup) -> np.ndarray:
-        """Coefficient vector of the lift of one degree-n tuple (0-based indices)."""
-        v, n = self.group.order, self.degree
-        if len(tup) != n:
-            raise ValueError(f"expected a {n}-tuple")
-        flat = 0
-        for g in tup:
-            if not (0 <= g < v):
-                raise IndexError("element index out of range")
-            flat = flat * v + int(g)
-        return self.lift_table[flat]
-
-    def codifferential_matrix(self, i: int) -> np.ndarray:
-        if i not in self.diff:
-            raise ValueError(f"degree {i} outside this model (has {sorted(self.diff)})")
-        return self.diff[i]
-
 
 def _coord_grids(g: FiniteGroup, n: int):
     """Per-tuple coordinate arrays, each of shape (v,)*n per tuple slot."""

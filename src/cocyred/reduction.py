@@ -10,19 +10,21 @@ The coboundary of a degree-n cochain f is
                             + sum_j f(h_1,...,h_j h_{j+1},...,h_{n+1})   mod 2
 
 and ``coboundary_generator(G, n, T)`` is d applied to the characteristic
-function of the (n-1)-tuple with index T.
+function of the (n-1)-tuple with index T.  Row T of the matrix of d is
+that generator; `_codifferential_rows` is the one builder of such rows, for
+the coboundary bases, `coboundary_matrix` and the oracle alike.
 """
 
 from __future__ import annotations
 
-import functools
 import sys
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import (WORD, Basis, SnfResult, greedy_independent_rows, int_rows,
-                  pack_rows, smith_normal_form_gf2)
+from .gf2 import (WORD, Basis, SnfResult, bit_rows, greedy_independent_rows,
+                  int_rows, pack_rows, smith_normal_form_gf2)
 from .groups import FiniteGroup
 from .model import CohModel
 
@@ -68,7 +70,13 @@ class ReductionOutput:
         return CochainBasis(self.reps.entries + self.cobs.entries)
 
 
-@functools.lru_cache(maxsize=64)
+# Face indices per group, by degree; an entry lives as long as its group.
+_FACES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+# Bytes of rows of d built at a time.
+ORACLE_CHUNK_BYTES = 1 << 20
+
+
 def _face_indices(g: FiniteGroup, n: int) -> list[np.ndarray]:
     """Flat-index arrays for the n+2 terms of the degree-n coboundary.
 
@@ -76,6 +84,9 @@ def _face_indices(g: FiniteGroup, n: int) -> list[np.ndarray]:
     index of the n-tuple appearing in one term of the formula: drop-first,
     drop-last, and the n merged tuples.
     """
+    cached = _FACES.setdefault(g, {})
+    if n in cached:
+        return cached[n]
     v = g.order
     coords = np.indices((v,) * (n + 1)).reshape(n + 1, -1)
     weights = v ** np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -90,7 +101,34 @@ def _face_indices(g: FiniteGroup, n: int) -> list[np.ndarray]:
         slots.append(g.mul[coords[j], coords[j + 1]])
         slots.extend(coords[p] for p in range(j + 2, n + 1))
         terms.append(flatten(slots))
+    cached[n] = terms
     return terms
+
+
+def _codifferential_rows(g: FiniteGroup, n: int):
+    """Rows of d on degree-n cochains (v**n rows, v**(n+1) columns) as
+    ints, bit c being column c, built ORACLE_CHUNK_BYTES at a time.
+
+    Row r of d holds column c once for each face index equal to r at c.
+    Each face's columns are sorted by the row they hit, so a chunk of rows
+    takes one contiguous run of every face.
+    """
+    faces = _face_indices(g, n)
+    nrows, width = g.order ** n, -(-g.order ** (n + 1) // 8)
+    orders = [np.argsort(f, kind="stable").astype(np.int32) for f in faces]
+    starts = [np.concatenate(([0], np.cumsum(np.bincount(f, minlength=nrows))))
+              for f in faces]
+    step = max(1, min(nrows, ORACLE_CHUNK_BYTES // width))
+    buf = np.empty(step * width, dtype=np.uint8)
+    for r0 in range(0, nrows, step):
+        r1 = min(r0 + step, nrows)
+        chunk = buf[:(r1 - r0) * width]
+        chunk.fill(0)
+        for face, order, start in zip(faces, orders, starts):
+            cols = order[start[r0]:start[r1]]
+            np.bitwise_xor.at(chunk, (face[cols] - r0) * width + (cols >> 3),
+                              np.left_shift(1, cols & 7).astype(np.uint8))
+        yield from int_rows(chunk.reshape(r1 - r0, width))
 
 
 def bar_codifferential(g: FiniteGroup, n: int, f: Cochain) -> Cochain:
@@ -142,45 +180,50 @@ def coboundary_generator(g: FiniteGroup, n: int, tuple_index: int) -> Cochain:
     return bar_codifferential(g, n - 1, Cochain(v, n - 1, delta))
 
 
-def coboundary_matrix(g: FiniteGroup, n: int, mode: str = "all"):
-    """Rows d(δ_T) for the scanned tuple indices T; returns (matrix, labels).
-
-    mode "all" scans every T in 1..v^(n-1); mode "normalized" scans only
-    tuples with no identity coordinate.
-    """
+def _scanned(g: FiniteGroup, n: int, mode: str) -> np.ndarray:
+    """Which (n-1)-tuples a degree-n coboundary scan visits, as a boolean
+    mask over flat indices: mode "all" scans every tuple, mode "normalized"
+    only tuples with no identity coordinate."""
     v = g.order
-    nrows = v ** (n - 1)
-    acc = np.zeros((nrows, v ** n), dtype=np.uint8)
-    cols = np.arange(v ** n)
-    for idx in _face_indices(g, n - 1):
-        acc[idx, cols] ^= 1
     if mode == "all":
-        keep = np.arange(nrows)
-    elif mode == "normalized":
+        return np.ones(v ** (n - 1), dtype=bool)
+    if mode == "normalized":
         coords = np.indices((v,) * (n - 1)).reshape(n - 1, -1)
-        keep = np.nonzero((coords != g.identity).all(axis=0))[0]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return acc[keep], [int(T) + 1 for T in keep]
+        return (coords != g.identity).all(axis=0)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def coboundary_matrix(g: FiniteGroup, n: int, mode: str = "all"):
+    """Rows d(δ_T) for the scanned tuple indices T, unpacked; returns
+    (matrix, labels)."""
+    scan = _scanned(g, n, mode)
+    rows = [row for row, keep in zip(_codifferential_rows(g, n - 1), scan)
+            if keep]
+    return bit_rows(rows, g.order ** n), [int(T) + 1 for T in np.flatnonzero(scan)]
 
 
 def coboundary_basis(g: FiniteGroup, n: int, mode: str = "all") -> CochainBasis:
     """Greedy independent subset of the coboundary generators, labeled cob:T."""
-    return _greedy_coboundaries(g, n, mode, np.zeros((0, g.order ** n), np.uint8))[0]
+    return _greedy_coboundaries(g, n, mode, [])[0]
 
 
 def _greedy_coboundaries(g: FiniteGroup, n: int, mode: str,
-                         tail: np.ndarray) -> tuple[CochainBasis, int]:
-    """coboundary_basis(g, n, mode), and the number of rows of `tail` that
-    are independent modulo it, from one greedy pass over the generators
-    followed by `tail` (the greedy selection of a prefix is its own)."""
+                         tail: list[int]) -> tuple[CochainBasis, int]:
+    """coboundary_basis(g, n, mode), and the number of `tail` rows (ints,
+    bit c being column c) that are independent modulo it, from one greedy
+    pass over the generators followed by `tail` (the greedy selection of
+    a prefix is its own)."""
     if n < 2:
         raise ValueError("coboundary bases start at degree 2")
-    rows, labels = coboundary_matrix(g, n, mode)
-    selected, rank = greedy_independent_rows(np.vstack([rows, tail]))
-    entries = [(f"cob:{labels[i]}", Cochain(g.order, n, rows[i]))
-               for i in selected if i < len(rows)]
-    return CochainBasis(entries), rank - len(entries)
+    scan = _scanned(g, n, mode)
+    basis = Basis()
+    chosen = [(T, row) for T, row in enumerate(_codifferential_rows(g, n - 1))
+              if scan[T] and basis.add(row)]
+    free = sum(1 for row in tail if basis.add(row))
+    bits = bit_rows([row for _, row in chosen], g.order ** n)
+    entries = [(f"cob:{T + 1}", Cochain(g.order, n, b))
+               for (T, _), b in zip(chosen, bits)]
+    return CochainBasis(entries), free
 
 
 def representative_cocycles(model: CohModel, n: int) -> CochainBasis:
@@ -231,9 +274,8 @@ def full_cocycle_basis(model: CohModel, n: int,
     mode = default_mode(n) if mode is None else mode
     snf_lo, snf_hi = _model_smith_forms(model, n)
     reps = _lift_representatives(model, n, snf_lo, snf_hi)
-    rep_rows = np.array([c.bits for _, c in reps.entries], dtype=np.uint8)
-    cobs, free = _greedy_coboundaries(
-        model.group, n, mode, rep_rows.reshape(len(reps), model.group.order ** n))
+    cobs, free = _greedy_coboundaries(model.group, n, mode,
+                                      int_rows(pack_rows(reps.matrix())))
     if free != len(reps):
         raise AssertionError("representatives and coboundaries are not independent")
     hdim = model.dims[n] - snf_hi.rank - snf_lo.rank
@@ -248,9 +290,6 @@ def full_cocycle_basis(model: CohModel, n: int,
 # v=20 at degree 3 (about 183 MB) fits, v=32 at degree 3 (about 4.7 GB)
 # does not.
 ORACLE_BYTES = 2 ** 28
-
-# Bytes of rows of d^n built at a time.
-ORACLE_CHUNK_BYTES = 1 << 20
 
 
 class OracleSizeError(ValueError):
@@ -277,32 +316,6 @@ def oracle_bytes(v: int, n: int) -> int:
     # a time, n+2 int64 row offsets
     select = (n + 2) * cols * 12 + cols * 8 + (n + 2) * (rows + 1) * 8
     return basis + chunk + select
-
-
-def _codifferential_rows(g: FiniteGroup, n: int):
-    """Rows of d on degree-n cochains (v**n rows, v**(n+1) columns) as
-    ints, bit c being column c, built ORACLE_CHUNK_BYTES at a time.
-
-    Row r of d holds column c once for each face index equal to r at c.
-    Each face's columns are sorted by the row they hit, so a chunk of rows
-    takes one contiguous run of every face.
-    """
-    faces = _face_indices(g, n)
-    nrows, width = g.order ** n, -(-g.order ** (n + 1) // 8)
-    orders = [np.argsort(f, kind="stable").astype(np.int32) for f in faces]
-    starts = [np.concatenate(([0], np.cumsum(np.bincount(f, minlength=nrows))))
-              for f in faces]
-    step = max(1, ORACLE_CHUNK_BYTES // width)
-    buf = np.empty(step * width, dtype=np.uint8)
-    for r0 in range(0, nrows, step):
-        r1 = min(r0 + step, nrows)
-        chunk = buf[:(r1 - r0) * width]
-        chunk.fill(0)
-        for face, order, start in zip(faces, orders, starts):
-            cols = order[start[r0]:start[r1]]
-            np.bitwise_xor.at(chunk, (face[cols] - r0) * width + (cols >> 3),
-                              np.left_shift(1, cols & 7).astype(np.uint8))
-        yield from int_rows(chunk.reshape(r1 - r0, width))
 
 
 def _codifferential_rank(g: FiniteGroup, n: int) -> int:

@@ -42,11 +42,6 @@ def tensor_from_cochain(f: Cochain) -> SignTensor:
     return SignTensor(v=f.v, n=f.n, entries=signs)
 
 
-def cochain_from_tensor(a: SignTensor) -> Cochain:
-    bits = ((1 - a.entries.reshape(-1)) // 2).astype(np.uint8)
-    return Cochain(a.v, a.n, bits)
-
-
 # -- structured matrices ---------------------------------------------------
 
 
@@ -112,10 +107,6 @@ def pointwise_product(a, b):
 def section(t: SignTensor, axis: int, idx: int) -> np.ndarray:
     """The (n-1)-dimensional slice at position idx along axis (0-based)."""
     return np.take(t.entries, idx, axis=axis)
-
-
-def horizontal_sections(t: SignTensor) -> list[np.ndarray]:
-    return [section(t, t.n - 1, k) for k in range(t.v)]
 
 
 # -- Hadamard predicates -----------------------------------------------------

@@ -12,14 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import gf2_rank
-from .groups import Family, GroupSpec, build_group, group_axioms_hold
-from .model import CohModel, builtin_model
+from .gf2 import gf2_rank, pack_rows
+from .groups import Family, GroupSpec, group_axioms_hold
+from .model import builtin_model
 from .reduction import (Cochain, CochainBasis, OracleSizeError,
-                        bar_codifferential, brute_force_cohomology,
-                        coboundary_basis, coboundary_generator,
-                        coboundary_matrix, count_non_cocycles, default_mode,
-                        full_cocycle_basis)
+                        _face_indices, bar_codifferential,
+                        brute_force_cohomology, coboundary_basis,
+                        coboundary_generator, count_non_cocycles,
+                        default_mode, full_cocycle_basis)
 from .tensor import (all_ones, alternating_back_negacyclic,
                      alternating_columns, alternating_forward_block,
                      back_negacyclic, forward_negacyclic,
@@ -208,7 +208,8 @@ def run_verify(spec: GroupSpec, degree: int) -> list[CheckResult]:
     ok = lambda name, cond, detail: checks.append(
         CheckResult("PASS" if cond else "FAIL", name, detail))
 
-    g = build_group(spec)
+    model = builtin_model(spec, degree)
+    g = model.group
     v = g.order
     if v <= 64:
         ok("group-axioms", group_axioms_hold(g),
@@ -220,7 +221,6 @@ def run_verify(spec: GroupSpec, degree: int) -> list[CheckResult]:
     ok("coords-roundtrip", bool((g.index_of(g.coords_of(idx)) == idx).all()),
        "index_of(coords_of(i)) == i for all elements")
 
-    model = builtin_model(spec, degree)
     n = degree
     r = model.dims[n]
 
@@ -350,10 +350,16 @@ def run_verify(spec: GroupSpec, degree: int) -> list[CheckResult]:
     independent = all_rank == size
     ok("oracle-span", independent and size == bf.ker_dim and all_bad == 0,
        f"span(reps ∪ cobs(all)) = Ker d^{n} (dimension {bf.ker_dim})")
-    rows, labels = coboundary_matrix(g, n, "all")
-    generator = dict(zip(labels, rows))
-    generators = all((c.bits == generator[int(lab.split(":")[1])]).all()
-                     for lab, c in all_cobs.entries)
+    # each cob:T must be d(δ_T): the δ_T are packed across generators, 64
+    # to a word, and gathered face by face
+    tuples = [int(lab.split(":")[1]) - 1 for lab in all_cobs.labels()]
+    deltas = np.zeros((v ** (n - 1), len(tuples)), dtype=np.uint8)
+    deltas[tuples, np.arange(len(tuples))] = 1
+    words = pack_rows(deltas)
+    gathered = np.zeros((v ** n, words.shape[1]), dtype=np.uint64)
+    for face in _face_indices(g, n - 1):
+        gathered ^= words[face]
+    generators = bool((gathered == pack_rows(all_cobs.matrix().T)).all())
     ok("oracle-coboundary-span",
        independent and generators and len(all_cobs) == bf.im_rank,
        f"span(cobs(all)) = Im d^{n - 1} (dimension {bf.im_rank})")

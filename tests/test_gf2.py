@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cocyred.gf2 import (as_bits, gf2_rank, greedy_independent_rows,
-                         in_row_space, left_kernel, pack_rows,
-                         smith_normal_form_gf2, unpack_rows)
+from cocyred.gf2 import (as_bits, bit_rows, gf2_rank, greedy_independent_rows,
+                         in_row_space, int_rows, left_kernel, pack_rows,
+                         smith_normal_form_gf2)
 
 
 def rand_matrix(rng, rows, cols):
@@ -30,7 +30,7 @@ def test_pack_unpack_roundtrip():
     rng = np.random.default_rng(0)
     for rows, cols in [(1, 1), (3, 64), (5, 65), (7, 130), (2, 300)]:
         m = rand_matrix(rng, rows, cols)
-        assert (unpack_rows(pack_rows(m), cols) == m).all()
+        assert (bit_rows(int_rows(pack_rows(m)), cols) == m).all()
 
 
 def test_as_bits_rejects_bad_entries():
@@ -163,8 +163,6 @@ def test_left_kernel_random_shapes(m):
     assert ker.shape == (m.shape[0] - rank, m.shape[0])
     assert not ((ker.astype(int) @ m.astype(int)) % 2).any()
     assert smith_normal_form_gf2(ker).rank == ker.shape[0]
-    packed_rank, packed_ker = left_kernel((pack_rows(m), m.shape[1]))
-    assert packed_rank == rank and (packed_ker == ker).all()
 
 
 def test_snf_zero_matrix():

@@ -32,25 +32,25 @@ def test_unsupported_pairs_raise():
 
 def test_g2_codifferentials_odd_t():
     m = builtin_model(GroupSpec(Family.G2, 3), 2)
-    d1 = m.codifferential_matrix(1)
+    d1 = m.diff[1]
     assert d1.shape == (3, 6)
     expect = np.zeros((3, 6), dtype=np.uint8)
     expect[0, 0] = 1
     assert (d1 == expect).all()
-    d2 = m.codifferential_matrix(2)
+    d2 = m.diff[2]
     assert d2.shape == (6, 10)
     assert sorted(map(tuple, np.argwhere(d2))) == [(1, 1), (2, 2)]
 
 
 def test_g2_codifferentials_even_t_vanish():
     m = builtin_model(GroupSpec(Family.G2, 2), 2)
-    assert not m.codifferential_matrix(1).any()
-    assert not m.codifferential_matrix(2).any()
+    assert not m.diff[1].any()
+    assert not m.diff[2].any()
 
 
 def test_g2_degree3_codifferential_odd_t():
     m = builtin_model(GroupSpec(Family.G2, 3), 3)
-    d3 = m.codifferential_matrix(3)
+    d3 = m.diff[3]
     assert d3.shape == (10, 15)
     assert sorted(map(tuple, np.argwhere(d3))) == [(0, 0), (3, 3), (4, 4), (5, 5)]
 
@@ -58,14 +58,8 @@ def test_g2_degree3_codifferential_odd_t():
 def test_g1_codifferentials_vanish():
     for t in (1, 2, 3):
         m = builtin_model(GroupSpec(Family.G1, t), 2)
-        assert not m.codifferential_matrix(1).any()
-        assert not m.codifferential_matrix(2).any()
-
-
-def test_codifferential_degree_out_of_range():
-    m = builtin_model(GroupSpec(Family.G1, 1), 2)
-    with pytest.raises(ValueError):
-        m.codifferential_matrix(3)
+        assert not m.diff[1].any()
+        assert not m.diff[2].any()
 
 
 def test_g1_lift_example():
@@ -74,14 +68,15 @@ def test_g1_lift_example():
     m = builtin_model(GroupSpec(Family.G1, 1), 2)
     g = m.group
     e = int(g.index_of((0, 1)))
-    assert (m.lift((e, e)) == [0, 0, 1]).all()
+    assert (m.lift_table[e * g.order + e] == [0, 0, 1]).all()
 
 
 def test_cyclic_lift_example():
-    # t=2, values (2,2,1): [1 * [4 >= 4]]_2 = 1
+    # t=2, values (2,2,1): [1 * [4 >= 4]]_2 = 1; at v=4 the tuple (i,j,k)
+    # sits at flat index 16i + 4j + k
     m = builtin_model(GroupSpec(Family.CYCLIC, 2), 3)
-    assert (m.lift((2, 2, 1)) == [1]).all()
-    assert (m.lift((1, 2, 1)) == [0]).all()
+    assert (m.lift_table[2 * 16 + 2 * 4 + 1] == [1]).all()
+    assert (m.lift_table[1 * 16 + 2 * 4 + 1] == [0]).all()
 
 
 @pytest.mark.parametrize("fam,deg,ts", [

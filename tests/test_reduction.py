@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cocyred import reduction
 from cocyred.gf2 import (gf2_rank, greedy_independent_rows, in_row_space,
                          smith_normal_form_gf2)
 from cocyred.groups import Family, GroupSpec, build_group
@@ -13,7 +14,7 @@ from cocyred.reduction import (ORACLE_BYTES, Cochain, OracleSizeError,
                                coboundary_matrix, count_non_cocycles,
                                full_cocycle_basis, oracle_bytes,
                                representative_cocycles)
-from cocyred.verify import closed_form_rep_tensors
+from cocyred.verify import closed_form_rep_tensors, run_verify
 from cocyred.tensor import tensor_from_cochain
 
 
@@ -95,6 +96,48 @@ def test_coboundary_generator_range_check():
         coboundary_generator(g, 2, 0)
     with pytest.raises(IndexError):
         coboundary_generator(g, 3, 17)
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 3])
+def test_coboundary_matrix_rows_are_generators(monkeypatch, rows_per_chunk):
+    # every row of coboundary_matrix is d(δ_T) for its label T, with chunks
+    # of one row and of three rows (the last chunk is then ragged: 4, 8,
+    # 16 and 64 rows are not multiples of 3)
+    for spec in (GroupSpec(Family.G1, 1), GroupSpec(Family.D4T, 2),
+                 GroupSpec(Family.G1, 2)):
+        g = build_group(spec)
+        v = g.order
+        for n in (2, 3):
+            width = -(-v ** n // 8)  # bytes of one row of d^(n-1)
+            monkeypatch.setattr(reduction, "ORACLE_CHUNK_BYTES",
+                                rows_per_chunk * width)
+            every = list(range(1, v ** (n - 1) + 1))
+            no_identity = [T for T in every if all(
+                np.unravel_index(T - 1, (v,) * (n - 1)))]
+            for mode, want in (("all", every), ("normalized", no_identity)):
+                rows, labels = coboundary_matrix(g, n, mode)
+                assert labels == want, (spec, n, mode)
+                assert rows.shape == (len(want), v ** n)
+                for row, T in zip(rows, labels):
+                    assert (row == coboundary_generator(g, n, T).bits).all(), \
+                        (spec, n, mode, T)
+
+
+def test_run_verify_retains_nothing():
+    # the face-index cache lives as long as its group, so nothing built by
+    # run_verify outlives the call
+    spec = GroupSpec(Family.G1, 2)
+    run_verify(spec, 3)
+    cached = len(reduction._FACES)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_verify(spec, 3)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(reduction._FACES) == cached
+    assert retained < 1 << 14
 
 
 def test_normalized_basis_g1_t1():

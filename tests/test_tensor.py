@@ -3,8 +3,7 @@ import pytest
 
 from cocyred.reduction import Cochain
 from cocyred.tensor import (SignTensor, all_ones, back_negacyclic,
-                            cochain_from_tensor, forward_negacyclic,
-                            horizontal_sections, is_hadamard_2d,
+                            forward_negacyclic, is_hadamard_2d,
                             is_improper_hadamard, is_proper_hadamard,
                             kronecker, pointwise_product, section,
                             tensor_from_cochain, tensor_from_json,
@@ -61,13 +60,6 @@ def test_xor_is_pointwise_product():
         tab = tensor_from_cochain(Cochain(4, 2, a ^ b))
         assert (tab.entries == ta.entries * tb.entries).all()
         assert (pointwise_product(ta, tb).entries == tab.entries).all()
-
-
-def test_cochain_tensor_roundtrip():
-    rng = np.random.default_rng(1)
-    bits = rng.integers(0, 2, 64).astype(np.uint8)
-    c = Cochain(4, 3, bits)
-    assert (cochain_from_tensor(tensor_from_cochain(c)).bits == bits).all()
 
 
 def test_kronecker_matches_numpy():
@@ -144,7 +136,7 @@ def test_predicates_agree_for_matrices():
 
 def test_sections_of_witness():
     t = sections_to_tensor(WITNESS_G1)
-    secs = horizontal_sections(t)
+    secs = [section(t, 2, k) for k in range(t.v)]
     assert (secs[0] == WITNESS_G1[0]).all()
     assert (secs[3] == WITNESS_G1[3]).all()
 
