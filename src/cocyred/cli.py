@@ -205,6 +205,7 @@ def _cmd_search(spec, model, args) -> int:
     else:
         print(f"{args.test}: {report.hits[args.test]}")
     print(f"witnesses_kept: {len(report.witnesses)}", file=sys.stderr)
+    print(f"quotient_dim: {report.quotient_dim}", file=sys.stderr)
     print(f"duration_s: {report.duration:.3f}", file=sys.stderr)
     if args.dump:
         doc = {"group": str(spec), "degree": n, "test": args.test,

@@ -165,7 +165,6 @@ def group_axioms_hold(g: FiniteGroup) -> bool:
     cols_ok = (np.sort(m, axis=0) == np.arange(v)[:, None]).all()
     if not (rows_ok and cols_ok):
         return False
-    # associativity: (ab)c == a(bc) for all triples, fully vectorized
-    ab_c = m[m, :][:, :, :]
-    a_bc = m[:, m]
-    return bool((ab_c == a_bc).all())
+    # associativity: (ab)c == a(bc) for all b, c, one left factor a at a
+    # time; row b of m[m[a]] is (ab)c over c, and m[a][m] is a(bc)
+    return all((m[m[a]] == m[a][m]).all() for a in range(v))

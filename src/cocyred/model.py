@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gf2 import as_bits
-from .groups import Family, FiniteGroup, GroupSpec, build_group, parse_group_spec
+from .groups import (Family, FiniteGroup, GroupSpec, build_group,
+                     group_axioms_hold, parse_group_spec)
 
 
 class ModelUnavailableError(ValueError):
@@ -213,7 +214,8 @@ def save_model(model: CohModel, path) -> None:
 
 
 def load_model(path) -> CohModel:
-    """Load a JSON model file; validates shapes, 0/1 entries and d∘d = 0."""
+    """Load a JSON model file; validates shapes, 0/1 entries, d∘d = 0 and
+    the group axioms of an explicit table."""
     with open(path) as fh:
         doc = json.load(fh)
     try:
@@ -227,8 +229,14 @@ def load_model(path) -> CohModel:
     if isinstance(grp, str):
         group = build_group(parse_group_spec(grp))
     else:
-        mul = np.asarray(grp, dtype=np.int64) - 1  # explicit tables are 1-based
-        group = FiniteGroup(None, mul)
+        try:
+            mul = np.asarray(grp, dtype=np.int64) - 1  # explicit tables are 1-based
+            group = FiniteGroup(None, mul)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad group table ({exc})") from None
+        if not group_axioms_hold(group):
+            raise ValueError(f"{path}: group table is not a group (fails "
+                             f"associativity, identity, inverse or Latin-square)")
     if len(dims) != 3:
         raise ValueError(f"{path}: dims must have three entries")
     q, r, s = dims

@@ -11,6 +11,20 @@ partitioning because retention keeps the numerically smallest distinct
 combination masks.  `limit` caps the walk before the size refusal, so a
 limited prefix of a span with more than 2^62 combinations may be walked.
 
+A walk of the whole span is taken modulo separable sign changes.
+Multiplying a ±1 tensor by a product of single-axis ±1 functions s_a(x_a)
+keeps every predicate: along axis a it flips whole sections, and along
+any other axis it multiplies two parallel sections by the same signs, so
+no dot product between them changes.  Every predicate is therefore
+constant on the cosets of K, the masks whose combination is separable (a
+sum over the axes of functions of one coordinate).  K is computed once
+per space, as a left kernel, in echelon form with exclusive pivots; the
+masks with zero pivot bits are a complement of K, one per coset.  The
+walk streams their Gray codes over the non-pivot rows, multiplies each
+count by 2^dim K, and offers every hit as the 2^dim K original masks of
+its coset, so the retained witnesses are still the smallest original
+hit masks.  A prefix is not a union of cosets and is walked mask by mask.
+
 One kernel, `_Kernel`, evaluates every predicate on a batch at once, with
 integer and bit operations only.  The basis rows are packed so that each
 tested axis holds v sections of ceil(v^(n-1)/64) uint64 words, and
@@ -32,11 +46,11 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
-from .gf2 import WORD
+from .gf2 import WORD, Basis, int_rows, left_kernel
 from .reduction import CochainBasis, ReductionOutput
 from .tensor import SignTensor
 
@@ -102,6 +116,12 @@ class SearchSpace:
         signs = (1 - 2 * self.combo_bits(mask).astype(np.int8))
         return SignTensor(self.v, self.n, signs.reshape((self.v,) * self.n))
 
+    @cached_property
+    def _quotient(self) -> "_Quotient":
+        """The walk of the full span modulo its separable combinations,
+        computed once per space."""
+        return _Quotient(self, _separable_masks(self))
+
 
 @dataclass
 class Witness:
@@ -118,6 +138,7 @@ class SearchReport:
     duration: float
     mode: str
     seed: int | None = None
+    quotient_dim: int = 0
 
 
 def tensor_of_combination(space: SearchSpace, combo) -> SignTensor:
@@ -152,7 +173,8 @@ class _Kernel:
         self.words = -(-self.length // WORD)
         # planar Hadamard tests rows only; improper and proper test every axis
         self.axes = 1 if set(predicates) == {"hadamard2d"} else n
-        self.pairs = np.triu_indices(v, 1)
+        labels = np.arange(v)
+        self.pairs = np.nonzero(labels[:, None] < labels)  # i < j, row-major
         # ±1 vectors of odd length have odd dot products
         self.never = self.length % 2 == 1 and v > 1
         groups, width = -(-space.m // 4), self.axes * v * self.words
@@ -266,13 +288,17 @@ class _Kernel:
         """The positions in `alive` whose parallel axis-aligned rows are
         pairwise orthogonal: for every pair of distinct axes (l, j) and
         every fixing of the other coordinates, the rows along j at two
-        positions of l differ in exactly v/2 places."""
+        positions of l differ in exactly v/2 places.
+
+        Only l < j is tested: a square ±1 matrix M with M M^T = vI is
+        invertible, so M^T M = vI too, and the rows along l at two
+        positions of j are then orthogonal as well."""
         v, n = self.v, self.n
         bits = self.bits(prod[alive]).reshape((len(alive),) + (v,) * n)
         x, y = self.pairs
         for l in range(n):
-            for j in range(n):
-                if j == l or not len(alive):
+            for j in range(l + 1, n):
+                if not len(alive):
                     continue
                 a = np.moveaxis(bits, (1 + l, 1 + j), (1, 2))
                 a = a.reshape(len(alive), v, v, -1)
@@ -280,6 +306,64 @@ class _Kernel:
                 keep = (differ == v // 2).all(axis=(1, 2))
                 alive, bits = alive[keep], bits[keep]
         return alive
+
+
+def _separable_masks(space: SearchSpace) -> list[int]:
+    """A basis of K, the masks whose combination is separable (a sum over
+    the axes of functions of one coordinate), in highest-bit echelon form
+    with exclusive pivots: no row has another row's highest bit set.
+
+    x is in K iff x @ bits = y @ S for some y, S being the n*v single-axis
+    indicator rows (bit set where x_a = i): the first m coordinates of the
+    left kernel of [bits; S].
+    """
+    v, n, m = space.v, space.n, space.m
+    coords = np.indices((v,) * n).reshape(n, 1, -1)
+    single = (coords == np.arange(v)[:, None]).reshape(n * v, -1)
+    _, kernel = left_kernel(np.vstack([space.bits, single.astype(np.uint8)]))
+    basis = Basis()
+    for x in int_rows(np.packbits(kernel[:, :m], axis=1, bitorder="little")):
+        basis.add(x)
+    rows: dict[int, int] = {}
+    for x in sorted(basis.rows.values()):
+        for pivot, row in rows.items():
+            if x >> pivot & 1:
+                x ^= row
+        rows[x.bit_length() - 1] = x
+    return list(rows.values())
+
+
+class _Quotient:
+    """The exhaustive walk of a span modulo K, given K's basis in echelon
+    form with exclusive pivots.
+
+    Every mask is c ^ k for exactly one k in K and one c whose pivot bits
+    are zero, so the walk visits those c only: the Gray codes over the
+    `free` (non-pivot) rows, which `space` holds in order.  Each walked
+    mask stands for the 2^dim masks of its coset.  With no rows it is the
+    plain walk of the whole span.
+    """
+
+    def __init__(self, space: SearchSpace, kernel_rows: list[int]):
+        self.dim = len(kernel_rows)
+        pivots = {x.bit_length() - 1 for x in kernel_rows}
+        self.free = [i for i in range(space.m) if i not in pivots]
+        self.coset = [0]  # the masks of K: walked mask c stands for c ^ K
+        for x in kernel_rows:
+            self.coset += [c ^ x for c in self.coset]
+        self.space = space if not self.dim else SearchSpace(
+            v=space.v, n=space.n, labels=[space.labels[i] for i in self.free],
+            bits=space.bits[self.free])
+
+    def expand(self, x: int) -> list[int]:
+        """The original masks of walked mask x's coset."""
+        if not self.dim:
+            return [x]
+        base = 0
+        for j, i in enumerate(self.free):
+            if x >> j & 1:
+                base |= 1 << i
+        return [base ^ k for k in self.coset]
 
 
 class _WitnessHeap:
@@ -324,29 +408,35 @@ def _sampled_batches(rng: random.Random, m: int, count: int, size: int):
         yield masks, np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
 
 
-def _scan(space: SearchSpace, predicates: tuple[str, ...], stream, cap: int):
+def _scan(space: SearchSpace, predicates: tuple[str, ...], stream, cap: int,
+          quotient: _Quotient | None = None):
     """Test the product of every mask of `stream(batch)`, an iterable of
-    (masks, their little-endian bytes) batches; returns the examined
-    count, the hit counts and the `cap` smallest distinct hit masks."""
+    (masks, their little-endian bytes) batches of rows of `space`; returns
+    the examined count, the hit counts and the `cap` smallest distinct hit
+    masks.  With a quotient, `space` is its complement and each mask
+    counts, and is offered as a witness, once per mask of its coset."""
+    quotient = quotient or _Quotient(space, [])
     kernel = _Kernel(space, predicates)
     counts = dict.fromkeys(predicates, 0)
     heap = _WitnessHeap(cap)
     examined = 0
     for masks, raw in stream(kernel.batch):
-        examined += len(masks)
+        examined += len(masks) << quotient.dim
         passed: dict[int, list[str]] = {}
         for p, where in kernel.hits(kernel.products(raw)).items():
-            counts[p] += len(where)
+            counts[p] += len(where) << quotient.dim
             for k in where.tolist():
                 passed.setdefault(k, []).append(p)
         for k, ps in passed.items():
-            heap.offer(int(masks[k]), tuple(ps))
+            for mask in quotient.expand(int(masks[k])):
+                heap.offer(mask, tuple(ps))
     return examined, counts, heap.items()
 
 
 def _scan_gray_range(args):
-    space, predicates, start, stop, cap = args
-    return _scan(space, predicates, partial(_gray_batches, start, stop), cap)
+    quotient, predicates, start, stop, cap = args
+    return _scan(quotient.space, predicates,
+                 partial(_gray_batches, start, stop), cap, quotient)
 
 
 def enumerate_span(space: SearchSpace,
@@ -361,8 +451,10 @@ def enumerate_span(space: SearchSpace,
 
     Exhaustive mode (the default) visits the first `limit` (default all
     2^m) combinations in Gray-code order and refuses when that count
-    exceeds 2^62; sampled mode draws sample_count masks from a seeded
-    generator.  Counts and witnesses are independent of the worker count.
+    exceeds 2^62; a walk of all 2^m walks them modulo the separable
+    combinations, with the same counts and witnesses.  Sampled mode draws
+    sample_count masks from a seeded generator.  Counts and witnesses are
+    independent of the worker count.
     """
     predicates = tuple(predicates)
     for p in predicates:
@@ -376,6 +468,7 @@ def enumerate_span(space: SearchSpace,
     t0 = time.perf_counter()
 
     sampled = sample_count is not None
+    dim = 0
     if sampled:
         stream = partial(_sampled_batches, random.Random(seed), space.m,
                          sample_count)
@@ -386,13 +479,19 @@ def enumerate_span(space: SearchSpace,
             raise SpanTooLargeError(
                 f"2^{space.m} combinations exceed exhaustive limits; "
                 f"use sampling (--sample)")
+        # a prefix is not a union of cosets of K: only a full walk is
+        # taken modulo K
+        quotient = space._quotient if total == 1 << space.m \
+            else _Quotient(space, [])
+        dim = quotient.dim
+        total >>= dim
         nworkers = max(1, int(workers))
         nranges = 1
         while nranges < nworkers:
             nranges *= 2
         bounds = [(total * k // nranges, total * (k + 1) // nranges)
                   for k in range(nranges)]
-        args = [(space, predicates, a, b, max_witnesses)
+        args = [(quotient, predicates, a, b, max_witnesses)
                 for a, b in bounds if b > a]
         if nworkers == 1 or total // nranges < POOL_MIN_COMBOS:
             results = [_scan_gray_range(a) for a in args]
@@ -413,7 +512,7 @@ def enumerate_span(space: SearchSpace,
                         witnesses=witnesses,
                         duration=time.perf_counter() - t0,
                         mode="sampled" if sampled else "exhaustive",
-                        seed=seed if sampled else None)
+                        seed=seed if sampled else None, quotient_dim=dim)
 
 
 def default_workers() -> int:

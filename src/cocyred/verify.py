@@ -14,7 +14,7 @@ import numpy as np
 
 from .gf2 import gf2_rank, pack_rows
 from .groups import Family, GroupSpec, group_axioms_hold
-from .model import builtin_model
+from .model import CohModel, builtin_model
 from .reduction import (Cochain, CochainBasis, OracleSizeError,
                         _face_indices, bar_codifferential,
                         brute_force_cohomology, coboundary_basis,
@@ -168,14 +168,13 @@ def expected_coboundary_indices(spec: GroupSpec, degree: int,
 # -- remark identities -------------------------------------------------------
 
 
-def product_identity_holds(spec: GroupSpec, degree: int = 2) -> bool | None:
+def product_identity_holds(spec: GroupSpec, m: CohModel) -> bool | None:
     """The 2^r-factor product identities relating the first representative
     to a tensor-power form through explicit coboundary products (g1, g2
-    degree 2 only)."""
+    degree 2 only); `m` is the built-in model of `spec` at its degree."""
     fam, t = spec.family, spec.t
-    if degree != 2 or fam not in (Family.G1, Family.G2):
+    if m.degree != 2 or fam not in (Family.G1, Family.G2):
         return None
-    m = builtin_model(spec, 2)
     kron, J, BN = np.kron, all_ones, back_negacyclic
     if fam is Family.G1:
         two_t = 2 * t
@@ -318,7 +317,7 @@ def run_verify(spec: GroupSpec, degree: int) -> list[CheckResult]:
         ok("closed-form-reps", bool(same),
            "lifted representatives equal the documented closed forms bit-exactly")
 
-    ident = product_identity_holds(spec, n)
+    ident = product_identity_holds(spec, model)
     if ident is not None:
         ok("product-identity", ident,
            "first representative times the documented coboundary product "

@@ -283,3 +283,13 @@ def test_golden_stdout(capsys):
         assert code == 0, cmd
         got[cmd] = hashlib.sha256(out.encode()).hexdigest()
     assert got == GOLDEN_STDOUT
+
+
+@pytest.mark.parametrize("group,degree,test,dim", [
+    ("g1:1", "3", "improper", 4), ("d4t:3", "2", "hadamard2d", 0)])
+def test_search_reports_quotient_dim(capsys, group, degree, test, dim):
+    code, out, err = run(capsys, "search", "--group", group, "--degree",
+                         degree, "--test", test)
+    assert code == 0
+    assert f"quotient_dim: {dim}\n" in err
+    assert "quotient_dim" not in out

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cocyred.groups import (Family, GroupSpec, build_group, group_axioms_hold,
-                            parse_group_spec)
+from cocyred.groups import (Family, FiniteGroup, GroupSpec, build_group,
+                            group_axioms_hold, parse_group_spec)
 
 
 def test_parse_group_spec():
@@ -81,3 +81,16 @@ def test_coords_roundtrip(fam):
     idx = np.arange(g.order)
     assert (g.index_of(g.coords_of(idx)) == idx).all()
 
+
+
+# A loop of order 5, the smallest order with a non-associative one: 0 is
+# the identity and every row and column is a permutation, but
+# (1*1)*2 = 2 while 1*(1*2) = 4.
+LOOP5 = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                  [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+
+
+def test_group_axioms_reject_non_associative_loop():
+    assert not group_axioms_hold(FiniteGroup(None, LOOP5))
+    z5 = (np.arange(5)[:, None] + np.arange(5)) % 5
+    assert group_axioms_hold(FiniteGroup(None, z5))

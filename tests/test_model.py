@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from cocyred.groups import Family, GroupSpec, build_group
-from cocyred.model import (ModelUnavailableError, builtin_model, load_model,
-                           save_model)
+from cocyred.groups import Family, FiniteGroup, GroupSpec, build_group
+from cocyred.model import (CohModel, ModelUnavailableError, builtin_model,
+                           load_model, save_model)
 from cocyred.reduction import Cochain, bar_codifferential
 from cocyred.tensor import all_ones, back_negacyclic
+
+from test_groups import LOOP5
 
 
 def test_dims_per_family():
@@ -189,3 +191,32 @@ def test_load_explicit_table_group(tmp_path):
     save_model(loaded, path2)
     again = load_model(path2)
     assert (again.group.mul == loaded.group.mul).all()
+
+
+def table_model(mul):
+    """A degree-2 model with zero data over an explicit group table."""
+    v = len(mul)
+    zero = np.zeros((1, 1), dtype=np.uint8)
+    return CohModel(group=FiniteGroup(None, mul), degree=2,
+                    dims={1: 1, 2: 1, 3: 1}, diff={1: zero, 2: zero},
+                    lift_table=np.zeros((v * v, 1), dtype=np.uint8))
+
+
+def test_load_rejects_non_associative_table(tmp_path):
+    path = tmp_path / "loop.json"
+    save_model(table_model(LOOP5), path)
+    with pytest.raises(ValueError, match="loop.json.*not a group"):
+        load_model(path)
+    z5 = (np.arange(5)[:, None] + np.arange(5)) % 5
+    save_model(table_model(z5), path)
+    assert (load_model(path).group.mul == z5).all()
+
+
+def test_load_rejects_malformed_table(tmp_path):
+    path = tmp_path / "ragged.json"
+    save_model(table_model(LOOP5), path)
+    doc = json.loads(path.read_text())
+    doc["group"][2] = doc["group"][2][:4]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="ragged.json: bad group table"):
+        load_model(path)

@@ -1,3 +1,4 @@
+import functools
 import random
 import tracemalloc
 from functools import partial
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cocyred.search as search_mod
-from cocyred.gf2 import in_row_space
+from cocyred.gf2 import gf2_rank, in_row_space
 from cocyred.groups import Family, GroupSpec
 from cocyred.model import builtin_model
 from cocyred.reduction import full_cocycle_basis
@@ -106,8 +107,7 @@ def test_gray_matches_naive_improper():
 def test_gray_state_equals_from_scratch_product(monkeypatch):
     # record every batched product of the Gray walk and of a seeded sampled
     # walk, and compare it against the mask's from-scratch product
-    import cocyred.search as search_mod
-    space = space_for(Family.CYCLIC, 1, 3)  # m = 3
+    space = space_for(Family.CYCLIC, 1, 3)  # m = 3, dim K = 2
     snapshots = []
     orig = search_mod._Kernel.products
 
@@ -117,6 +117,19 @@ def test_gray_state_equals_from_scratch_product(monkeypatch):
         return prod
 
     monkeypatch.setattr(search_mod._Kernel, "products", spy)
+    # modulo K the walk forms one product per coset, over the free rows:
+    # each equals the product of its lifted original mask
+    free = space._quotient.free
+    assert len(free) == 1
+    lifted = [sum(1 << i for j, i in enumerate(free) if g >> j & 1)
+              for g in (k ^ (k >> 1) for k in range(2 ** len(free)))]
+    enumerate_span(space, ("improper",))
+    assert len(snapshots) == len(lifted) == 2
+    for mask, pm in zip(lifted, snapshots):
+        assert (pm == 1 - 2 * space.combo_bits(mask).astype(np.int32)).all()
+    # without K the walk forms every product
+    monkeypatch.setattr(search_mod, "_separable_masks", lambda space: [])
+    space = space_for(Family.CYCLIC, 1, 3)
     rng = random.Random(3)
     for sample_count, masks in (
             (None, [i ^ (i >> 1) for i in range(2 ** space.m)]),
@@ -514,3 +527,144 @@ def test_witness_heap_ignores_held_masks():
     for mask in (5, 3, 5, 9, 3, 1, 5):
         heap.offer(mask, ("improper",))
     assert heap.items() == [(1, ("improper",)), (3, ("improper",))]
+
+
+# -- the walk modulo separable sign changes ----------------------------------
+
+# (family, t, degree, mode, dim K)
+QUOTIENT_CASES = [(Family.G1, 1, 3, "all", 4), (Family.CYCLIC, 2, 3, "all", 2),
+                  (Family.G2, 1, 3, "all", 4), (Family.CYCLIC, 1, 3, "all", 2),
+                  (Family.G1, 3, 2, "all", 1), (Family.D4T, 4, 2, "all", 1),
+                  (Family.G2, 4, 2, "all", 1)]
+
+
+def fingerprint(report):
+    return (report.examined, report.hits,
+            [(w.mask, w.passed) for w in report.witnesses])
+
+
+def quotient_runs(m):
+    """(limit, max_witnesses) of each walk: prefixes one short of the span
+    (d = 0) and full walks (d = dim K), with a small witness cap."""
+    return [(2 ** m - 1, 3), (2 ** m, 3), (None, 3), (None, 1024)]
+
+
+@functools.cache
+def plain_walks(family, t, degree, mode, predicates):
+    """Fingerprints of the quotient runs with the K builder patched away,
+    so that every mask is walked."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search_mod, "_separable_masks", lambda space: [])
+        space = space_for(family, t, degree, mode)
+        reports = [enumerate_span(space, predicates, limit=limit,
+                                  max_witnesses=cap)
+                   for limit, cap in quotient_runs(space.m)]
+    assert all(r.quotient_dim == 0 for r in reports)
+    return [fingerprint(r) for r in reports]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("family,t,degree,mode,dim", QUOTIENT_CASES)
+def test_quotient_walk_equals_plain_walk(monkeypatch, family, t, degree, mode,
+                                         dim, workers):
+    # the full enumeration is the referee of the quotient: with and without
+    # K the counts and the retained witnesses must be identical
+    predicates = ("hadamard2d",) if degree == 2 else ("improper", "proper")
+    want = plain_walks(family, t, degree, mode, predicates)
+    space = space_for(family, t, degree, mode)
+    started = []
+
+    class Pool(search_mod.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(search_mod, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(search_mod, "POOL_MIN_COMBOS", 1)
+    runs = quotient_runs(space.m)
+    got = [enumerate_span(space, predicates, workers=workers, limit=limit,
+                          max_witnesses=cap) for limit, cap in runs]
+    assert [r.quotient_dim for r in got] == [0, dim, dim, dim]
+    assert started == [2] * len(runs) * (workers == 2)
+    assert [fingerprint(r) for r in got] == want
+    assert got[-1].hits[predicates[0]] > 0 or space.v == 2  # cyclic:1 has none
+
+
+def separable_row(v, n, rng):
+    """sum over the axes a of f_a(x_a), for random f_a: (Z_v) -> GF(2)."""
+    coords = np.indices((v,) * n)
+    f = rng.integers(0, 2, size=(n, v))
+    return sum(f[a][coords[a]] for a in range(n)).reshape(-1) % 2
+
+
+def is_separable(bits, v, n):
+    """f is separable iff f(x) = sum_a f(x_a e_a) + (n - 1) f(0) for all x."""
+    f = bits.reshape((v,) * n).astype(np.int64)
+    coords = np.indices((v,) * n)
+    zero = (0,) * n
+    axis_parts = sum(f[tuple(coords[a] if b == a else 0 for b in range(n))]
+                     for a in range(n))
+    return bool(((f - axis_parts - (n - 1) * f[zero]) % 2 == 0).all())
+
+
+@settings(max_examples=60, deadline=None)
+@given(v=st.sampled_from([2, 4, 8]), n=st.sampled_from([2, 3]),
+       kind=st.sampled_from(["proper", "improper", "random"]),
+       separable=st.integers(1, 3), extra=st.integers(0, 2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_quotient_walk_equals_referee(v, n, kind, separable, extra, seed):
+    # planted spans with separable rows, so dim K >= 1, against a tensor.py
+    # enumeration of every mask
+    rng = np.random.default_rng(seed)
+    rows = [(1 - planted_tensor(v, n, kind, rng).reshape(-1)) // 2]
+    rows += [separable_row(v, n, rng) for _ in range(separable)]
+    rows += [rng.integers(0, 2, size=v ** n) for _ in range(extra)]
+    bits = np.array(rng.permutation(rows), dtype=np.uint8)
+    m = len(bits)
+    assume(len(np.unique(bits, axis=0)) == m and bits.any(axis=1).all())
+    space = SearchSpace(v=v, n=n, labels=[f"r{i}" for i in range(m)],
+                        bits=bits)
+    assert space._quotient.dim >= 1
+    predicates = ("improper", "proper")
+    expect = []
+    for mask in range(2 ** m):
+        ten = space.combo_tensor(mask)
+        passed = [p for p in predicates if REFEREES[p](ten)]
+        if passed:
+            expect.append((mask, passed))
+    for cap in (2 ** m, 2):
+        report = enumerate_span(space, predicates, max_witnesses=cap)
+        assert report.quotient_dim == space._quotient.dim
+        assert report.examined == 2 ** m
+        assert [(w.mask, w.passed) for w in report.witnesses] == expect[:cap]
+        assert report.hits == {p: sum(p in ps for _, ps in expect)
+                               for p in predicates}
+
+
+@pytest.mark.parametrize("family,t,degree,mode,dim", QUOTIENT_CASES + [
+    (Family.D4T, 4, 2, "normalized", 0), (Family.G2, 2, 3, "all", 6)])
+def test_separable_masks_span_k(family, t, degree, mode, dim):
+    # d = dim(span(B) ∩ span(S)) for independent basis rows B and the
+    # single-axis indicator rows S, and every mask of K is separable
+    space = space_for(family, t, degree, mode)
+    rows = search_mod._separable_masks(space)
+    v, n = space.v, space.n
+    coords = np.indices((v,) * n).reshape(n, 1, -1)
+    single = (coords == np.arange(v)[:, None]).reshape(n * v, -1)
+    single = single.astype(np.uint8)
+    expect = (gf2_rank(space.bits) + gf2_rank(single)
+              - gf2_rank(np.vstack([space.bits, single])))
+    assert gf2_rank(space.bits) == space.m
+    assert len(rows) == expect == dim
+    # echelon form with exclusive pivots: no row holds another's top bit
+    pivots = [x.bit_length() - 1 for x in rows]
+    assert len(set(pivots)) == len(rows)
+    for x in rows:
+        assert [p for p in pivots if x >> p & 1] == [x.bit_length() - 1]
+    coset = space._quotient.coset
+    assert len(set(coset)) == 2 ** len(rows)
+    for mask in coset:
+        assert is_separable(space.combo_bits(mask), v, n)
+    # a separable row alone would be in K, with its own index as pivot
+    for i in space._quotient.free:
+        assert not is_separable(space.bits[i], v, n)
