@@ -217,7 +217,10 @@ def load_model(path) -> CohModel:
     """Load a JSON model file; validates shapes, 0/1 entries, d∘d = 0 and
     the group axioms of an explicit table."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a JSON model file ({exc})") from None
     try:
         degree = int(doc["degree"])
         dims = [int(x) for x in doc["dims"]]
@@ -248,17 +251,21 @@ def load_model(path) -> CohModel:
     v, n = group.order, degree
     table = np.zeros((v ** n, r), dtype=np.uint8)
     seen = np.zeros(v ** n, dtype=bool)
+    if not isinstance(lift_raw, dict):
+        raise ValueError(f"{path}: lift must map tuple keys to bit lists")
     for key, bits in lift_raw.items():
-        parts = key.split(",")
-        if len(parts) != n:
+        try:
+            elems = [int(p) - 1 for p in key.split(",")]
+            row = np.asarray(bits, dtype=np.uint8)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: bad lift entry {key!r} ({exc})") from None
+        if len(elems) != n:
             raise ValueError(f"{path}: lift key {key!r} is not a {n}-tuple")
         flat = 0
-        for p in parts:
-            e = int(p) - 1
+        for e in elems:
             if not (0 <= e < v):
                 raise ValueError(f"{path}: lift key {key!r} out of range")
             flat = flat * v + e
-        row = np.asarray(bits, dtype=np.uint8)
         if row.shape != (r,) or (row > 1).any():
             raise ValueError(f"{path}: lift value for {key!r} must be {r} bits")
         table[flat] = row

@@ -13,6 +13,11 @@ and ``coboundary_generator(G, n, T)`` is d applied to the characteristic
 function of the (n-1)-tuple with index T.  Row T of the matrix of d is
 that generator; `_codifferential_rows` is the one builder of such rows, for
 the coboundary bases, `coboundary_matrix` and the oracle alike.
+
+A basis is stored once, as one matrix whose rows are its cochains; `reps`
+and `cobs` are row views of the reduction's basis.  `codifferential_words`
+is the one batched d, for `count_non_cocycles` and `verify`, and the
+one-cochain `bar_codifferential` is the referee the tests compare it with.
 """
 
 from __future__ import annotations
@@ -43,31 +48,46 @@ class Cochain:
 
 @dataclass
 class CochainBasis:
-    entries: list[tuple[str, Cochain]]
+    """Labeled degree-n cochains, the rows of one (k, v**n) 0/1 matrix."""
+    names: list[str]
+    v: int
+    n: int
+    bits: np.ndarray  # (len(names), v**n) uint8
+
+    @property
+    def entries(self) -> list[tuple[str, Cochain]]:
+        return [(lab, Cochain(self.v, self.n, row))
+                for lab, row in zip(self.names, self.bits)]
 
     def labels(self) -> list[str]:
-        return [lab for lab, _ in self.entries]
+        return list(self.names)
 
     def matrix(self) -> np.ndarray:
-        if not self.entries:
-            return np.zeros((0, 0), dtype=np.uint8)
-        return np.stack([c.bits for _, c in self.entries])
+        return self.bits
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.names)
+
+    def __getitem__(self, rows: slice) -> "CochainBasis":
+        return CochainBasis(self.names[rows], self.v, self.n, self.bits[rows])
 
 
 @dataclass
 class ReductionOutput:
-    reps: CochainBasis
-    cobs: CochainBasis
+    """The juxtaposed basis, stored once: its first hdim rows are the
+    representatives (one per cohomology class), the rest the coboundaries."""
+    basis: CochainBasis
     hdim: int
     snf_lower: SnfResult
     snf_upper: SnfResult
 
     @property
-    def basis(self) -> CochainBasis:
-        return CochainBasis(self.reps.entries + self.cobs.entries)
+    def reps(self) -> CochainBasis:
+        return self.basis[:self.hdim]
+
+    @property
+    def cobs(self) -> CochainBasis:
+        return self.basis[self.hdim:]
 
 
 # Face indices per group, by degree; an entry lives as long as its group.
@@ -143,27 +163,31 @@ def bar_codifferential(g: FiniteGroup, n: int, f: Cochain) -> Cochain:
     return Cochain(g.order, n + 1, out)
 
 
+def codifferential_words(g: FiniteGroup, n: int,
+                         words: np.ndarray) -> np.ndarray:
+    """d of the columns of a (v**n, k) matrix of degree-n cochains, packed
+    by `pack_rows`: the XOR of words[face] over the n+2 faces, as
+    (v**(n+1), ceil(k/64)) words.  The temporaries are the result and one
+    term."""
+    if len(words) != g.order ** n:
+        raise ValueError("cochains do not match group/degree")
+    faces = _face_indices(g, n)
+    acc = np.take(words, faces[0], axis=0)
+    term = np.empty_like(acc)
+    for idx in faces[1:]:
+        acc ^= np.take(words, idx, axis=0, out=term)
+    return acc
+
+
 def count_non_cocycles(g: FiniteGroup, n: int, rows: np.ndarray) -> int:
     """How many rows of a (k, v**n) 0/1 matrix of degree-n cochains have a
-    nonzero coboundary.
-
-    Packs each block of 64 cochains into one uint64 word per tuple and
-    gathers each face index once per block; the temporaries are three
-    arrays of at most v**(n+1) words.
-    """
+    nonzero coboundary, from `codifferential_words` on 64 rows at a time."""
     rows = np.asarray(rows, dtype=np.uint8)
-    if len(rows) and rows.shape[1] != g.order ** n:
-        raise ValueError("cochain rows do not match group/degree")
-    faces = _face_indices(g, n)
-    acc = np.empty(len(faces[0]), dtype=np.uint64)
-    term = np.empty_like(acc)
     bad = 0
     for start in range(0, len(rows), WORD):
-        words = pack_rows(rows[start:start + WORD].T).ravel()
-        np.take(words, faces[0], out=acc)
-        for idx in faces[1:]:
-            acc ^= np.take(words, idx, out=term)
-        bad += int(np.bitwise_count(np.bitwise_or.reduce(acc)))
+        words = pack_rows(rows[start:start + WORD].T)
+        bad += int(np.bitwise_count(np.bitwise_or.reduce(
+            codifferential_words(g, n, words), axis=None)))
     return bad
 
 
@@ -204,26 +228,27 @@ def coboundary_matrix(g: FiniteGroup, n: int, mode: str = "all"):
 
 def coboundary_basis(g: FiniteGroup, n: int, mode: str = "all") -> CochainBasis:
     """Greedy independent subset of the coboundary generators, labeled cob:T."""
-    return _greedy_coboundaries(g, n, mode, [])[0]
+    empty = CochainBasis([], g.order, n, np.zeros((0, g.order ** n), np.uint8))
+    return _greedy_coboundaries(g, n, mode, empty)
 
 
 def _greedy_coboundaries(g: FiniteGroup, n: int, mode: str,
-                         tail: list[int]) -> tuple[CochainBasis, int]:
-    """coboundary_basis(g, n, mode), and the number of `tail` rows (ints,
-    bit c being column c) that are independent modulo it, from one greedy
-    pass over the generators followed by `tail` (the greedy selection of
-    a prefix is its own)."""
+                         head: CochainBasis) -> CochainBasis:
+    """`head` followed by coboundary_basis(g, n, mode), from one greedy
+    pass over the generators and then `head` (the greedy selection of a
+    prefix is its own); raises unless `head` is independent modulo them."""
     if n < 2:
         raise ValueError("coboundary bases start at degree 2")
     scan = _scanned(g, n, mode)
     basis = Basis()
     chosen = [(T, row) for T, row in enumerate(_codifferential_rows(g, n - 1))
               if scan[T] and basis.add(row)]
-    free = sum(1 for row in tail if basis.add(row))
-    bits = bit_rows([row for _, row in chosen], g.order ** n)
-    entries = [(f"cob:{T + 1}", Cochain(g.order, n, b))
-               for (T, _), b in zip(chosen, bits)]
-    return CochainBasis(entries), free
+    tail = int_rows(pack_rows(head.matrix()))
+    if sum(1 for row in tail if basis.add(row)) != len(head):
+        raise AssertionError("representatives and coboundaries are not independent")
+    return CochainBasis(head.labels() + [f"cob:{T + 1}" for T, _ in chosen],
+                        g.order, n,
+                        bit_rows(tail + [row for _, row in chosen], g.order ** n))
 
 
 def representative_cocycles(model: CohModel, n: int) -> CochainBasis:
@@ -249,16 +274,13 @@ def _lift_representatives(model: CohModel, n: int, snf_lo: SnfResult,
     l, k = snf_lo.rank, snf_hi.rank
     kernel_rows = snf_hi.P[k:]
     selected, _ = greedy_independent_rows(np.vstack([snf_lo.Qinv[:l], kernel_rows]))
-    kept = [kernel_rows[i - l] for i in selected if i >= l]
+    kept = kernel_rows[[i - l for i in selected if i >= l]]
     if len(kept) != model.dims[n] - k - l:
         raise AssertionError("kernel filtering did not yield r-k-l representatives")
 
-    v = model.group.order
-    entries = []
-    for m, row in enumerate(kept, start=1):
-        bits = (model.lift_table @ row.astype(np.int64)) % 2
-        entries.append((f"rep:{m}", Cochain(v, n, bits.astype(np.uint8))))
-    return CochainBasis(entries)
+    bits = ((kept.astype(np.int64) @ model.lift_table.T) % 2).astype(np.uint8)
+    return CochainBasis([f"rep:{m}" for m in range(1, len(kept) + 1)],
+                        model.group.order, n, bits)
 
 
 def default_mode(n: int) -> str:
@@ -274,13 +296,8 @@ def full_cocycle_basis(model: CohModel, n: int,
     mode = default_mode(n) if mode is None else mode
     snf_lo, snf_hi = _model_smith_forms(model, n)
     reps = _lift_representatives(model, n, snf_lo, snf_hi)
-    cobs, free = _greedy_coboundaries(model.group, n, mode,
-                                      int_rows(pack_rows(reps.matrix())))
-    if free != len(reps):
-        raise AssertionError("representatives and coboundaries are not independent")
-    hdim = model.dims[n] - snf_hi.rank - snf_lo.rank
-    return ReductionOutput(reps=reps, cobs=cobs, hdim=hdim,
-                           snf_lower=snf_lo, snf_upper=snf_hi)
+    return ReductionOutput(basis=_greedy_coboundaries(model.group, n, mode, reps),
+                           hdim=len(reps), snf_lower=snf_lo, snf_upper=snf_hi)
 
 
 # -- brute-force oracle ----------------------------------------------------

@@ -90,8 +90,7 @@ class SearchSpace:
     def from_basis(cls, basis: CochainBasis) -> "SearchSpace":
         if not len(basis):
             raise ValueError("empty basis has no search space; pass v and n explicitly")
-        first = basis.entries[0][1]
-        return cls(v=first.v, n=first.n, labels=basis.labels(), bits=basis.matrix())
+        return cls(v=basis.v, n=basis.n, labels=basis.labels(), bits=basis.matrix())
 
     @classmethod
     def from_reduction(cls, out: ReductionOutput) -> "SearchSpace":
@@ -462,7 +461,8 @@ def enumerate_span(space: SearchSpace,
             raise ValueError(f"unknown predicate {p!r}")
     if "hadamard2d" in predicates and space.n != 2:
         raise ValueError("hadamard2d applies only to 2-dimensional spans")
-    for name, count in (("sample_count", sample_count), ("limit", limit)):
+    for name, count in (("sample_count", sample_count), ("limit", limit),
+                        ("max_witnesses", max_witnesses)):
         if count is not None and count < 0:
             raise ValueError(f"{name} must be nonnegative, got {count}")
     t0 = time.perf_counter()

@@ -72,6 +72,19 @@ def test_search_negative_sample_is_usage_error(capsys):
     assert code == 1 and out == "" and "nonnegative" in err
 
 
+def test_search_negative_witness_cap_is_usage_error(capsys):
+    code, out, err = run(capsys, "search", "--group", "g1:1", "--degree", "3",
+                         "--test", "improper", "--max-witnesses", "-5")
+    assert code == 1 and out == "" and "nonnegative" in err
+
+
+def test_verify_checks_group_axioms_above_order_64(capsys):
+    code, out, _ = run(capsys, "verify", "--group", "g1:17", "--degree", "2")
+    assert code == 0
+    assert ("PASS group-axioms: associativity/identity/inverse/Latin-square "
+            "exhaustive, order 68\n") in out
+
+
 def test_tensor_repeated_combo_label_is_usage_error(capsys):
     code, out, err = run(capsys, "tensor", "--group", "g1:1", "--degree", "3",
                          "--combo", "c4,c4")

@@ -176,6 +176,37 @@ def test_load_rejects_non_bit_entries(tmp_path):
         load_model(path)
 
 
+def _lift_as_list(doc):
+    doc["lift"] = [[0, 0, 0]]
+
+
+def _lift_key_not_int(doc):
+    doc["lift"]["a,1"] = doc["lift"].pop("1,1")
+
+
+def _lift_bit_not_int(doc):
+    doc["lift"]["1,1"] = ["x", 0, 0]
+
+
+@pytest.mark.parametrize("mutate,match", [
+    (_lift_as_list, "lift must map"),
+    (_lift_key_not_int, "bad lift entry 'a,1'"),
+    (_lift_bit_not_int, "bad lift entry '1,1'"),
+    (None, "not a JSON model file")])
+def test_load_rejects_malformed_lift_or_json(tmp_path, mutate, match):
+    m = builtin_model(GroupSpec(Family.G1, 1), 2)
+    path = tmp_path / "malformed.json"
+    save_model(m, path)
+    if mutate is None:
+        path.write_text(path.read_text()[:-1])
+    else:
+        doc = json.loads(path.read_text())
+        mutate(doc)
+        path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"malformed.json: {match}"):
+        load_model(path)
+
+
 def test_load_explicit_table_group(tmp_path):
     # a model over an explicit 1-based multiplication table round-trips
     m = builtin_model(GroupSpec(Family.CYCLIC, 2), 3)

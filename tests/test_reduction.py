@@ -1,20 +1,23 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cocyred import reduction
+from cocyred import reduction, verify
 from cocyred.gf2 import (gf2_rank, greedy_independent_rows, in_row_space,
-                         smith_normal_form_gf2)
+                         pack_rows, smith_normal_form_gf2)
 from cocyred.groups import Family, GroupSpec, build_group
 from cocyred.model import builtin_model
 from cocyred.reduction import (ORACLE_BYTES, Cochain, OracleSizeError,
                                bar_codifferential, brute_force_cohomology,
                                coboundary_basis, coboundary_generator,
-                               coboundary_matrix, count_non_cocycles,
-                               full_cocycle_basis, oracle_bytes,
-                               representative_cocycles)
-from cocyred.verify import closed_form_rep_tensors, run_verify
+                               coboundary_matrix, codifferential_words,
+                               count_non_cocycles, full_cocycle_basis,
+                               oracle_bytes, representative_cocycles)
+from cocyred.search import SearchSpace
+from cocyred.verify import (closed_form_rep_tensors, product_identity_holds,
+                            run_verify)
 from cocyred.tensor import tensor_from_cochain
 
 
@@ -67,6 +70,13 @@ def test_count_non_cocycles_matches_referee(spec, n):
     assert count_non_cocycles(g, n, rows) == want
     assert count_non_cocycles(g, n, basis.matrix()) == 0
     assert count_non_cocycles(g, n, rows[:0]) == 0
+    # the batched d, unpacked, is the referee's d of every row
+    words = codifferential_words(g, n, pack_rows(rows.T))
+    got = np.unpackbits(words.view(np.uint8), axis=1, count=len(rows),
+                        bitorder="little")
+    assert len(rows) % 64
+    for r, col in zip(rows, got.T):
+        assert (bar_codifferential(g, n, Cochain(g.order, n, r)).bits == col).all()
 
 
 def test_degree_mismatch_raises():
@@ -300,3 +310,61 @@ def test_snf_ranks_match_tabulated_g2_odd():
     out = full_cocycle_basis(model, 2)
     assert out.snf_lower.rank == 1 and out.snf_upper.rank == 2
     assert out.hdim == 3
+
+
+def test_reduction_stores_its_basis_once():
+    spec = GroupSpec(Family.G1, 2)
+    out = full_cocycle_basis(builtin_model(spec, 3), 3)
+    joint = out.basis.matrix()
+    assert len(out.reps) == out.hdim and len(out.reps) + len(out.cobs) == len(joint)
+    for view in (out.reps.matrix(), out.cobs.matrix(),
+                 SearchSpace.from_reduction(out).bits):
+        assert np.shares_memory(view, joint)
+    assert np.shares_memory(out.reps.entries[0][1].bits, joint)
+
+
+@pytest.mark.parametrize("fam", (Family.G1, Family.G2))
+@pytest.mark.parametrize("t", range(1, 17))
+def test_product_identity_holds_and_detects_a_flipped_lift_bit(fam, t):
+    # t = 2^r q covers every power-of-two factor up to 2^4
+    spec = GroupSpec(fam, t)
+    m = builtin_model(spec, 2)
+    assert product_identity_holds(spec, m) is True
+    lift = m.lift_table.copy()
+    lift[-1, 0] ^= 1
+    assert product_identity_holds(spec, dataclasses.replace(m, lift_table=lift)) is False
+
+
+def _status(checks, name):
+    return next(c.status for c in checks if c.name == name)
+
+
+def test_chain_map_fails_on_a_perturbed_degree3_lift(monkeypatch):
+    # g2 with t odd: d^2 maps the second basis element to the second
+    # degree-3 element, so the check reads column 1 of the degree-3 lift
+    spec = GroupSpec(Family.G2, 3)
+    assert _status(run_verify(spec, 2), "chain-map") == "PASS"
+
+    def perturbed(s, degree):
+        m = builtin_model(s, degree)
+        if degree == 3:
+            lift = m.lift_table.copy()
+            lift[-1, 1] ^= 1
+            m = dataclasses.replace(m, lift_table=lift)
+        return m
+
+    monkeypatch.setattr(verify, "builtin_model", perturbed)
+    assert _status(run_verify(spec, 2), "chain-map") == "FAIL"
+
+
+def test_oracle_coboundary_span_fails_on_a_flipped_cob_bit(monkeypatch):
+    spec = GroupSpec(Family.G1, 1)
+    assert _status(run_verify(spec, 3), "oracle-coboundary-span") == "PASS"
+
+    def flipped(model, n, mode=None):
+        out = full_cocycle_basis(model, n, mode)
+        out.cobs.matrix()[2, 5] ^= 1
+        return out
+
+    monkeypatch.setattr(verify, "full_cocycle_basis", flipped)
+    assert _status(run_verify(spec, 3), "oracle-coboundary-span") == "FAIL"
