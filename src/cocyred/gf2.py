@@ -46,10 +46,9 @@ def pack_rows(a: np.ndarray) -> np.ndarray:
     """Pack each row of a 0/1 matrix into uint64 words (little bit first)."""
     m = as_bits(a)
     rows, cols = m.shape
-    nwords = max(1, (cols + WORD - 1) // WORD)
-    padded = np.zeros((rows, nwords * WORD), dtype=np.uint8)
-    padded[:, :cols] = m
-    packed = np.packbits(padded, axis=1, bitorder="little")
+    nwords = max(1, -(-cols // WORD))
+    packed = np.zeros((rows, nwords * 8), dtype=np.uint8)
+    packed[:, :-(-cols // 8)] = np.packbits(m, axis=1, bitorder="little")
     return packed.view(np.uint64).reshape(rows, nwords)
 
 

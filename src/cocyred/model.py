@@ -213,6 +213,11 @@ def save_model(model: CohModel, path) -> None:
         json.dump(doc, fh)
 
 
+def _is_int(x) -> bool:
+    """True for a JSON integer: an int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_model(path) -> CohModel:
     """Load a JSON model file; validates shapes, 0/1 entries, d∘d = 0 and
     the group axioms of an explicit table."""
@@ -222,15 +227,20 @@ def load_model(path) -> CohModel:
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not a JSON model file ({exc})") from None
     try:
-        degree = int(doc["degree"])
-        dims = [int(x) for x in doc["dims"]]
-        grp = doc["group"]
-        diff_raw = doc["diff"]
-        lift_raw = doc["lift"]
-    except (KeyError, TypeError, ValueError) as exc:
+        degree, dims = doc["degree"], doc["dims"]
+        grp, diff_raw, lift_raw = doc["group"], doc["diff"], doc["lift"]
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed model file ({exc})") from None
+    if not _is_int(degree) or degree < 2:
+        raise ValueError(f"{path}: degree must be an integer >= 2, got {degree!r}")
+    if not (isinstance(dims, list) and len(dims) == 3
+            and all(_is_int(x) and x >= 0 for x in dims)):
+        raise ValueError(f"{path}: dims must be three integers >= 0, got {dims!r}")
     if isinstance(grp, str):
-        group = build_group(parse_group_spec(grp))
+        try:
+            group = build_group(parse_group_spec(grp))
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad group spec {grp!r} ({exc})") from None
     else:
         try:
             mul = np.asarray(grp, dtype=np.int64) - 1  # explicit tables are 1-based
@@ -240,8 +250,6 @@ def load_model(path) -> CohModel:
         if not group_axioms_hold(group):
             raise ValueError(f"{path}: group table is not a group (fails "
                              f"associativity, identity, inverse or Latin-square)")
-    if len(dims) != 3:
-        raise ValueError(f"{path}: dims must have three entries")
     q, r, s = dims
     try:
         d_lo = as_bits(np.asarray(diff_raw[0], dtype=np.uint8).reshape(q, r))

@@ -10,20 +10,22 @@ The coboundary of a degree-n cochain f is
                             + sum_j f(h_1,...,h_j h_{j+1},...,h_{n+1})   mod 2
 
 and ``coboundary_generator(G, n, T)`` is d applied to the characteristic
-function of the (n-1)-tuple with index T.  Row T of the matrix of d is
-that generator; `_codifferential_rows` is the one builder of such rows, for
-the coboundary bases, `coboundary_matrix` and the oracle alike.
+function of the (n-1)-tuple with index T.  `_face_terms` is the one
+implementation of the formula: it applies the n+2 terms to an array
+indexed by n-tuples.  `codifferential_words` XORs them, for
+`count_non_cocycles`, `verify` and the one-cochain `bar_codifferential`;
+`_codifferential_rows` applies them to the tuple indices to build the rows
+of the matrix of d (row T is the generator above), for the coboundary
+bases, `coboundary_matrix` and the oracle alike.  The tests judge both
+against the formula evaluated tuple by tuple.
 
 A basis is stored once, as one matrix whose rows are its cochains; `reps`
-and `cobs` are row views of the reduction's basis.  `codifferential_words`
-is the one batched d, for `count_non_cocycles` and `verify`, and the
-one-cochain `bar_codifferential` is the referee the tests compare it with.
+and `cobs` are row views of the reduction's basis.
 """
 
 from __future__ import annotations
 
 import sys
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,63 +92,46 @@ class ReductionOutput:
         return self.basis[self.hdim:]
 
 
-# Face indices per group, by degree; an entry lives as long as its group.
-_FACES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
 # Bytes of rows of d built at a time.
 ORACLE_CHUNK_BYTES = 1 << 20
 
 
-def _face_indices(g: FiniteGroup, n: int) -> list[np.ndarray]:
-    """Flat-index arrays for the n+2 terms of the degree-n coboundary.
-
-    Each array has length v**(n+1) and maps an (n+1)-tuple to the flat
-    index of the n-tuple appearing in one term of the formula: drop-first,
-    drop-last, and the n merged tuples.
-    """
-    cached = _FACES.setdefault(g, {})
-    if n in cached:
-        return cached[n]
-    v = g.order
-    coords = np.indices((v,) * (n + 1)).reshape(n + 1, -1)
-    weights = v ** np.arange(n - 1, -1, -1, dtype=np.int64)
-
-    def flatten(slots):
-        return (weights[None, :] * np.stack(slots, axis=1)).sum(axis=1)
-
-    terms = [flatten([coords[p] for p in range(1, n + 1)]),
-             flatten([coords[p] for p in range(n)])]
+def _face_terms(g: FiniteGroup, n: int, x: np.ndarray):
+    """The n+2 terms of the degree-n coboundary formula applied to x, an
+    array whose first axis runs over the v**n flat n-tuples: each term has
+    first axis v**(n+1), the term's value at an (n+1)-tuple being the row
+    of x at the n-tuple the formula reads there (drop-first, drop-last,
+    then h_j h_{j+1} merged for j = 1..n)."""
+    v, tail = g.order, x.shape[1:]
+    yield np.broadcast_to(x, (v,) + x.shape).reshape((v ** (n + 1),) + tail)
+    yield np.repeat(x, v, axis=0)
     for j in range(n):
-        slots = [coords[p] for p in range(j)]
-        slots.append(g.mul[coords[j], coords[j + 1]])
-        slots.extend(coords[p] for p in range(j + 2, n + 1))
-        terms.append(flatten(slots))
-    cached[n] = terms
-    return terms
+        blocks = x.reshape((v ** j, v, v ** (n - 1 - j)) + tail)
+        yield np.take(blocks, g.mul, axis=1).reshape((v ** (n + 1),) + tail)
 
 
 def _codifferential_rows(g: FiniteGroup, n: int):
     """Rows of d on degree-n cochains (v**n rows, v**(n+1) columns) as
     ints, bit c being column c, built ORACLE_CHUNK_BYTES at a time.
 
-    Row r of d holds column c once for each face index equal to r at c.
-    Each face's columns are sorted by the row they hit, so a chunk of rows
-    takes one contiguous run of every face.
+    Each term of the formula reads every n-tuple at exactly v columns, so
+    the argsort of its index term, reshaped (v**n, v), lists in row r the
+    columns where that term reads row r.
     """
-    faces = _face_indices(g, n)
     nrows, width = g.order ** n, -(-g.order ** (n + 1) // 8)
-    orders = [np.argsort(f, kind="stable").astype(np.int32) for f in faces]
-    starts = [np.concatenate(([0], np.cumsum(np.bincount(f, minlength=nrows))))
-              for f in faces]
+    index = np.arange(nrows, dtype=np.int32)
+    tables = [np.argsort(term, kind="stable").astype(np.int32).reshape(nrows, -1)
+              for term in _face_terms(g, n, index)]
     step = max(1, min(nrows, ORACLE_CHUNK_BYTES // width))
     buf = np.empty(step * width, dtype=np.uint8)
     for r0 in range(0, nrows, step):
         r1 = min(r0 + step, nrows)
         chunk = buf[:(r1 - r0) * width]
         chunk.fill(0)
-        for face, order, start in zip(faces, orders, starts):
-            cols = order[start[r0]:start[r1]]
-            np.bitwise_xor.at(chunk, (face[cols] - r0) * width + (cols >> 3),
+        at = np.arange(r1 - r0)[:, None] * width
+        for table in tables:
+            cols = table[r0:r1]
+            np.bitwise_xor.at(chunk, at + (cols >> 3),
                               np.left_shift(1, cols & 7).astype(np.uint8))
         yield from int_rows(chunk.reshape(r1 - r0, width))
 
@@ -157,25 +142,22 @@ def bar_codifferential(g: FiniteGroup, n: int, f: Cochain) -> Cochain:
         raise ValueError("degree must be >= 1")
     if f.n != n or f.v != g.order:
         raise ValueError("cochain does not match group/degree")
-    out = np.zeros(g.order ** (n + 1), dtype=np.uint8)
-    for idx in _face_indices(g, n):
-        out ^= f.bits[idx]
-    return Cochain(g.order, n + 1, out)
+    return Cochain(g.order, n + 1, codifferential_words(g, n, f.bits))
 
 
 def codifferential_words(g: FiniteGroup, n: int,
                          words: np.ndarray) -> np.ndarray:
     """d of the columns of a (v**n, k) matrix of degree-n cochains, packed
-    by `pack_rows`: the XOR of words[face] over the n+2 faces, as
-    (v**(n+1), ceil(k/64)) words.  The temporaries are the result and one
-    term."""
+    by `pack_rows`: the XOR of the n+2 terms of the formula applied to
+    `words`, as (v**(n+1), ceil(k/64)) words.  Any array whose first axis
+    runs over the v**n tuples works, e.g. one cochain's bits.  The
+    temporaries are the result and one term."""
     if len(words) != g.order ** n:
         raise ValueError("cochains do not match group/degree")
-    faces = _face_indices(g, n)
-    acc = np.take(words, faces[0], axis=0)
-    term = np.empty_like(acc)
-    for idx in faces[1:]:
-        acc ^= np.take(words, idx, axis=0, out=term)
+    acc = np.zeros((len(words) * g.order,) + words.shape[1:], words.dtype)
+    for term in _face_terms(g, n, words):
+        acc ^= term
+        del term  # free it before the next term is built
     return acc
 
 
@@ -323,15 +305,16 @@ class BruteForceResult:
 def oracle_bytes(v: int, n: int) -> int:
     """Upper bound on the bytes `brute_force_cohomology` holds at degree n
     and order v, while it ranks d^n (v**n rows of v**(n+1) bits): a basis of
-    at most v**n ints, one row chunk, and the face indices with their
-    per-row column orders."""
+    at most v**n ints, one row chunk, and the column tables of the n+2
+    terms."""
     rows, cols = v ** n, v ** (n + 1)
     digits = -(-cols // sys.int_info.bits_per_digit)
     basis = rows * digits * sys.int_info.sizeof_digit
     chunk = max(ORACLE_CHUNK_BYTES, -(-cols // 8))
-    # n+2 int64 face arrays and int32 column orders, one int64 argsort at
-    # a time, n+2 int64 row offsets
-    select = (n + 2) * cols * 12 + cols * 8 + (n + 2) * (rows + 1) * 8
+    # n+2 int32 column tables; while one is built, its int32 index term,
+    # the int64 argsort and its int32 cast, and while a chunk is filled, an
+    # int64 position and two int32 bit arrays per column it takes
+    select = (n + 2) * cols * 4 + cols * 16
     return basis + chunk + select
 
 

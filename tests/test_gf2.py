@@ -28,9 +28,12 @@ def span(mat):
 
 def test_pack_unpack_roundtrip():
     rng = np.random.default_rng(0)
-    for rows, cols in [(1, 1), (3, 64), (5, 65), (7, 130), (2, 300)]:
+    for rows, cols in [(1, 1), (3, 64), (5, 65), (7, 130), (2, 300), (0, 70),
+                       (3, 0)]:
         m = rand_matrix(rng, rows, cols)
-        assert (bit_rows(int_rows(pack_rows(m)), cols) == m).all()
+        words = pack_rows(m)
+        assert words.shape == (rows, max(1, -(-cols // 64)))
+        assert (bit_rows(int_rows(words), cols) == m).all()
 
 
 def test_as_bits_rejects_bad_entries():

@@ -188,11 +188,37 @@ def _lift_bit_not_int(doc):
     doc["lift"]["1,1"] = ["x", 0, 0]
 
 
+def _degree_negative(doc):
+    doc["degree"] = -1
+
+
+def _dims_not_int(doc):
+    doc["dims"] = [2, 3.5, 4]
+
+
+def _degree_below_two(doc):
+    doc["degree"] = 1
+    doc["lift"] = {k.partition(",")[0]: bits for k, bits in doc["lift"].items()}
+
+
+def _group_spec_bad(doc):
+    doc["group"] = "g1:0"
+
+
 @pytest.mark.parametrize("mutate,match", [
     (_lift_as_list, "lift must map"),
     (_lift_key_not_int, "bad lift entry 'a,1'"),
     (_lift_bit_not_int, "bad lift entry '1,1'"),
-    (None, "not a JSON model file")])
+    (None, "not a JSON model file"),
+    pytest.param(_degree_negative, "degree must be an integer >= 2, got -1",
+                 id="degree-negative"),
+    pytest.param(_dims_not_int,
+                 r"dims must be three integers >= 0, got \[2, 3\.5, 4\]",
+                 id="dims-not-int"),
+    pytest.param(_degree_below_two, "degree must be an integer >= 2, got 1",
+                 id="degree-below-two"),
+    pytest.param(_group_spec_bad, r"bad group spec 'g1:0' \(t must be >= 1",
+                 id="group-spec-bad")])
 def test_load_rejects_malformed_lift_or_json(tmp_path, mutate, match):
     m = builtin_model(GroupSpec(Family.G1, 1), 2)
     path = tmp_path / "malformed.json"

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -79,6 +80,48 @@ def test_count_non_cocycles_matches_referee(spec, n):
         assert (bar_codifferential(g, n, Cochain(g.order, n, r)).bits == col).all()
 
 
+def _textbook_d(g, n, f):
+    """(df)(h_1..h_{n+1}) = f(h_2..h_{n+1}) + sum_j f(.., h_j h_{j+1}, ..)
+    + f(h_1..h_n), one tuple at a time."""
+    v = g.order
+    out = np.zeros(v ** (n + 1), dtype=np.uint8)
+    for flat, h in enumerate(itertools.product(range(v), repeat=n + 1)):
+        terms = [h[1:], h[:-1]] + [h[:j] + (g.mul[h[j], h[j + 1]],) + h[j + 2:]
+                                   for j in range(n)]
+        out[flat] = sum(f[np.ravel_multi_index(t, (v,) * n)] for t in terms) % 2
+    return out
+
+
+@pytest.mark.parametrize("spec,n", [(GroupSpec(Family.G1, 1), 1),
+                                    (GroupSpec(Family.D4T, 2), 1),
+                                    (GroupSpec(Family.D4T, 2), 2),
+                                    (GroupSpec(Family.CYCLIC, 3), 2),
+                                    (GroupSpec(Family.D4T, 2), 3),
+                                    (GroupSpec(Family.G2, 1), 3)])
+def test_d_equals_tuple_formula(spec, n):
+    # the non-abelian d4t cases check the order of each merged product
+    g = build_group(spec)
+    f = np.random.default_rng(11).integers(0, 2, g.order ** n, dtype=np.uint8)
+    want = _textbook_d(g, n, f)
+    assert want.any()
+    assert (bar_codifferential(g, n, Cochain(g.order, n, f)).bits == want).all()
+    d = coboundary_matrix(g, n + 1, "all")[0]
+    assert ((f.astype(np.int64) @ d) % 2 == want).all()
+
+
+def test_count_non_cocycles_peak_within_four_terms():
+    spec, n = GroupSpec(Family.G1, 5), 3
+    rows = full_cocycle_basis(builtin_model(spec, n), n).basis.matrix()[:64]
+    g = build_group(spec)  # fresh: a per-group cache would count in the peak
+    tracemalloc.start()
+    try:
+        assert count_non_cocycles(g, n, rows) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * g.order ** (n + 1) * 8
+
+
 def test_degree_mismatch_raises():
     g = build_group(GroupSpec(Family.G1, 1))
     with pytest.raises(ValueError):
@@ -134,11 +177,8 @@ def test_coboundary_matrix_rows_are_generators(monkeypatch, rows_per_chunk):
 
 
 def test_run_verify_retains_nothing():
-    # the face-index cache lives as long as its group, so nothing built by
-    # run_verify outlives the call
     spec = GroupSpec(Family.G1, 2)
     run_verify(spec, 3)
-    cached = len(reduction._FACES)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -146,7 +186,6 @@ def test_run_verify_retains_nothing():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(reduction._FACES) == cached
     assert retained < 1 << 14
 
 
