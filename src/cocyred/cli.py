@@ -15,7 +15,7 @@ import json
 import sys
 
 from .groups import parse_group_spec
-from .model import ModelUnavailableError, builtin_model
+from .model import builtin_model
 from .reduction import default_mode, full_cocycle_basis
 from .search import (SearchSpace, SpanTooLargeError, default_workers,
                      enumerate_span, tensor_of_combination)
@@ -104,11 +104,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         spec = parse_group_spec(args.group)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-
-    try:
         if args.command == "verify":
             return _cmd_verify(spec, args)
         model = builtin_model(spec, args.degree)
@@ -119,9 +114,6 @@ def main(argv=None) -> int:
         if args.command == "tensor":
             return _cmd_tensor(spec, model, args)
         return _cmd_search(spec, model, args)
-    except ModelUnavailableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -220,11 +212,7 @@ def _cmd_search(spec, model, args) -> int:
 
 
 def _cmd_verify(spec, args) -> int:
-    try:
-        checks = run_verify(spec, args.degree)
-    except ModelUnavailableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    checks = run_verify(spec, args.degree)
     for c in checks:
         print(c.line())
     n_fail = sum(c.status == "FAIL" for c in checks)

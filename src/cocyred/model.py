@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf2 import as_bits
 from .groups import (Family, FiniteGroup, GroupSpec, build_group,
                      group_axioms_hold, parse_group_spec)
 
@@ -218,13 +217,34 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _object(pairs) -> dict:
+    """A JSON object as a dict; a key given twice is an error, not the
+    silent overwrite of `json.load`."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} given twice in one object")
+        doc[key] = value
+    return doc
+
+
+def _bits(x) -> np.ndarray:
+    """Nested lists of the JSON integers 0 and 1 as a uint8 array."""
+    a = np.asarray(x, dtype=object)
+    for b in a.flat:
+        if not (_is_int(b) and 0 <= b <= 1):
+            raise ValueError(f"{b!r} is not a bit, the integer 0 or 1")
+    return a.astype(np.uint8)
+
+
 def load_model(path) -> CohModel:
-    """Load a JSON model file; validates shapes, 0/1 entries, d∘d = 0 and
-    the group axioms of an explicit table."""
+    """Load a JSON model file; validates shapes, entries that are the
+    integers 0 and 1, one lift key per tuple, d∘d = 0 and the group axioms
+    of an explicit table."""
     with open(path) as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            doc = json.load(fh, object_pairs_hook=_object)
+        except ValueError as exc:
             raise ValueError(f"{path}: not a JSON model file ({exc})") from None
     try:
         degree, dims = doc["degree"], doc["dims"]
@@ -252,9 +272,9 @@ def load_model(path) -> CohModel:
                              f"associativity, identity, inverse or Latin-square)")
     q, r, s = dims
     try:
-        d_lo = as_bits(np.asarray(diff_raw[0], dtype=np.uint8).reshape(q, r))
-        d_hi = as_bits(np.asarray(diff_raw[1], dtype=np.uint8).reshape(r, s))
-    except ValueError as exc:
+        d_lo = _bits(diff_raw[0]).reshape(q, r)
+        d_hi = _bits(diff_raw[1]).reshape(r, s)
+    except (TypeError, KeyError, IndexError, ValueError) as exc:
         raise ValueError(f"{path}: bad codifferential data ({exc})") from None
     v, n = group.order, degree
     table = np.zeros((v ** n, r), dtype=np.uint8)
@@ -264,7 +284,7 @@ def load_model(path) -> CohModel:
     for key, bits in lift_raw.items():
         try:
             elems = [int(p) - 1 for p in key.split(",")]
-            row = np.asarray(bits, dtype=np.uint8)
+            row = _bits(bits)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: bad lift entry {key!r} ({exc})") from None
         if len(elems) != n:
@@ -274,8 +294,11 @@ def load_model(path) -> CohModel:
             if not (0 <= e < v):
                 raise ValueError(f"{path}: lift key {key!r} out of range")
             flat = flat * v + e
-        if row.shape != (r,) or (row > 1).any():
+        if row.shape != (r,):
             raise ValueError(f"{path}: lift value for {key!r} must be {r} bits")
+        if seen[flat]:
+            raise ValueError(f"{path}: lift key {key!r} repeats a tuple "
+                             f"of an earlier key")
         table[flat] = row
         seen[flat] = True
     if not seen.all():

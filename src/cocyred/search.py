@@ -26,16 +26,15 @@ its coset, so the retained witnesses are still the smallest original
 hit masks.  A prefix is not a union of cosets and is walked mask by mask.
 
 One kernel, `_Kernel`, evaluates every predicate on a batch at once, with
-integer and bit operations only.  The basis rows are packed so that each
-tested axis holds v sections of ceil(v^(n-1)/64) uint64 words, and
-grouped four at a time into XOR tables of 16 entries (the method of four
-Russians): a product is the XOR of one table entry per 4-bit digit of its
-mask.  Two ±1 sections of length L are orthogonal iff they differ in
-exactly L/2 places, popcount(s_i ^ s_j) = L/2.  The improper test checks
-this for every pair of sections along every axis, each axis on the
-survivors of the one before; the planar Hadamard test is its axis-0 case;
-the proper test runs on the improper survivors only.  The predicates of
-`tensor.py` are the slow referee that the tests judge this kernel by.
+integer and bit operations only.  A product is the v sections of its
+cochain along axis 0, packed in uint64 words, and is the XOR of one
+four-Russians table entry per 4-bit digit of its mask.  Two ±1 vectors of
+length L are orthogonal iff they differ in exactly L/2 places.  The axis-0
+test, the planar Hadamard test, checks this with packed popcounts on every
+product; one survivor pass then checks it on the unpacked bits of those
+that pass, along the other axes (improper) and on the parallel rows of
+every pair of axes (proper).  The predicates of `tensor.py` are the slow
+referee that the tests judge this kernel by.
 """
 
 from __future__ import annotations
@@ -50,14 +49,15 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .gf2 import WORD, Basis, int_rows, left_kernel
+from .gf2 import WORD, Basis, int_rows, left_kernel, pack_rows
 from .reduction import CochainBasis, ReductionOutput
 from .tensor import SignTensor
 
 MAX_EXHAUSTIVE_BITS = 62
 
 # Bytes one `_scan` call may hold in its XOR tables plus one batch's
-# temporaries; the batch size follows from it.
+# temporaries, which sets the batch and survivor chunk sizes.  A batch gets
+# at least a quarter of it, so the bound is tables + max(rest, quarter).
 SCAN_BYTES = 1 << 19
 
 # Fewest combinations per worker that pay for starting a process pool;
@@ -159,10 +159,11 @@ def tensor_of_combination(space: SearchSpace, combo) -> SignTensor:
 class _Kernel:
     """Bit-packed products of one span and the one predicate test.
 
-    Each tested axis holds v sections of `words` = ceil(v^(n-1)/64) uint64
-    words, section i holding, in row-major order and zero padded, the bits
-    whose coordinate on that axis is i; axis 0 comes first, so its sections
-    are the cochain bits in order.  A product is one row of these words.
+    A product is the cochain's v sections along axis 0, each of `words` =
+    ceil(v^(n-1)/64) uint64 words: section i holds, in row-major order and
+    zero padded, the bits whose first coordinate is i.  The axis-0 test
+    runs on every product; everything past it runs on its survivors only,
+    `chunk` of them at a time, on their unpacked bits.
     """
 
     def __init__(self, space: SearchSpace, predicates: tuple[str, ...]):
@@ -170,40 +171,39 @@ class _Kernel:
         self.v, self.n, self.predicates = v, n, predicates
         self.length = v ** (n - 1)
         self.words = -(-self.length // WORD)
-        # planar Hadamard tests rows only; improper and proper test every axis
-        self.axes = 1 if set(predicates) == {"hadamard2d"} else n
-        labels = np.arange(v)
-        self.pairs = np.nonzero(labels[:, None] < labels)  # i < j, row-major
+        self.pairs = np.triu_indices(v, 1)  # i < j, row-major
+        # the survivor pass's tests: (axes moved, to where, segments per row)
+        self.tests = ([((1 + a,), (1,), 1) for a in range(1, n)],
+                      [((1 + l, 1 + j), (1, n), self.length // v)
+                       for l in range(n) for j in range(l + 1, n)
+                       if "proper" in predicates])
         # ±1 vectors of odd length have odd dot products
         self.never = self.length % 2 == 1 and v > 1
-        groups, width = -(-space.m // 4), self.axes * v * self.words
-        cube = space.bits.reshape((space.m,) + (v,) * n)
-        rows = np.zeros((4 * groups, self.axes, v, 8 * self.words), dtype=np.uint8)
-        for a in range(self.axes):
-            sections = np.moveaxis(cube, 1 + a, 1).reshape(space.m, v, self.length)
-            rows[:space.m, a, :, :-(-self.length // 8)] = np.packbits(
-                sections, axis=2, bitorder="little")
-        rows = rows.view(np.uint64).reshape(groups, 4, width)
+        groups, width = -(-space.m // 4), v * self.words
+        rows = np.zeros((4 * groups, width), dtype=np.uint64)
+        rows[:space.m] = pack_rows(
+            space.bits.reshape(space.m * v, self.length)).reshape(space.m, width)
         # four-Russians tables: entry d of group g is the XOR of the rows
         # 4g + b over the set bits b of d
         self.tables = np.zeros((groups, 16, width), dtype=np.uint64)
         for b in range(4):
-            np.bitwise_xor(self.tables[:, :1 << b], rows[:, b, None],
+            np.bitwise_xor(self.tables[:, :1 << b], rows[b::4, None],
                            out=self.tables[:, 1 << b:2 << b])
-        npairs = len(self.pairs[0])
         # tables past the budget (spans far beyond exhaustive reach) still
         # leave a quarter of it to a batch
         room = max(SCAN_BYTES - self.tables.nbytes, SCAN_BYTES // 4)
         # a batch holds its mask stream and digits, the product and one
         # gathered table entry per mask, and one section row's XORs and
         # popcounts
-        per_mask = 16 * width + 8 * v * self.words \
-            + (25 * self.words + 5) * v + 128
+        per_mask = 24 * width + (25 * self.words + 5) * v + 128
         self.batch = max(1, room // per_mask)
-        # the proper test unpacks each survivor and XORs its axis-aligned rows
-        per_survivor = 2 * v ** n + 3 * npairs * self.length \
-            + 5 * npairs * self.length // v + 72 * v * self.words
-        self.proper_batch = max(1, room // per_survivor)
+        # the survivor pass runs while the batch's products and masks are
+        # held; per survivor it holds the packed and unpacked product, the
+        # cube, one moved copy, and per pair of rows two rows and the counts
+        held = (8 * width + 128) * self.batch
+        per_survivor = 72 * width + 3 * v ** n \
+            + (2 * v + 5) * (v - 1) * self.length // 2
+        self.chunk = max(1, (room - held) // per_survivor)
 
     def products(self, raw: np.ndarray) -> np.ndarray:
         """Packed products of a batch of masks, given as rows of
@@ -232,29 +232,23 @@ class _Kernel:
         return prod
 
     def bits(self, prod: np.ndarray) -> np.ndarray:
-        """Cochain bits of packed products, from their axis-0 sections."""
-        sections = prod[:, :self.v * self.words].reshape(len(prod), self.v, -1)
-        unpacked = np.unpackbits(sections.view(np.uint8), axis=2,
-                                 bitorder="little")
+        """Cochain bits of packed products."""
+        unpacked = np.unpackbits(prod.view(np.uint8).reshape(
+            len(prod), self.v, -1), axis=2, bitorder="little")
         return unpacked[:, :, :self.length].reshape(len(prod), -1)
 
     def hits(self, prod: np.ndarray) -> dict[str, np.ndarray]:
         """Batch positions of the products that pass each predicate."""
         if self.never:
             return {p: np.zeros(0, dtype=np.intp) for p in self.predicates}
-        sections = prod.reshape(len(prod), self.axes, self.v, self.words)
-        alive = self._orthogonal(sections[:, 0], np.arange(len(prod)))
+        sections = prod.reshape(len(prod), self.v, self.words)
+        alive = self._orthogonal(sections, np.arange(len(prod)))
         found = {"hadamard2d": alive}
-        # improper: orthogonal along every axis, tested on the survivors of
-        # the previous axes
-        for a in range(1, self.axes):
-            alive = self._orthogonal(sections[alive, a], alive)
-        found["improper"] = alive
-        if "proper" in self.predicates:
-            # proper implies improper, so only improper survivors are tested
-            found["proper"] = np.concatenate(
-                [self._proper(prod, alive[k:k + self.proper_batch])
-                 for k in range(0, len(alive), self.proper_batch)] + [alive[:0]])
+        if set(self.predicates) != {"hadamard2d"}:
+            passes = [self._survivors(prod, alive[k:k + self.chunk])
+                      for k in range(0, len(alive), self.chunk)]
+            for t, p in enumerate(("improper", "proper")):
+                found[p] = np.concatenate([r[t] for r in passes] + [alive[:0]])
         return {p: found[p] for p in self.predicates}
 
     def _orthogonal(self, s: np.ndarray, alive: np.ndarray) -> np.ndarray:
@@ -283,28 +277,30 @@ class _Kernel:
         ones = np.bitwise_count(x)
         return ones[..., 0] if self.words == 1 else ones.sum(axis=-1, dtype=np.int32)
 
-    def _proper(self, prod: np.ndarray, alive: np.ndarray) -> np.ndarray:
-        """The positions in `alive` whose parallel axis-aligned rows are
-        pairwise orthogonal: for every pair of distinct axes (l, j) and
-        every fixing of the other coordinates, the rows along j at two
-        positions of l differ in exactly v/2 places.
-
-        Only l < j is tested: a square ±1 matrix M with M M^T = vI is
-        invertible, so M^T M = vI too, and the rows along l at two
-        positions of j are then orthogonal as well."""
-        v, n = self.v, self.n
-        bits = self.bits(prod[alive]).reshape((len(alive),) + (v,) * n)
+    def _survivors(self, prod: np.ndarray, alive: np.ndarray) -> list:
+        """The improper and the proper positions among the axis-0 survivors
+        `alive`.  Each test reads their unpacked bits as (positions, v,
+        segments, segment length) and keeps a position when every two of
+        its v rows differ in exactly half of every segment: the sections
+        along each axis a >= 1, one segment each, then for each l < j the
+        rows along j at two positions of l, one segment per fixing of the
+        other coordinates.  Only l < j is tested: a square ±1 matrix M with
+        M M^T = vI is invertible, so M^T M = vI too, and the rows along l
+        at two positions of j are then orthogonal as well."""
         x, y = self.pairs
-        for l in range(n):
-            for j in range(l + 1, n):
-                if not len(alive):
-                    continue
-                a = np.moveaxis(bits, (1 + l, 1 + j), (1, 2))
-                a = a.reshape(len(alive), v, v, -1)
-                differ = (a[:, x] ^ a[:, y]).sum(axis=2)
-                keep = (differ == v // 2).all(axis=(1, 2))
-                alive, bits = alive[keep], bits[keep]
-        return alive
+        cube = self.bits(prod[alive]).reshape((len(alive),) + (self.v,) * self.n)
+        found = []
+        for tests in self.tests:
+            for src, dst, segments in tests:
+                rows = np.moveaxis(cube, src, dst).reshape(
+                    len(alive), self.v, segments, self.length // segments)
+                differ = rows[:, x]
+                differ ^= rows[:, y]
+                ones = differ.sum(axis=3, dtype=np.int32)
+                keep = (ones == self.length // segments // 2).all(axis=(1, 2))
+                alive, cube = alive[keep], cube[keep]
+            found.append(alive)
+        return found
 
 
 def _separable_masks(space: SearchSpace) -> list[int]:

@@ -162,15 +162,20 @@ def test_basis_json_mode_all(capsys):
     assert doc["entries"][0]["label"] == "rep:1"
 
 
-def test_missing_model_exit_code(capsys):
-    code, _, err = run(capsys, "basis", "--group", "d4t:2", "--degree", "3")
+@pytest.mark.parametrize("command", ["basis", "verify"])
+def test_missing_model_exit_code(capsys, command):
+    code, _, err = run(capsys, command, "--group", "d4t:2", "--degree", "3")
     assert code == 1
-    assert "no built-in model" in err
+    assert err == "error: no built-in model for this family/degree pair " \
+        "(d4t:2, degree 3)\n"
 
 
-def test_bad_group_spec(capsys):
-    code, _, err = run(capsys, "cohomology", "--group", "g9:1", "--degree", "2")
-    assert code == 1 and "bad group spec" in err
+@pytest.mark.parametrize("command", ["cohomology", "verify"])
+def test_bad_group_spec(capsys, command):
+    code, _, err = run(capsys, command, "--group", "g9:1", "--degree", "2")
+    assert code == 1
+    assert err == "error: bad group spec 'g9:1'; expected g1:t, g2:t, " \
+        "d4t:t or cyclic:t\n"
 
 
 def test_usage_error_exit_code(capsys):

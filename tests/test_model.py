@@ -205,6 +205,22 @@ def _group_spec_bad(doc):
     doc["group"] = "g1:0"
 
 
+def _diff_entry(value):
+    def mutate(doc):
+        doc["diff"][0][0][0] = value
+    return mutate
+
+
+def _lift_bit(value):
+    def mutate(doc):
+        doc["lift"]["1,1"][0] = value
+    return mutate
+
+
+def _lift_key_repeated(doc):
+    doc["lift"]["02,2"] = doc["lift"]["2,2"]
+
+
 @pytest.mark.parametrize("mutate,match", [
     (_lift_as_list, "lift must map"),
     (_lift_key_not_int, "bad lift entry 'a,1'"),
@@ -218,7 +234,21 @@ def _group_spec_bad(doc):
     pytest.param(_degree_below_two, "degree must be an integer >= 2, got 1",
                  id="degree-below-two"),
     pytest.param(_group_spec_bad, r"bad group spec 'g1:0' \(t must be >= 1",
-                 id="group-spec-bad")])
+                 id="group-spec-bad"),
+    pytest.param(_diff_entry(1.5), r"bad codifferential data \(1\.5 is not",
+                 id="diff-float"),
+    pytest.param(_diff_entry(True), r"bad codifferential data \(True is not",
+                 id="diff-bool"),
+    pytest.param(_diff_entry("1"), r"bad codifferential data \('1' is not",
+                 id="diff-str"),
+    pytest.param(_diff_entry(-1), r"bad codifferential data \(-1 is not",
+                 id="diff-negative"),
+    pytest.param(_lift_bit(1.9), r"bad lift entry '1,1' \(1\.9 is not",
+                 id="lift-bit-float"),
+    pytest.param(_lift_bit("1"), r"bad lift entry '1,1' \('1' is not",
+                 id="lift-bit-str"),
+    pytest.param(_lift_key_repeated, "lift key '02,2' repeats a tuple",
+                 id="lift-key-repeated")])
 def test_load_rejects_malformed_lift_or_json(tmp_path, mutate, match):
     m = builtin_model(GroupSpec(Family.G1, 1), 2)
     path = tmp_path / "malformed.json"
@@ -230,6 +260,17 @@ def test_load_rejects_malformed_lift_or_json(tmp_path, mutate, match):
         mutate(doc)
         path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=f"malformed.json: {match}"):
+        load_model(path)
+
+
+def test_load_rejects_repeated_json_key(tmp_path):
+    # json.load alone keeps the later of two equal keys
+    m = builtin_model(GroupSpec(Family.G1, 1), 2)
+    path = tmp_path / "twice.json"
+    save_model(m, path)
+    text = path.read_text().replace('"lift": {', '"lift": {"1,1": [1, 0, 0], ')
+    path.write_text(text)
+    with pytest.raises(ValueError, match="twice.json: .*key '1,1' given twice"):
         load_model(path)
 
 

@@ -400,15 +400,22 @@ def test_packed_sections_give_exact_dot_products(v, n):
     kernel = search_mod._Kernel(space, ("improper",))
     prod = kernel.products(np.array([[1]], dtype=np.uint8))
     assert (kernel.bits(prod) == bits).all()
-    sections = prod.reshape(n, v, kernel.words)
+    # axis 0 from the packed product, the later axes from the unpacked
+    # bits that the survivor pass reshapes
+    sections = prod.reshape(v, kernel.words)
+    cube = kernel.bits(prod).reshape((v,) * n)
     length = v ** (n - 1)
     for axis in range(n):
         s = np.moveaxis(pm, axis, 0).reshape(v, -1).astype(np.int64)
         gram = s @ s.T
-        dots = [[length - 2 * int(kernel._ones(sections[axis, i]
-                                               ^ sections[axis, j]))
-                 for j in range(v)] for i in range(v)]
-        assert (np.array(dots) == gram).all()
+        if axis == 0:
+            ones = [[int(kernel._ones(sections[i] ^ sections[j]))
+                     for j in range(v)] for i in range(v)]
+        else:
+            rows = np.moveaxis(cube, axis, 0).reshape(v, length)
+            ones = [[int((rows[i] ^ rows[j]).sum()) for j in range(v)]
+                    for i in range(v)]
+        assert (length - 2 * np.array(ones) == gram).all()
 
 
 def test_every_sign_matrix_of_order_4():
@@ -461,6 +468,41 @@ def test_batch_edges_keep_counts_and_witnesses(monkeypatch, budget):
         assert [(w.mask, w.passed) for w in report.witnesses] == expect
 
 
+def with_indicator_rows(pm):
+    """The span of a ±1 tensor with n = 3 and the single-axis indicator
+    rows of axes 1 and 2 but the last of each: every mask with the tensor
+    gives it times a separable sign, which keeps every predicate."""
+    v = len(pm)
+    coords = np.indices((v,) * 3).reshape(3, -1)
+    rows = [((1 - pm.reshape(-1)) // 2).astype(np.uint8)]
+    rows += [(coords[a] == i).astype(np.uint8) for a in (1, 2)
+             for i in range(v - 1)]
+    return SearchSpace(v=v, n=3, labels=[f"r{k}" for k in range(len(rows))],
+                       bits=np.array(rows))
+
+
+def test_survivor_chunks_split_batches(monkeypatch):
+    # a planted proper tensor times separable rows: every mask with it is a
+    # hit, so half of each batch survives axis 0, in several chunks
+    space = with_indicator_rows(
+        planted_tensor(4, 3, "proper", np.random.default_rng(4)))
+    monkeypatch.setattr(search_mod, "SCAN_BYTES", 6000)
+    predicates = ("improper", "proper")
+    kernel = search_mod._Kernel(space, predicates)
+    assert 2 < 2 * kernel.chunk < kernel.batch
+    # a prefix is walked mask by mask, not modulo the separable rows
+    walked = 2 ** space.m - 1
+    expect = []
+    for mask in sorted(i ^ (i >> 1) for i in range(walked)):
+        passed = [p for p in predicates if REFEREES[p](space.combo_tensor(mask))]
+        if passed:
+            expect.append((mask, passed))
+    assert len(expect) == 2 ** (space.m - 1)
+    report = enumerate_span(space, predicates, limit=walked, max_witnesses=128)
+    assert report.hits == dict.fromkeys(predicates, len(expect))
+    assert [(w.mask, w.passed) for w in report.witnesses] == expect
+
+
 def test_worker_ranges_split_batches():
     # two ranges of 16384 and of 10000/10001 masks, none a multiple of the
     # batch
@@ -485,14 +527,24 @@ def test_empty_basis_sampled():
 
 @pytest.mark.parametrize("family,t,degree,stream", [
     (Family.CYCLIC, 5, 3, "sampled"),  # m = 91, v = 10
-    (Family.D4T, 4, 2, "gray")])       # m = 16, v = 16
+    (Family.D4T, 4, 2, "gray"),        # m = 16, v = 16
+    pytest.param(None, 16, 3, "survivors", id="axis0-survivors")])  # m = 31
 def test_scan_stays_within_byte_budget(family, t, degree, stream):
-    space = space_for(family, t, degree)
-    if stream == "sampled":
+    if stream == "survivors":
+        # T(x0, x1, x2) = H16[x0, x1]: every mask with T, half of all
+        # masks, passes axis 0 and fails axis 2
+        space = with_indicator_rows(
+            np.broadcast_to(hadamard_matrix(16)[:, :, None], (16,) * 3))
+        predicates = ("improper", "proper")
+        masks = partial(search_mod._sampled_batches, random.Random(1),
+                        space.m, 2048)
+    elif stream == "sampled":
+        space = space_for(family, t, degree)
         predicates = ("improper", "proper")
         masks = partial(search_mod._sampled_batches, random.Random(1),
                         space.m, 4096)
     else:
+        space = space_for(family, t, degree)
         predicates = ("hadamard2d",)
         masks = partial(search_mod._gray_batches, 0, 8192)
     tracemalloc.start()
@@ -501,7 +553,7 @@ def test_scan_stays_within_byte_budget(family, t, degree, stream):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert examined in (4096, 8192)
+    assert examined in (2048, 4096, 8192)
     assert peak < search_mod.SCAN_BYTES
 
 
