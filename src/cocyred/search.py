@@ -25,16 +25,21 @@ count by 2^dim K, and offers every hit as the 2^dim K original masks of
 its coset, so the retained witnesses are still the smallest original
 hit masks.  A prefix is not a union of cosets and is walked mask by mask.
 
-One kernel, `_Kernel`, evaluates every predicate on a batch at once, with
-integer and bit operations only.  A product is the v sections of its
-cochain along axis 0, packed in uint64 words, and is the XOR of one
-four-Russians table entry per 4-bit digit of its mask.  Two ±1 vectors of
-length L are orthogonal iff they differ in exactly L/2 places.  The axis-0
-test, the planar Hadamard test, checks this with packed popcounts on every
-product; one survivor pass then checks it on the unpacked bits of those
-that pass, along the other axes (improper) and on the parallel rows of
-every pair of axes (proper).  The predicates of `tensor.py` are the slow
-referee that the tests judge this kernel by.
+One kernel, `_Kernel`, built once per space, evaluates every predicate
+on a batch at once, with integer and bit operations only.  A product is
+the v sections of its cochain along axis 0, packed in uint64 words, and
+is the XOR of one four-Russians table entry per 4-bit digit of its mask.
+Two ±1 vectors of length L are orthogonal iff they differ in exactly L/2
+places.  Two packed stages test section 0 against the others with
+popcounts: section 1 on every product, sections 2..v-1 on its survivors.
+At degree 2 on a normalized cocyclic matrix this is the row-sum test of
+Horadam and de Launey, and few products pass it.  One survivor pass then
+runs one list of tests on their unpacked bits: every two sections along
+axis 0, then along each later axis, then the parallel rows of every pair
+of axes.  The planar Hadamard, improper and proper tests are three
+prefixes of that list, so the numpy calls per batch do not grow with v.
+The predicates of `tensor.py` are the slow referee that the tests judge
+this kernel by.
 """
 
 from __future__ import annotations
@@ -55,9 +60,10 @@ from .tensor import SignTensor
 
 MAX_EXHAUSTIVE_BITS = 62
 
-# Bytes one `_scan` call may hold in its XOR tables plus one batch's
-# temporaries, which sets the batch and survivor chunk sizes.  A batch gets
-# at least a quarter of it, so the bound is tables + max(rest, quarter).
+# Bytes one `_scan` call may hold in its space's XOR tables plus one
+# batch's temporaries, read on every call to set the batch and survivor
+# chunk sizes.  A batch gets at least a quarter of it, so the bound is
+# tables + max(rest, quarter).
 SCAN_BYTES = 1 << 19
 
 # Fewest combinations per worker that pay for starting a process pool;
@@ -103,7 +109,7 @@ class SearchSpace:
     def _mask_rows(self, mask: int) -> list[int]:
         if not 0 <= mask < 1 << self.m:
             raise ValueError(f"mask {mask} is not a combination of {self.m} rows")
-        return [i for i in range(self.m) if mask >> i & 1]
+        return _set_bits(mask)
 
     def combo_labels(self, mask: int) -> list[str]:
         return [self.labels[i] for i in self._mask_rows(mask)]
@@ -120,6 +126,11 @@ class SearchSpace:
         """The walk of the full span modulo its separable combinations,
         computed once per space."""
         return _Quotient(self, _separable_masks(self))
+
+    @cached_property
+    def _kernel(self) -> "_Kernel":
+        """The span's tables and tests, built once per space."""
+        return _Kernel(self)
 
 
 @dataclass
@@ -140,6 +151,16 @@ class SearchReport:
     quotient_dim: int = 0
 
 
+def _set_bits(x: int) -> list[int]:
+    """The positions of the set bits of x >= 0, lowest first."""
+    found = []
+    while x:
+        low = x & -x
+        found.append(low.bit_length() - 1)
+        x ^= low
+    return found
+
+
 def tensor_of_combination(space: SearchSpace, combo) -> SignTensor:
     """Pointwise product of the selected basis tensors; combo is an iterable
     of labels or a bit mask."""
@@ -157,38 +178,49 @@ def tensor_of_combination(space: SearchSpace, combo) -> SignTensor:
 
 
 class _Kernel:
-    """Bit-packed products of one span and the one predicate test.
+    """Bit-packed products of one span and the one predicate test list,
+    built once per space.
 
     A product is the cochain's v sections along axis 0, each of `words` =
     ceil(v^(n-1)/64) uint64 words: section i holds, in row-major order and
-    zero padded, the bits whose first coordinate is i.  The axis-0 test
-    runs on every product; everything past it runs on its survivors only,
-    `chunk` of them at a time, on their unpacked bits.
+    zero padded, the bits whose first coordinate is i.  Two packed stages
+    test section 0 against the others: section 1 on every product, then
+    sections 2..v-1 on the survivors.  Everything past them runs in one
+    survivor pass, a chunk of their survivors at a time, on unpacked bits.
     """
 
-    def __init__(self, space: SearchSpace, predicates: tuple[str, ...]):
+    def __init__(self, space: SearchSpace):
         v, n = space.v, space.n
-        self.v, self.n, self.predicates = v, n, predicates
+        self.v, self.n = v, n
         self.length = v ** (n - 1)
         self.words = -(-self.length // WORD)
+        self.width = v * self.words
+        # ±1 vectors of odd length have odd dot products: no count is half
+        self.half = self.length // 2 if self.length % 2 == 0 else -1
         self.pairs = np.triu_indices(v, 1)  # i < j, row-major
-        # the survivor pass's tests: (axes moved, to where, segments per row)
-        self.tests = ([((1 + a,), (1,), 1) for a in range(1, n)],
-                      [((1 + l, 1 + j), (1, n), self.length // v)
-                       for l in range(n) for j in range(l + 1, n)
-                       if "proper" in predicates])
-        # ±1 vectors of odd length have odd dot products
-        self.never = self.length % 2 == 1 and v > 1
-        groups, width = -(-space.m // 4), v * self.words
-        rows = np.zeros((4 * groups, width), dtype=np.uint64)
-        rows[:space.m] = pack_rows(
-            space.bits.reshape(space.m * v, self.length)).reshape(space.m, width)
+        # the survivor pass's tests, (axes moved, to where, segments per
+        # row): every two sections along axis 0, then along each later
+        # axis, then the rows of each pair of axes
+        self.tests = [((), (), 1)] \
+            + [((1 + a,), (1,), 1) for a in range(1, n)] \
+            + [((1 + l, 1 + j), (1, n), self.length // v)
+               for l in range(n) for j in range(l + 1, n)]
+        # each predicate is a prefix of the tests
+        self.ends = {"hadamard2d": 1, "improper": n, "proper": len(self.tests)}
+        groups = -(-space.m // 4)
+        rows = np.zeros((4 * groups, self.width), dtype=np.uint64)
+        rows[:space.m] = pack_rows(space.bits.reshape(
+            space.m * v, self.length)).reshape(space.m, self.width)
         # four-Russians tables: entry d of group g is the XOR of the rows
         # 4g + b over the set bits b of d
-        self.tables = np.zeros((groups, 16, width), dtype=np.uint64)
+        self.tables = np.zeros((groups, 16, self.width), dtype=np.uint64)
         for b in range(4):
             np.bitwise_xor(self.tables[:, :1 << b], rows[b::4, None],
                            out=self.tables[:, 1 << b:2 << b])
+
+    def budget(self) -> tuple[int, int]:
+        """Masks per batch and survivors per chunk under `SCAN_BYTES`."""
+        v, width = self.v, self.width
         # tables past the budget (spans far beyond exhaustive reach) still
         # leave a quarter of it to a batch
         room = max(SCAN_BYTES - self.tables.nbytes, SCAN_BYTES // 4)
@@ -196,14 +228,14 @@ class _Kernel:
         # gathered table entry per mask, and one section row's XORs and
         # popcounts
         per_mask = 24 * width + (25 * self.words + 5) * v + 128
-        self.batch = max(1, room // per_mask)
+        batch = max(1, room // per_mask)
         # the survivor pass runs while the batch's products and masks are
         # held; per survivor it holds the packed and unpacked product, the
         # cube, one moved copy, and per pair of rows two rows and the counts
-        held = (8 * width + 128) * self.batch
-        per_survivor = 72 * width + 3 * v ** n \
+        held = (8 * width + 128) * batch
+        per_survivor = 72 * width + 3 * v ** self.n \
             + (2 * v + 5) * (v - 1) * self.length // 2
-        self.chunk = max(1, (room - held) // per_survivor)
+        return batch, max(1, (room - held) // per_survivor)
 
     def products(self, raw: np.ndarray) -> np.ndarray:
         """Packed products of a batch of masks, given as rows of
@@ -218,7 +250,7 @@ class _Kernel:
         digits = np.empty((2 * len(used), len(raw)), dtype=np.uint8)
         np.bitwise_and(used, 15, out=digits[0::2])
         np.right_shift(used, 4, out=digits[1::2])
-        prod = np.zeros((len(raw), self.tables.shape[2]), dtype=np.uint64)
+        prod = np.zeros((len(raw), self.width), dtype=np.uint64)
         entry = np.empty_like(prod)
         fixed = np.zeros_like(prod[0])
         for g in range(groups):
@@ -237,70 +269,66 @@ class _Kernel:
             len(prod), self.v, -1), axis=2, bitorder="little")
         return unpacked[:, :, :self.length].reshape(len(prod), -1)
 
-    def hits(self, prod: np.ndarray) -> dict[str, np.ndarray]:
+    def hits(self, prod: np.ndarray, predicates: tuple[str, ...],
+             chunk: int) -> dict[str, np.ndarray]:
         """Batch positions of the products that pass each predicate."""
-        if self.never:
-            return {p: np.zeros(0, dtype=np.intp) for p in self.predicates}
-        sections = prod.reshape(len(prod), self.v, self.words)
-        alive = self._orthogonal(sections, np.arange(len(prod)))
-        found = {"hadamard2d": alive}
-        if set(self.predicates) != {"hadamard2d"}:
-            passes = [self._survivors(prod, alive[k:k + self.chunk])
-                      for k in range(0, len(alive), self.chunk)]
-            for t, p in enumerate(("improper", "proper")):
-                found[p] = np.concatenate([r[t] for r in passes] + [alive[:0]])
-        return {p: found[p] for p in self.predicates}
+        alive = self._axis0(prod)
+        depth = max((self.ends[p] for p in predicates), default=0)
+        passes = [self._survivors(prod, alive[k:k + chunk], depth)
+                  for k in range(0, len(alive), chunk)]
+        return {p: np.concatenate([r[self.ends[p]] for r in passes] + [alive[:0]])
+                for p in predicates}
 
-    def _orthogonal(self, s: np.ndarray, alive: np.ndarray) -> np.ndarray:
-        """The positions in `alive` whose v sections, the rows of `s`, are
-        pairwise orthogonal.
+    def _axis0(self, prod: np.ndarray) -> np.ndarray:
+        """The positions whose section 0 is orthogonal to every other
+        section: at degree 2, the row-sum test of a normalized cocyclic
+        matrix.
 
         s_i . s_j = L - 2 popcount(s_i ^ s_j), so two sections are
-        orthogonal iff they differ in exactly L/2 places.  The pair (0, 1)
-        is tested on every position, then section i against the later ones
-        on the survivors of the sections before it.
+        orthogonal iff they differ in exactly L/2 places.  Section 1 is
+        tested on every product, sections 2..v-1 on its survivors.
         """
-        half = self.length // 2
-        for i in range(self.v - 1):
-            if not len(alive):
-                break
-            if i == 0:
-                keep = self._ones(s[:, 1] ^ s[:, 0]) == half
-                alive, s = alive[keep], s[keep]
-            first = max(i + 1, 2)
-            keep = (self._ones(s[:, first:] ^ s[:, i:i + 1]) == half).all(axis=1)
-            alive, s = alive[keep], s[keep]
-        return alive
+        if self.v == 1:
+            return np.arange(len(prod))
+        s = prod.reshape(len(prod), self.v, self.words)
+        alive = np.flatnonzero(self._ones(s[:, 1] ^ s[:, 0]) == self.half)
+        s = s[alive]
+        return alive[(self._ones(s[:, 2:] ^ s[:, :1]) == self.half).all(axis=1)]
 
     def _ones(self, x: np.ndarray) -> np.ndarray:
         """Popcounts of packed sections, summed over their words."""
         ones = np.bitwise_count(x)
         return ones[..., 0] if self.words == 1 else ones.sum(axis=-1, dtype=np.int32)
 
-    def _survivors(self, prod: np.ndarray, alive: np.ndarray) -> list:
-        """The improper and the proper positions among the axis-0 survivors
-        `alive`.  Each test reads their unpacked bits as (positions, v,
-        segments, segment length) and keeps a position when every two of
-        its v rows differ in exactly half of every segment: the sections
-        along each axis a >= 1, one segment each, then for each l < j the
-        rows along j at two positions of l, one segment per fixing of the
-        other coordinates.  Only l < j is tested: a square ±1 matrix M with
-        M M^T = vI is invertible, so M^T M = vI too, and the rows along l
-        at two positions of j are then orthogonal as well."""
+    def _survivors(self, prod: np.ndarray, alive: np.ndarray,
+                   depth: int) -> list[np.ndarray]:
+        """The positions among `alive` that pass the first t tests, for t
+        = 0..depth; the pass ends at the first test that leaves none.
+
+        Each test reads the unpacked bits as (positions, v, segments,
+        segment length) and keeps a position when every two of its v rows
+        differ in exactly half of every segment: the sections along each
+        axis, one segment each, then for each l < j the rows along j at
+        two positions of l, one segment per fixing of the other
+        coordinates.  Only l < j is tested: a square ±1 matrix M with M M^T
+        = vI is invertible, so M^T M = vI too, and the rows along l at two
+        positions of j are then orthogonal as well.
+        """
         x, y = self.pairs
         cube = self.bits(prod[alive]).reshape((len(alive),) + (self.v,) * self.n)
-        found = []
-        for tests in self.tests:
-            for src, dst, segments in tests:
-                rows = np.moveaxis(cube, src, dst).reshape(
-                    len(alive), self.v, segments, self.length // segments)
-                differ = rows[:, x]
-                differ ^= rows[:, y]
-                ones = differ.sum(axis=3, dtype=np.int32)
-                keep = (ones == self.length // segments // 2).all(axis=(1, 2))
-                alive, cube = alive[keep], cube[keep]
+        found = [alive]
+        for src, dst, segments in self.tests[:depth]:
+            if not len(alive):
+                break
+            rows = np.moveaxis(cube, src, dst).reshape(
+                len(alive), self.v, segments, self.length // segments)
+            differ = rows[:, x]
+            differ ^= rows[:, y]
+            ones = differ.sum(axis=3, dtype=np.int32)
+            keep = (ones == self.length // segments // 2).all(axis=(1, 2))
+            alive, cube = alive[keep], cube[keep]
             found.append(alive)
-        return found
+        return found + [alive] * (depth + 1 - len(found))
 
 
 def _separable_masks(space: SearchSpace) -> list[int]:
@@ -355,9 +383,8 @@ class _Quotient:
         if not self.dim:
             return [x]
         base = 0
-        for j, i in enumerate(self.free):
-            if x >> j & 1:
-                base |= 1 << i
+        for j in _set_bits(x):
+            base |= 1 << self.free[j]
         return [base ^ k for k in self.coset]
 
 
@@ -411,14 +438,16 @@ def _scan(space: SearchSpace, predicates: tuple[str, ...], stream, cap: int,
     masks.  With a quotient, `space` is its complement and each mask
     counts, and is offered as a witness, once per mask of its coset."""
     quotient = quotient or _Quotient(space, [])
-    kernel = _Kernel(space, predicates)
+    kernel = space._kernel
+    batch, chunk = kernel.budget()
     counts = dict.fromkeys(predicates, 0)
     heap = _WitnessHeap(cap)
     examined = 0
-    for masks, raw in stream(kernel.batch):
+    for masks, raw in stream(batch):
         examined += len(masks) << quotient.dim
         passed: dict[int, list[str]] = {}
-        for p, where in kernel.hits(kernel.products(raw)).items():
+        hits = kernel.hits(kernel.products(raw), predicates, chunk)
+        for p, where in hits.items():
             counts[p] += len(where) << quotient.dim
             for k in where.tolist():
                 passed.setdefault(k, []).append(p)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 import tracemalloc
 from functools import partial
@@ -308,6 +309,22 @@ REFEREES = {"improper": is_improper_hadamard, "proper": is_proper_hadamard,
             "hadamard2d": is_hadamard_2d}
 
 
+def assert_walk_matches_referees(space, predicates):
+    """Walk the whole span and compare its witnesses and counts with the
+    tensor.py referees; returns their (mask, passed) hits."""
+    expect = []
+    for mask in range(2 ** space.m):
+        ten = space.combo_tensor(mask)
+        passed = [p for p in predicates if REFEREES[p](ten)]
+        if passed:
+            expect.append((mask, passed))
+    report = enumerate_span(space, predicates, max_witnesses=2 ** space.m)
+    assert [(w.mask, w.passed) for w in report.witnesses] == expect
+    assert report.hits == {p: sum(p in ps for _, ps in expect)
+                           for p in predicates}
+    return expect
+
+
 def hadamard_matrix(v):
     """A Hadamard matrix of order v (Sylvester, or Paley for 12), or None."""
     if v == 12:
@@ -375,16 +392,7 @@ def test_kernel_verdicts_equal_referees(v, n, kind, m, seed, data):
     rng = np.random.default_rng(seed)
     m = min(m, n + 2)
     space = span_around(planted_tensor(v, n, kind, rng), m, rng)
-    expect = []
-    for mask in range(2 ** m):
-        ten = space.combo_tensor(mask)
-        passed = [p for p in predicates if REFEREES[p](ten)]
-        if passed:
-            expect.append((mask, passed))
-    report = enumerate_span(space, predicates, max_witnesses=2 ** m)
-    assert [(w.mask, w.passed) for w in report.witnesses] == expect
-    assert report.hits == {p: sum(p in ps for _, ps in expect)
-                           for p in predicates}
+    expect = assert_walk_matches_referees(space, predicates)
     if v % 2:
         assert not expect
 
@@ -397,7 +405,7 @@ def test_packed_sections_give_exact_dot_products(v, n):
     pm = rng.choice(np.array([-1, 1]), size=(v,) * n)
     bits = ((1 - pm) // 2).reshape(1, -1).astype(np.uint8)
     space = SearchSpace(v=v, n=n, labels=["t"], bits=bits)
-    kernel = search_mod._Kernel(space, ("improper",))
+    kernel = space._kernel
     prod = kernel.products(np.array([[1]], dtype=np.uint8))
     assert (kernel.bits(prod) == bits).all()
     # axis 0 from the packed product, the later axes from the unpacked
@@ -444,6 +452,61 @@ def test_odd_order_never_passes():
     assert enumerate_span(space, ("hadamard2d",)).hits == {"hadamard2d": 0}
 
 
+@pytest.mark.parametrize("v,n", [(1, 2), (1, 3), (2, 2), (2, 3)])
+@pytest.mark.parametrize("quotient", [True, False])
+def test_smallest_orders_match_referees(monkeypatch, v, n, quotient):
+    # the unit cochains span every ±1 tensor of order v; at v = 1 there is
+    # no second section for the packed stages, and every mask passes
+    if not quotient:
+        monkeypatch.setattr(search_mod, "_separable_masks", lambda space: [])
+    space = SearchSpace(v=v, n=n, labels=[f"e{i}" for i in range(v ** n)],
+                        bits=np.eye(v ** n, dtype=np.uint8))
+    for k in range(1, 4):
+        for predicates in itertools.combinations(search_mod.PREDICATES, k):
+            if "hadamard2d" in predicates and n != 2:
+                continue
+            expect = assert_walk_matches_referees(space, predicates)
+            if v == 1:
+                assert [mask for mask, _ in expect] == [0, 1]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_equal_sections_fail_in_the_survivor_pass(n):
+    # Sylvester H4 with row 2 replaced by row 1: along axis 0, section 0 is
+    # orthogonal to every other section, so both packed stages keep it,
+    # but sections 1 and 2 are equal.  At n = 3, T = H'[x0, x1] H[x1, x2]
+    # has orthogonal sections along axes 1 and 2, so only the all-pairs
+    # test of axis 0 rejects it as improper.
+    h = hadamard_matrix(4)
+    h1 = h.copy()
+    h1[2] = h1[1]
+    t = h1 if n == 2 else h1[:, :, None] * h[None, :, :]
+
+    def non_orthogonal(axis):
+        s = np.moveaxis(t, axis, 0).reshape(4, -1)
+        gram = s @ s.T
+        return {(i, j) for i in range(4) for j in range(i + 1, 4) if gram[i, j]}
+
+    assert non_orthogonal(0) == {(1, 2)}
+    assert n == 2 or non_orthogonal(1) == non_orthogonal(2) == set()
+    # t, a sign change of its axis-0 sections and a random row
+    rows = [(1 - t.reshape(-1)) // 2, np.repeat([0, 1, 1, 0], 4 ** (n - 1)),
+            np.random.default_rng(n).integers(0, 2, size=4 ** n)]
+    space = SearchSpace(v=4, n=n, labels=["t", "s", "r"],
+                        bits=np.array(rows, dtype=np.uint8))
+    planted = space._kernel.products(np.array([[1]], dtype=np.uint8))
+    assert space._kernel._axis0(planted).tolist() == [0]
+    ten = space.combo_tensor(1)
+    assert not is_improper_hadamard(ten)
+    assert n != 2 or not is_hadamard_2d(ten)
+    sets = [("improper",), ("improper", "proper")]
+    if n == 2:
+        sets += [("hadamard2d",), ("hadamard2d", "improper")]
+    for predicates in sets:
+        expect = assert_walk_matches_referees(space, predicates)
+        assert 1 not in [mask for mask, _ in expect]
+
+
 # -- batch edges -------------------------------------------------------------
 
 
@@ -457,7 +520,7 @@ def test_batch_edges_keep_counts_and_witnesses(monkeypatch, budget):
     assert len(full) == 32
     if budget is not None:
         monkeypatch.setattr(search_mod, "SCAN_BYTES", budget)
-    batch = search_mod._Kernel(space, predicates).batch
+    batch, _ = space._kernel.budget()
     for limit in (1, batch - 1, batch + 1, 3 * batch + 7, None):
         walked = 2 ** space.m if limit is None else min(limit, 2 ** space.m)
         masks = {i ^ (i >> 1) for i in range(walked)}
@@ -466,6 +529,34 @@ def test_batch_edges_keep_counts_and_witnesses(monkeypatch, budget):
         assert report.examined == walked
         assert report.hits == {"improper": len(expect), "proper": 0}
         assert [(w.mask, w.passed) for w in report.witnesses] == expect
+
+
+def test_reused_tables_follow_the_current_budget(monkeypatch):
+    # a space builds its tables once; each walk takes its batch size from
+    # SCAN_BYTES as it is then
+    space = space_for(Family.CYCLIC, 2, 3)
+    sizes = []
+    orig = search_mod._Kernel.products
+
+    def spy(self, raw):
+        sizes.append(len(raw))
+        return orig(self, raw)
+
+    monkeypatch.setattr(search_mod._Kernel, "products", spy)
+    first = enumerate_span(space, ("improper",))
+    kernel = space._quotient.space._kernel
+    walked = 2 ** (space.m - space._quotient.dim)
+    for budget in (search_mod.SCAN_BYTES, 20_000):
+        monkeypatch.setattr(search_mod, "SCAN_BYTES", budget)
+        batch, _ = kernel.budget()
+        sizes.clear()
+        report = enumerate_span(space, ("improper",))
+        assert space._quotient.space._kernel is kernel
+        whole, rest = divmod(walked, batch)
+        assert sizes == [batch] * whole + [rest] * (rest > 0)
+        assert report.hits == first.hits
+        assert [w.mask for w in report.witnesses] == [w.mask for w in first.witnesses]
+    assert len(sizes) > 2
 
 
 def with_indicator_rows(pm):
@@ -488,8 +579,8 @@ def test_survivor_chunks_split_batches(monkeypatch):
         planted_tensor(4, 3, "proper", np.random.default_rng(4)))
     monkeypatch.setattr(search_mod, "SCAN_BYTES", 6000)
     predicates = ("improper", "proper")
-    kernel = search_mod._Kernel(space, predicates)
-    assert 2 < 2 * kernel.chunk < kernel.batch
+    batch, chunk = space._kernel.budget()
+    assert 2 < 2 * chunk < batch
     # a prefix is walked mask by mask, not modulo the separable rows
     walked = 2 ** space.m - 1
     expect = []
@@ -507,7 +598,7 @@ def test_worker_ranges_split_batches():
     # two ranges of 16384 and of 10000/10001 masks, none a multiple of the
     # batch
     space = space_for(Family.G1, 1, 3)
-    batch = search_mod._Kernel(space, ("improper", "proper")).batch
+    batch, _ = space._kernel.budget()
     assert 16384 % batch and 10000 % batch and 10001 % batch
     for limit in (None, 20001):
         r1 = enumerate_span(space, ("improper", "proper"), limit=limit)
