@@ -25,21 +25,11 @@ count by 2^dim K, and offers every hit as the 2^dim K original masks of
 its coset, so the retained witnesses are still the smallest original
 hit masks.  A prefix is not a union of cosets and is walked mask by mask.
 
-One kernel, `_Kernel`, built once per space, evaluates every predicate
-on a batch at once, with integer and bit operations only.  A product is
-the v sections of its cochain along axis 0, packed in uint64 words, and
-is the XOR of one four-Russians table entry per 4-bit digit of its mask.
-Two ±1 vectors of length L are orthogonal iff they differ in exactly L/2
-places.  Two packed stages test section 0 against the others with
-popcounts: section 1 on every product, sections 2..v-1 on its survivors.
-At degree 2 on a normalized cocyclic matrix this is the row-sum test of
-Horadam and de Launey, and few products pass it.  One survivor pass then
-runs one list of tests on their unpacked bits: every two sections along
-axis 0, then along each later axis, then the parallel rows of every pair
-of axes.  The planar Hadamard, improper and proper tests are three
-prefixes of that list, so the numpy calls per batch do not grow with v.
-The predicates of `tensor.py` are the slow referee that the tests judge
-this kernel by.
+One kernel, `_Kernel`, evaluates every predicate on a batch at once, with
+integer and bit operations only: two packed stages, then one survivor
+pass over one test list whose prefixes are the three predicates (see
+`_Kernel`).  The predicates of `tensor.py` are the slow referee that the
+tests judge this kernel by.
 """
 
 from __future__ import annotations
@@ -60,10 +50,9 @@ from .tensor import SignTensor
 
 MAX_EXHAUSTIVE_BITS = 62
 
-# Bytes one `_scan` call may hold in its space's XOR tables plus one
-# batch's temporaries, read on every call to set the batch and survivor
-# chunk sizes.  A batch gets at least a quarter of it, so the bound is
-# tables + max(rest, quarter).
+# Bytes one `_scan` call may hold in its XOR tables plus one batch's
+# temporaries, which sets the batch and survivor chunk sizes.  A batch gets
+# at least a quarter of it, so the bound is tables + max(rest, quarter).
 SCAN_BYTES = 1 << 19
 
 # Fewest combinations per worker that pay for starting a process pool;
@@ -127,11 +116,6 @@ class SearchSpace:
         computed once per space."""
         return _Quotient(self, _separable_masks(self))
 
-    @cached_property
-    def _kernel(self) -> "_Kernel":
-        """The span's tables and tests, built once per space."""
-        return _Kernel(self)
-
 
 @dataclass
 class Witness:
@@ -178,15 +162,22 @@ def tensor_of_combination(space: SearchSpace, combo) -> SignTensor:
 
 
 class _Kernel:
-    """Bit-packed products of one span and the one predicate test list,
-    built once per space.
+    """Bit-packed products of one span and the one predicate test list.
 
     A product is the cochain's v sections along axis 0, each of `words` =
     ceil(v^(n-1)/64) uint64 words: section i holds, in row-major order and
-    zero padded, the bits whose first coordinate is i.  Two packed stages
-    test section 0 against the others: section 1 on every product, then
-    sections 2..v-1 on the survivors.  Everything past them runs in one
-    survivor pass, a chunk of their survivors at a time, on unpacked bits.
+    zero padded, the bits whose first coordinate is i, and is the XOR of
+    one four-Russians table entry per 4-bit digit of its mask.  Two ±1
+    vectors of length L are orthogonal iff they differ in exactly L/2
+    places.  Two packed stages test section 0 against the others with
+    popcounts: section 1 on every product, then sections 2..v-1 on the
+    survivors.  At degree 2 on a normalized cocyclic matrix this is the
+    row-sum test of Horadam and de Launey, and few products pass it.  Their
+    survivors, `chunk` at a time, are unpacked for one survivor pass over
+    one test list: every two sections along axis 0, then along each later
+    axis, then the parallel rows of every pair of axes.  The planar
+    Hadamard, improper and proper tests are three prefixes of that list,
+    so the numpy calls per batch do not grow with v.
     """
 
     def __init__(self, space: SearchSpace):
@@ -194,7 +185,7 @@ class _Kernel:
         self.v, self.n = v, n
         self.length = v ** (n - 1)
         self.words = -(-self.length // WORD)
-        self.width = v * self.words
+        self.width = width = v * self.words
         # ±1 vectors of odd length have odd dot products: no count is half
         self.half = self.length // 2 if self.length % 2 == 0 else -1
         self.pairs = np.triu_indices(v, 1)  # i < j, row-major
@@ -208,19 +199,15 @@ class _Kernel:
         # each predicate is a prefix of the tests
         self.ends = {"hadamard2d": 1, "improper": n, "proper": len(self.tests)}
         groups = -(-space.m // 4)
-        rows = np.zeros((4 * groups, self.width), dtype=np.uint64)
+        rows = np.zeros((4 * groups, width), dtype=np.uint64)
         rows[:space.m] = pack_rows(space.bits.reshape(
-            space.m * v, self.length)).reshape(space.m, self.width)
+            space.m * v, self.length)).reshape(space.m, width)
         # four-Russians tables: entry d of group g is the XOR of the rows
         # 4g + b over the set bits b of d
-        self.tables = np.zeros((groups, 16, self.width), dtype=np.uint64)
+        self.tables = np.zeros((groups, 16, width), dtype=np.uint64)
         for b in range(4):
             np.bitwise_xor(self.tables[:, :1 << b], rows[b::4, None],
                            out=self.tables[:, 1 << b:2 << b])
-
-    def budget(self) -> tuple[int, int]:
-        """Masks per batch and survivors per chunk under `SCAN_BYTES`."""
-        v, width = self.v, self.width
         # tables past the budget (spans far beyond exhaustive reach) still
         # leave a quarter of it to a batch
         room = max(SCAN_BYTES - self.tables.nbytes, SCAN_BYTES // 4)
@@ -228,14 +215,14 @@ class _Kernel:
         # gathered table entry per mask, and one section row's XORs and
         # popcounts
         per_mask = 24 * width + (25 * self.words + 5) * v + 128
-        batch = max(1, room // per_mask)
+        self.batch = max(1, room // per_mask)
         # the survivor pass runs while the batch's products and masks are
         # held; per survivor it holds the packed and unpacked product, the
         # cube, one moved copy, and per pair of rows two rows and the counts
-        held = (8 * width + 128) * batch
-        per_survivor = 72 * width + 3 * v ** self.n \
+        held = (8 * width + 128) * self.batch
+        per_survivor = 72 * width + 3 * v ** n \
             + (2 * v + 5) * (v - 1) * self.length // 2
-        return batch, max(1, (room - held) // per_survivor)
+        self.chunk = max(1, (room - held) // per_survivor)
 
     def products(self, raw: np.ndarray) -> np.ndarray:
         """Packed products of a batch of masks, given as rows of
@@ -269,25 +256,20 @@ class _Kernel:
             len(prod), self.v, -1), axis=2, bitorder="little")
         return unpacked[:, :, :self.length].reshape(len(prod), -1)
 
-    def hits(self, prod: np.ndarray, predicates: tuple[str, ...],
-             chunk: int) -> dict[str, np.ndarray]:
+    def hits(self, prod: np.ndarray,
+             predicates: tuple[str, ...]) -> dict[str, np.ndarray]:
         """Batch positions of the products that pass each predicate."""
         alive = self._axis0(prod)
         depth = max((self.ends[p] for p in predicates), default=0)
-        passes = [self._survivors(prod, alive[k:k + chunk], depth)
-                  for k in range(0, len(alive), chunk)]
+        passes = [self._survivors(prod, alive[k:k + self.chunk], depth)
+                  for k in range(0, len(alive), self.chunk)]
         return {p: np.concatenate([r[self.ends[p]] for r in passes] + [alive[:0]])
                 for p in predicates}
 
     def _axis0(self, prod: np.ndarray) -> np.ndarray:
         """The positions whose section 0 is orthogonal to every other
-        section: at degree 2, the row-sum test of a normalized cocyclic
-        matrix.
-
-        s_i . s_j = L - 2 popcount(s_i ^ s_j), so two sections are
-        orthogonal iff they differ in exactly L/2 places.  Section 1 is
-        tested on every product, sections 2..v-1 on its survivors.
-        """
+        section, by the two packed stages: s_i . s_j = L - 2 popcount(s_i ^
+        s_j)."""
         if self.v == 1:
             return np.arange(len(prod))
         s = prod.reshape(len(prod), self.v, self.words)
@@ -438,15 +420,14 @@ def _scan(space: SearchSpace, predicates: tuple[str, ...], stream, cap: int,
     masks.  With a quotient, `space` is its complement and each mask
     counts, and is offered as a witness, once per mask of its coset."""
     quotient = quotient or _Quotient(space, [])
-    kernel = space._kernel
-    batch, chunk = kernel.budget()
+    kernel = _Kernel(space)
     counts = dict.fromkeys(predicates, 0)
     heap = _WitnessHeap(cap)
     examined = 0
-    for masks, raw in stream(batch):
+    for masks, raw in stream(kernel.batch):
         examined += len(masks) << quotient.dim
         passed: dict[int, list[str]] = {}
-        hits = kernel.hits(kernel.products(raw), predicates, chunk)
+        hits = kernel.hits(kernel.products(raw), predicates)
         for p, where in hits.items():
             counts[p] += len(where) << quotient.dim
             for k in where.tolist():

@@ -405,7 +405,7 @@ def test_packed_sections_give_exact_dot_products(v, n):
     pm = rng.choice(np.array([-1, 1]), size=(v,) * n)
     bits = ((1 - pm) // 2).reshape(1, -1).astype(np.uint8)
     space = SearchSpace(v=v, n=n, labels=["t"], bits=bits)
-    kernel = space._kernel
+    kernel = search_mod._Kernel(space)
     prod = kernel.products(np.array([[1]], dtype=np.uint8))
     assert (kernel.bits(prod) == bits).all()
     # axis 0 from the packed product, the later axes from the unpacked
@@ -494,8 +494,9 @@ def test_equal_sections_fail_in_the_survivor_pass(n):
             np.random.default_rng(n).integers(0, 2, size=4 ** n)]
     space = SearchSpace(v=4, n=n, labels=["t", "s", "r"],
                         bits=np.array(rows, dtype=np.uint8))
-    planted = space._kernel.products(np.array([[1]], dtype=np.uint8))
-    assert space._kernel._axis0(planted).tolist() == [0]
+    kernel = search_mod._Kernel(space)
+    planted = kernel.products(np.array([[1]], dtype=np.uint8))
+    assert kernel._axis0(planted).tolist() == [0]
     ten = space.combo_tensor(1)
     assert not is_improper_hadamard(ten)
     assert n != 2 or not is_hadamard_2d(ten)
@@ -520,7 +521,7 @@ def test_batch_edges_keep_counts_and_witnesses(monkeypatch, budget):
     assert len(full) == 32
     if budget is not None:
         monkeypatch.setattr(search_mod, "SCAN_BYTES", budget)
-    batch, _ = space._kernel.budget()
+    batch = search_mod._Kernel(space).batch
     for limit in (1, batch - 1, batch + 1, 3 * batch + 7, None):
         walked = 2 ** space.m if limit is None else min(limit, 2 ** space.m)
         masks = {i ^ (i >> 1) for i in range(walked)}
@@ -529,34 +530,6 @@ def test_batch_edges_keep_counts_and_witnesses(monkeypatch, budget):
         assert report.examined == walked
         assert report.hits == {"improper": len(expect), "proper": 0}
         assert [(w.mask, w.passed) for w in report.witnesses] == expect
-
-
-def test_reused_tables_follow_the_current_budget(monkeypatch):
-    # a space builds its tables once; each walk takes its batch size from
-    # SCAN_BYTES as it is then
-    space = space_for(Family.CYCLIC, 2, 3)
-    sizes = []
-    orig = search_mod._Kernel.products
-
-    def spy(self, raw):
-        sizes.append(len(raw))
-        return orig(self, raw)
-
-    monkeypatch.setattr(search_mod._Kernel, "products", spy)
-    first = enumerate_span(space, ("improper",))
-    kernel = space._quotient.space._kernel
-    walked = 2 ** (space.m - space._quotient.dim)
-    for budget in (search_mod.SCAN_BYTES, 20_000):
-        monkeypatch.setattr(search_mod, "SCAN_BYTES", budget)
-        batch, _ = kernel.budget()
-        sizes.clear()
-        report = enumerate_span(space, ("improper",))
-        assert space._quotient.space._kernel is kernel
-        whole, rest = divmod(walked, batch)
-        assert sizes == [batch] * whole + [rest] * (rest > 0)
-        assert report.hits == first.hits
-        assert [w.mask for w in report.witnesses] == [w.mask for w in first.witnesses]
-    assert len(sizes) > 2
 
 
 def with_indicator_rows(pm):
@@ -579,8 +552,8 @@ def test_survivor_chunks_split_batches(monkeypatch):
         planted_tensor(4, 3, "proper", np.random.default_rng(4)))
     monkeypatch.setattr(search_mod, "SCAN_BYTES", 6000)
     predicates = ("improper", "proper")
-    batch, chunk = space._kernel.budget()
-    assert 2 < 2 * chunk < batch
+    kernel = search_mod._Kernel(space)
+    assert 2 < 2 * kernel.chunk < kernel.batch
     # a prefix is walked mask by mask, not modulo the separable rows
     walked = 2 ** space.m - 1
     expect = []
@@ -598,7 +571,7 @@ def test_worker_ranges_split_batches():
     # two ranges of 16384 and of 10000/10001 masks, none a multiple of the
     # batch
     space = space_for(Family.G1, 1, 3)
-    batch, _ = space._kernel.budget()
+    batch = search_mod._Kernel(space).batch
     assert 16384 % batch and 10000 % batch and 10001 % batch
     for limit in (None, 20001):
         r1 = enumerate_span(space, ("improper", "proper"), limit=limit)
