@@ -144,22 +144,20 @@ class SnfResult:
     D: np.ndarray
     P: np.ndarray
     Q: np.ndarray
-    Pinv: np.ndarray
     Qinv: np.ndarray
     rank: int
 
 
 def smith_normal_form_gf2(m) -> SnfResult:
-    """Rank normal form D = P·M·Q over GF(2), with all four transforms.
+    """Rank normal form D = P·M·Q over GF(2), with P, Q and Q^-1.
 
     Over a field the Smith form is I_rank ⊕ 0; P and Q are accumulated from
     the elementary operations (transvections and swaps are self-inverse, so
-    the inverses are accumulated alongside rather than inverted afterwards).
+    Q^-1 is accumulated alongside rather than inverted afterwards).
     """
     d = as_bits(m).copy()
     q_rows, r_cols = d.shape
     p = np.eye(q_rows, dtype=np.uint8)
-    pinv = np.eye(q_rows, dtype=np.uint8)
     q = np.eye(r_cols, dtype=np.uint8)
     qinv = np.eye(r_cols, dtype=np.uint8)
 
@@ -173,7 +171,6 @@ def smith_normal_form_gf2(m) -> SnfResult:
         if i != rank:
             d[[rank, i]] = d[[i, rank]]
             p[[rank, i]] = p[[i, rank]]
-            pinv[:, [rank, i]] = pinv[:, [i, rank]]
         if j != rank:
             d[:, [rank, j]] = d[:, [j, rank]]
             q[:, [rank, j]] = q[:, [j, rank]]
@@ -184,7 +181,6 @@ def smith_normal_form_gf2(m) -> SnfResult:
         if rows.size:
             d[rows] ^= d[rank]
             p[rows] ^= p[rank]
-            pinv[:, rank] ^= (pinv[:, rows].sum(axis=1) & 1).astype(np.uint8)
         cols = np.nonzero(d[rank, :])[0]
         cols = cols[cols != rank]
         if cols.size:
@@ -193,7 +189,7 @@ def smith_normal_form_gf2(m) -> SnfResult:
             qinv[rank] ^= (qinv[cols].sum(axis=0) & 1).astype(np.uint8)
         rank += 1
 
-    return SnfResult(D=d, P=p, Q=q, Pinv=pinv, Qinv=qinv, rank=rank)
+    return SnfResult(D=d, P=p, Q=q, Qinv=qinv, rank=rank)
 
 
 def left_kernel(m) -> tuple[int, np.ndarray]:

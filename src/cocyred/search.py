@@ -26,10 +26,11 @@ its coset, so the retained witnesses are still the smallest original
 hit masks.  A prefix is not a union of cosets and is walked mask by mask.
 
 One kernel, `_Kernel`, evaluates every predicate on a batch at once, with
-integer and bit operations only: two packed stages, then one survivor
-pass over one test list whose prefixes are the three predicates (see
-`_Kernel`).  The predicates of `tensor.py` are the slow referee that the
-tests judge this kernel by.
+integer and bit operations only: packed popcount tests of every two
+sections along axis 0, then, for the improper and proper tests only, one
+pass over the unpacked bits of the products that pass, over one test list
+whose prefixes are the predicates (see `_Kernel`).  The predicates of
+`tensor.py` are the slow referee that the tests judge this kernel by.
 """
 
 from __future__ import annotations
@@ -169,15 +170,19 @@ class _Kernel:
     zero padded, the bits whose first coordinate is i, and is the XOR of
     one four-Russians table entry per 4-bit digit of its mask.  Two ±1
     vectors of length L are orthogonal iff they differ in exactly L/2
-    places.  Two packed stages test section 0 against the others with
-    popcounts: section 1 on every product, then sections 2..v-1 on the
-    survivors.  At degree 2 on a normalized cocyclic matrix this is the
-    row-sum test of Horadam and de Launey, and few products pass it.  Their
-    survivors, `chunk` at a time, are unpacked for one survivor pass over
-    one test list: every two sections along axis 0, then along each later
-    axis, then the parallel rows of every pair of axes.  The planar
-    Hadamard, improper and proper tests are three prefixes of that list,
-    so the numpy calls per batch do not grow with v.
+    places, so axis 0 is tested entirely on packed words, with popcounts,
+    and one pair test serves three lists of pairs i < j.  Two stages test
+    section 0 against the others: section 1 on every product, then
+    sections 2..v-1 on the survivors.  At degree 2 on a normalized
+    cocyclic matrix this is the row-sum test of Horadam and de Launey,
+    and few products pass it.  Their survivors, `chunk` at a time, are
+    tested on the pairs (i >= 1, j); that completes the planar Hadamard
+    test, so a degree-2 `hadamard2d` walk never unpacks.  Only for the
+    improper and proper tests are the products that pass unpacked, for
+    one pass over one test list: the sections along each later axis, then
+    the parallel rows of every pair of axes.  The three predicates are
+    prefixes of that list, so the numpy calls per batch do not grow with
+    v.
     """
 
     def __init__(self, space: SearchSpace):
@@ -188,16 +193,19 @@ class _Kernel:
         self.width = width = v * self.words
         # ±1 vectors of odd length have odd dot products: no count is half
         self.half = self.length // 2 if self.length % 2 == 0 else -1
-        self.pairs = np.triu_indices(v, 1)  # i < j, row-major
-        # the survivor pass's tests, (axes moved, to where, segments per
-        # row): every two sections along axis 0, then along each later
-        # axis, then the rows of each pair of axes
-        self.tests = [((), (), 1)] \
-            + [((1 + a,), (1,), 1) for a in range(1, n)] \
+        r = np.arange(v)
+        # every pair i < j, row-major, so the v - 1 pairs (0, j) come first;
+        # the packed tests take (0, 1), then (0, j >= 2), then (i >= 1, j)
+        self.pairs = x, y = np.nonzero(r[:, None] < r)
+        self.stages = [(x[:1], y[:1]), (x[1:v - 1], y[1:v - 1]),
+                       (x[v - 1:], y[v - 1:])]
+        # the unpacked tests, (axes moved, to where, segments per row): the
+        # sections along each later axis, then the rows of each pair of axes
+        self.tests = [((1 + a,), (1,), 1) for a in range(1, n)] \
             + [((1 + l, 1 + j), (1, n), self.length // v)
                for l in range(n) for j in range(l + 1, n)]
-        # each predicate is a prefix of the tests
-        self.ends = {"hadamard2d": 1, "improper": n, "proper": len(self.tests)}
+        # each predicate is a prefix of the unpacked tests
+        self.ends = {"hadamard2d": 0, "improper": n - 1, "proper": len(self.tests)}
         groups = -(-space.m // 4)
         rows = np.zeros((4 * groups, width), dtype=np.uint64)
         rows[:space.m] = pack_rows(space.bits.reshape(
@@ -218,7 +226,9 @@ class _Kernel:
         self.batch = max(1, room // per_mask)
         # the survivor pass runs while the batch's products and masks are
         # held; per survivor it holds the packed and unpacked product, the
-        # cube, one moved copy, and per pair of rows two rows and the counts
+        # cube, one moved copy, and per pair of rows two rows and the counts;
+        # that is more than the packed pair test before it holds, about
+        # 18 bytes per pair per word
         held = (8 * width + 128) * self.batch
         per_survivor = 72 * width + 3 * v ** n \
             + (2 * v + 5) * (v - 1) * self.length // 2
@@ -268,14 +278,17 @@ class _Kernel:
 
     def _axis0(self, prod: np.ndarray) -> np.ndarray:
         """The positions whose section 0 is orthogonal to every other
-        section, by the two packed stages: s_i . s_j = L - 2 popcount(s_i ^
-        s_j)."""
-        if self.v == 1:
-            return np.arange(len(prod))
+        section, by the two packed stages."""
+        alive = np.flatnonzero(self._orthogonal(prod, self.stages[0]))
+        return alive[self._orthogonal(prod[alive], self.stages[1])]
+
+    def _orthogonal(self, prod: np.ndarray, pairs) -> np.ndarray:
+        """Whether sections x and y of each packed product are orthogonal
+        for every pair (x, y) of `pairs`: s_x . s_y = L - 2 popcount(s_x ^
+        s_y)."""
+        x, y = pairs
         s = prod.reshape(len(prod), self.v, self.words)
-        alive = np.flatnonzero(self._ones(s[:, 1] ^ s[:, 0]) == self.half)
-        s = s[alive]
-        return alive[(self._ones(s[:, 2:] ^ s[:, :1]) == self.half).all(axis=1)]
+        return (self._ones(s[:, x] ^ s[:, y]) == self.half).all(axis=1)
 
     def _ones(self, x: np.ndarray) -> np.ndarray:
         """Popcounts of packed sections, summed over their words."""
@@ -284,32 +297,37 @@ class _Kernel:
 
     def _survivors(self, prod: np.ndarray, alive: np.ndarray,
                    depth: int) -> list[np.ndarray]:
-        """The positions among `alive` that pass the first t tests, for t
-        = 0..depth; the pass ends at the first test that leaves none.
+        """The positions among `alive` whose axis-0 sections are pairwise
+        orthogonal and that pass the first t unpacked tests, for t =
+        0..depth; the pass ends at the first test that leaves none.
 
-        Each test reads the unpacked bits as (positions, v, segments,
+        The pairs (i >= 1, j) of axis 0 are tested on the packed sections,
+        and only the products that pass them are unpacked, when depth > 0.
+        Each unpacked test reads the bits as (positions, v, segments,
         segment length) and keeps a position when every two of its v rows
         differ in exactly half of every segment: the sections along each
-        axis, one segment each, then for each l < j the rows along j at
-        two positions of l, one segment per fixing of the other
+        later axis, one segment each, then for each l < j the rows along j
+        at two positions of l, one segment per fixing of the other
         coordinates.  Only l < j is tested: a square ±1 matrix M with M M^T
         = vI is invertible, so M^T M = vI too, and the rows along l at two
         positions of j are then orthogonal as well.
         """
-        x, y = self.pairs
-        cube = self.bits(prod[alive]).reshape((len(alive),) + (self.v,) * self.n)
+        alive = alive[self._orthogonal(prod[alive], self.stages[2])]
         found = [alive]
-        for src, dst, segments in self.tests[:depth]:
-            if not len(alive):
-                break
-            rows = np.moveaxis(cube, src, dst).reshape(
-                len(alive), self.v, segments, self.length // segments)
-            differ = rows[:, x]
-            differ ^= rows[:, y]
-            ones = differ.sum(axis=3, dtype=np.int32)
-            keep = (ones == self.length // segments // 2).all(axis=(1, 2))
-            alive, cube = alive[keep], cube[keep]
-            found.append(alive)
+        if depth and len(alive):
+            x, y = self.pairs
+            cube = self.bits(prod[alive]).reshape((len(alive),) + (self.v,) * self.n)
+            for src, dst, segments in self.tests[:depth]:
+                rows = np.moveaxis(cube, src, dst).reshape(
+                    len(alive), self.v, segments, self.length // segments)
+                differ = rows[:, x]
+                differ ^= rows[:, y]
+                ones = differ.sum(axis=3, dtype=np.int32)
+                keep = (ones == self.length // segments // 2).all(axis=(1, 2))
+                alive, cube = alive[keep], cube[keep]
+                found.append(alive)
+                if not len(alive):
+                    break
         return found + [alive] * (depth + 1 - len(found))
 
 

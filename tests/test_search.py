@@ -17,7 +17,7 @@ from cocyred.reduction import full_cocycle_basis
 from cocyred.search import (SearchSpace, SpanTooLargeError, enumerate_span,
                             tensor_of_combination)
 from cocyred.tensor import (SignTensor, is_hadamard_2d, is_improper_hadamard,
-                            is_proper_hadamard)
+                            is_proper_hadamard, section)
 
 from test_tensor import WITNESS_CYCLIC, WITNESS_G1, sections_to_tensor
 
@@ -470,29 +470,33 @@ def test_smallest_orders_match_referees(monkeypatch, v, n, quotient):
                 assert [mask for mask, _ in expect] == [0, 1]
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_equal_sections_fail_in_the_survivor_pass(n):
-    # Sylvester H4 with row 2 replaced by row 1: along axis 0, section 0 is
-    # orthogonal to every other section, so both packed stages keep it,
-    # but sections 1 and 2 are equal.  At n = 3, T = H'[x0, x1] H[x1, x2]
-    # has orthogonal sections along axes 1 and 2, so only the all-pairs
-    # test of axis 0 rejects it as improper.
-    h = hadamard_matrix(4)
+@pytest.mark.parametrize("v,n,i,j", [pytest.param(4, 2, 1, 2, id="2"),
+                                     pytest.param(4, 3, 1, 2, id="3"),
+                                     pytest.param(16, 3, 5, 11, id="v16-3")])
+def test_equal_sections_fail_in_the_survivor_pass(v, n, i, j):
+    # Sylvester H with row j replaced by row i >= 1: along axis 0, section
+    # 0 is orthogonal to every other section, so both packed stages keep
+    # it, but sections i and j are equal.  At n = 3, T = H'[x0, x1]
+    # H[x1, x2] has orthogonal sections along axes 1 and 2, so only the
+    # packed test of the pairs (i >= 1, j) rejects it as improper.  At
+    # v = 16, n = 3 a section is 4 words long.
+    h = hadamard_matrix(v)
     h1 = h.copy()
-    h1[2] = h1[1]
+    h1[j] = h1[i]
     t = h1 if n == 2 else h1[:, :, None] * h[None, :, :]
 
     def non_orthogonal(axis):
-        s = np.moveaxis(t, axis, 0).reshape(4, -1)
+        s = np.moveaxis(t, axis, 0).reshape(v, -1)
         gram = s @ s.T
-        return {(i, j) for i in range(4) for j in range(i + 1, 4) if gram[i, j]}
+        return {(a, b) for a in range(v) for b in range(a + 1, v) if gram[a, b]}
 
-    assert non_orthogonal(0) == {(1, 2)}
+    assert non_orthogonal(0) == {(i, j)}
     assert n == 2 or non_orthogonal(1) == non_orthogonal(2) == set()
     # t, a sign change of its axis-0 sections and a random row
-    rows = [(1 - t.reshape(-1)) // 2, np.repeat([0, 1, 1, 0], 4 ** (n - 1)),
-            np.random.default_rng(n).integers(0, 2, size=4 ** n)]
-    space = SearchSpace(v=4, n=n, labels=["t", "s", "r"],
+    rows = [(1 - t.reshape(-1)) // 2,
+            np.repeat(np.resize([0, 1, 1, 0], v), v ** (n - 1)),
+            np.random.default_rng(n).integers(0, 2, size=v ** n)]
+    space = SearchSpace(v=v, n=n, labels=["t", "s", "r"],
                         bits=np.array(rows, dtype=np.uint8))
     kernel = search_mod._Kernel(space)
     planted = kernel.products(np.array([[1]], dtype=np.uint8))
@@ -506,6 +510,40 @@ def test_equal_sections_fail_in_the_survivor_pass(n):
     for predicates in sets:
         expect = assert_walk_matches_referees(space, predicates)
         assert 1 not in [mask for mask, _ in expect]
+
+
+def test_degree2_hadamard_walks_never_unpack(monkeypatch):
+    # a hadamard2d walk is decided on packed axis-0 sections alone
+    def refuse(self, prod):
+        raise AssertionError("a hadamard2d walk unpacked its products")
+
+    space = space_for(Family.D4T, 3, 2, mode="normalized")
+    monkeypatch.setattr(search_mod._Kernel, "bits", refuse)
+    expect = assert_walk_matches_referees(space, ("hadamard2d",))
+    assert len(expect) == 72
+
+
+def test_unpacked_products_have_orthogonal_axis0_sections(monkeypatch):
+    # at n = 3 only the products whose axis-0 sections are pairwise
+    # orthogonal, by the tensor.py Gram, are unpacked for the later axes
+    space = space_for(Family.G1, 1, 3)
+    unpacked = []
+    orig = search_mod._Kernel.bits
+
+    def spy(self, prod):
+        bits = orig(self, prod)
+        unpacked.extend(bits)
+        return bits
+
+    monkeypatch.setattr(search_mod._Kernel, "bits", spy)
+    expect = assert_walk_matches_referees(space, ("improper", "proper"))
+    assert len(expect) == 64 and unpacked
+    for bits in unpacked:
+        ten = SignTensor(space.v, space.n,
+                         (1 - 2 * bits.astype(np.int64)).reshape((space.v,) * 3))
+        s = np.array([section(ten, 0, i).reshape(-1) for i in range(space.v)])
+        gram = s @ s.T
+        assert (gram == s.shape[1] * np.eye(space.v, dtype=np.int64)).all()
 
 
 # -- batch edges -------------------------------------------------------------
@@ -533,15 +571,15 @@ def test_batch_edges_keep_counts_and_witnesses(monkeypatch, budget):
 
 
 def with_indicator_rows(pm):
-    """The span of a ±1 tensor with n = 3 and the single-axis indicator
-    rows of axes 1 and 2 but the last of each: every mask with the tensor
-    gives it times a separable sign, which keeps every predicate."""
-    v = len(pm)
-    coords = np.indices((v,) * 3).reshape(3, -1)
+    """The span of a ±1 tensor and the single-axis indicator rows of its
+    axes 1..n-1 but the last of each: every mask with the tensor gives it
+    times a separable sign, which keeps every predicate."""
+    v, n = len(pm), pm.ndim
+    coords = np.indices(pm.shape).reshape(n, -1)
     rows = [((1 - pm.reshape(-1)) // 2).astype(np.uint8)]
-    rows += [(coords[a] == i).astype(np.uint8) for a in (1, 2)
+    rows += [(coords[a] == i).astype(np.uint8) for a in range(1, n)
              for i in range(v - 1)]
-    return SearchSpace(v=v, n=3, labels=[f"r{k}" for k in range(len(rows))],
+    return SearchSpace(v=v, n=n, labels=[f"r{k}" for k in range(len(rows))],
                        bits=np.array(rows))
 
 
@@ -592,14 +630,20 @@ def test_empty_basis_sampled():
 @pytest.mark.parametrize("family,t,degree,stream", [
     (Family.CYCLIC, 5, 3, "sampled"),  # m = 91, v = 10
     (Family.D4T, 4, 2, "gray"),        # m = 16, v = 16
-    pytest.param(None, 16, 3, "survivors", id="axis0-survivors")])  # m = 31
+    pytest.param(None, 16, 3, "survivors", id="axis0-survivors"),  # m = 31
+    pytest.param(None, 16, 2, "survivors", id="axis0-survivors-deg2")])  # m = 16
 def test_scan_stays_within_byte_budget(family, t, degree, stream):
     if stream == "survivors":
         # T(x0, x1, x2) = H16[x0, x1]: every mask with T, half of all
-        # masks, passes axis 0 and fails axis 2
-        space = with_indicator_rows(
-            np.broadcast_to(hadamard_matrix(16)[:, :, None], (16,) * 3))
-        predicates = ("improper", "proper")
+        # masks, passes axis 0 and fails axis 2; at degree 2, T = H16 and
+        # every mask with it is Hadamard
+        h = hadamard_matrix(16)
+        if degree == 2:
+            space = with_indicator_rows(h)
+            predicates = ("hadamard2d",)
+        else:
+            space = with_indicator_rows(np.broadcast_to(h[:, :, None], (16,) * 3))
+            predicates = ("improper", "proper")
         masks = partial(search_mod._sampled_batches, random.Random(1),
                         space.m, 2048)
     elif stream == "sampled":
