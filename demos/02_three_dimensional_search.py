@@ -23,7 +23,7 @@ def run(spec_text: str):
     print(f"improper hits: {report.hits['improper']}, "
           f"proper hits: {report.hits['proper']}")
     w = report.witnesses[1]  # skip mask 0 if it were a hit; pick a small one
-    print(f"example witness: {' · '.join(w.labels)}")
+    print(f"example witness: {' · '.join(space.combo_labels(w.mask))}")
     print(tensor_to_text(tensor_of_combination(space, w.mask)))
 
 

@@ -10,8 +10,7 @@ from .model import (CohModel, ModelUnavailableError, builtin_model, load_model,
 from .reduction import (BruteForceResult, Cochain, CochainBasis,
                         OracleSizeError, ReductionOutput, bar_codifferential,
                         brute_force_cohomology, coboundary_basis,
-                        coboundary_generator, full_cocycle_basis,
-                        representative_cocycles)
+                        coboundary_generator, full_cocycle_basis)
 from .search import (SearchReport, SearchSpace, SpanTooLargeError, Witness,
                      enumerate_span, tensor_of_combination)
 from .tensor import (SignTensor, all_ones, alternating_back_negacyclic,

@@ -203,7 +203,8 @@ def _cmd_search(spec, model, args) -> int:
         doc = {"group": str(spec), "degree": n, "test": args.test,
                "mode": report.mode, "seed": report.seed,
                "examined": report.examined, "hits": report.hits,
-               "witnesses": [{"mask": w.mask, "labels": w.labels,
+               "witnesses": [{"mask": w.mask,
+                              "labels": space.combo_labels(w.mask),
                               "passed": w.passed}
                              for w in report.witnesses]}
         with open(args.dump, "w") as fh:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gf2 import left_kernel
 from .groups import (Family, FiniteGroup, GroupSpec, build_group,
                      group_axioms_hold, parse_group_spec)
 
@@ -193,20 +194,15 @@ def builtin_model(spec: GroupSpec, degree: int) -> CohModel:
 
 
 def save_model(model: CohModel, path) -> None:
-    """Write a model as JSON with an explicit full lift table (1-based keys)."""
-    g = model.group
-    v, n = g.order, model.degree
-    tuples = np.indices((v,) * n).reshape(n, -1)
-    lift = {}
-    for col in range(tuples.shape[1]):
-        key = ",".join(str(int(x) + 1) for x in tuples[:, col])
-        lift[key] = [int(b) for b in model.lift_table[col]]
+    """Write a model as JSON; its lift table is the (v^n, r) 0/1 matrix
+    whose rows are the n-tuples in row-major order, as in cochain bits."""
+    g, n = model.group, model.degree
     doc = {
         "group": str(g.spec) if g.spec is not None else (g.mul + 1).tolist(),
         "degree": n,
         "dims": [model.dims[n - 1], model.dims[n], model.dims[n + 1]],
         "diff": [model.diff[n - 1].tolist(), model.diff[n].tolist()],
-        "lift": lift,
+        "lift": model.lift_table.tolist(),
     }
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -228,31 +224,35 @@ def _object(pairs) -> dict:
     return doc
 
 
-def _bits(x) -> np.ndarray:
-    """Nested lists of the JSON integers 0 and 1 as a uint8 array."""
-    a = np.asarray(x, dtype=object)
-    for b in a.flat:
-        if not (_is_int(b) and 0 <= b <= 1):
-            raise ValueError(f"{b!r} is not a bit, the integer 0 or 1")
-    return a.astype(np.uint8)
+def _matrix(x, rows: int, cols: int) -> np.ndarray:
+    """A rows x cols matrix given as nested lists of the JSON integers 0
+    and 1 (a matrix with no rows is []), as a uint8 array."""
+    if not (isinstance(x, list) and len(x) == rows
+            and all(isinstance(row, list) and len(row) == cols for row in x)):
+        raise ValueError(f"expected a {rows} x {cols} matrix as nested lists")
+    for row in x:
+        for b in row:
+            if not (_is_int(b) and 0 <= b <= 1):
+                raise ValueError(f"{b!r} is not a bit, the integer 0 or 1")
+    return np.array(x, dtype=np.uint8).reshape(rows, cols)
 
 
 def load_model(path) -> CohModel:
-    """Load a JSON model file; validates shapes, entries that are the
-    integers 0 and 1, one lift key per tuple, d∘d = 0 and the group axioms
-    of an explicit table."""
+    """Load a JSON model file; validates the shapes that `dims` gives,
+    entries that are the integers 0 and 1, d∘d = 0, the group axioms of an
+    explicit table, and that every row of Ker d^n lifts to a cocycle."""
     with open(path) as fh:
         try:
             doc = json.load(fh, object_pairs_hook=_object)
         except ValueError as exc:
             raise ValueError(f"{path}: not a JSON model file ({exc})") from None
     try:
-        degree, dims = doc["degree"], doc["dims"]
+        n, dims = doc["degree"], doc["dims"]
         grp, diff_raw, lift_raw = doc["group"], doc["diff"], doc["lift"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed model file ({exc})") from None
-    if not _is_int(degree) or degree < 2:
-        raise ValueError(f"{path}: degree must be an integer >= 2, got {degree!r}")
+    if not _is_int(n) or n < 2:
+        raise ValueError(f"{path}: degree must be an integer >= 2, got {n!r}")
     if not (isinstance(dims, list) and len(dims) == 3
             and all(_is_int(x) and x >= 0 for x in dims)):
         raise ValueError(f"{path}: dims must be three integers >= 0, got {dims!r}")
@@ -272,41 +272,25 @@ def load_model(path) -> CohModel:
                              f"associativity, identity, inverse or Latin-square)")
     q, r, s = dims
     try:
-        d_lo = _bits(diff_raw[0]).reshape(q, r)
-        d_hi = _bits(diff_raw[1]).reshape(r, s)
+        d_lo = _matrix(diff_raw[0], q, r)
+        d_hi = _matrix(diff_raw[1], r, s)
     except (TypeError, KeyError, IndexError, ValueError) as exc:
         raise ValueError(f"{path}: bad codifferential data ({exc})") from None
-    v, n = group.order, degree
-    table = np.zeros((v ** n, r), dtype=np.uint8)
-    seen = np.zeros(v ** n, dtype=bool)
-    if not isinstance(lift_raw, dict):
-        raise ValueError(f"{path}: lift must map tuple keys to bit lists")
-    for key, bits in lift_raw.items():
-        try:
-            elems = [int(p) - 1 for p in key.split(",")]
-            row = _bits(bits)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{path}: bad lift entry {key!r} ({exc})") from None
-        if len(elems) != n:
-            raise ValueError(f"{path}: lift key {key!r} is not a {n}-tuple")
-        flat = 0
-        for e in elems:
-            if not (0 <= e < v):
-                raise ValueError(f"{path}: lift key {key!r} out of range")
-            flat = flat * v + e
-        if row.shape != (r,):
-            raise ValueError(f"{path}: lift value for {key!r} must be {r} bits")
-        if seen[flat]:
-            raise ValueError(f"{path}: lift key {key!r} repeats a tuple "
-                             f"of an earlier key")
-        table[flat] = row
-        seen[flat] = True
-    if not seen.all():
-        raise ValueError(f"{path}: lift table incomplete ({int((~seen).sum())} missing)")
     try:
-        return CohModel(group=group, degree=degree,
-                        dims={n - 1: q, n: r, n + 1: s},
-                        diff={n - 1: d_lo, n: d_hi},
-                        lift_table=table, tabulated=None)
+        table = _matrix(lift_raw, group.order ** n, r)
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad lift table ({exc})") from None
+    try:
+        model = CohModel(group=group, degree=n,
+                         dims={n - 1: q, n: r, n + 1: s},
+                         diff={n - 1: d_lo, n: d_hi},
+                         lift_table=table, tabulated=None)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    from .reduction import count_non_cocycles  # reduction imports this module
+    _, kernel = left_kernel(d_hi)
+    bad = count_non_cocycles(group, n, (kernel.astype(np.int64) @ table.T) % 2)
+    if bad:
+        raise ValueError(f"{path}: {bad} of the {len(kernel)} rows of Ker d^{n} "
+                         f"lift to cochains that are not cocycles")
+    return model

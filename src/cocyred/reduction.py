@@ -233,17 +233,6 @@ def _greedy_coboundaries(g: FiniteGroup, n: int, mode: str,
                         bit_rows(tail + [row for _, row in chosen], g.order ** n))
 
 
-def representative_cocycles(model: CohModel, n: int) -> CochainBasis:
-    """Representative degree-n cocycles lifted from the model.
-
-    Steps: rank/image of the lower codifferential from its Smith form
-    (first l rows of Q^-1), kernel of the upper one (last r-k rows of P),
-    first-fit selection of kernel rows outside the image span, then lift
-    through the model's projection coefficients.
-    """
-    return _lift_representatives(model, n, *_model_smith_forms(model, n))
-
-
 def _model_smith_forms(model: CohModel, n: int) -> tuple[SnfResult, SnfResult]:
     if n != model.degree:
         raise ValueError(f"model is for degree {model.degree}, not {n}")
@@ -253,6 +242,13 @@ def _model_smith_forms(model: CohModel, n: int) -> tuple[SnfResult, SnfResult]:
 
 def _lift_representatives(model: CohModel, n: int, snf_lo: SnfResult,
                           snf_hi: SnfResult) -> CochainBasis:
+    """Representative degree-n cocycles lifted from the model.
+
+    Steps: rank/image of the lower codifferential from its Smith form
+    (first l rows of Q^-1), kernel of the upper one (last r-k rows of P),
+    first-fit selection of kernel rows outside the image span, then lift
+    through the model's projection coefficients.
+    """
     l, k = snf_lo.rank, snf_hi.rank
     kernel_rows = snf_hi.P[k:]
     selected, _ = greedy_independent_rows(np.vstack([snf_lo.Qinv[:l], kernel_rows]))

@@ -27,10 +27,12 @@ hit masks.  A prefix is not a union of cosets and is walked mask by mask.
 
 One kernel, `_Kernel`, evaluates every predicate on a batch at once, with
 integer and bit operations only: packed popcount tests of every two
-sections along axis 0, then, for the improper and proper tests only, one
-pass over the unpacked bits of the products that pass, over one test list
-whose prefixes are the predicates (see `_Kernel`).  The predicates of
-`tensor.py` are the slow referee that the tests judge this kernel by.
+sections along axis 0, then, for the improper and proper tests at degree
+n >= 3 only, one pass over the unpacked bits of the products that pass,
+over one test list whose prefixes are the predicates (see `_Kernel`).
+The predicates of `tensor.py` are the slow referee that the tests judge
+this kernel by.  Witnesses are masks; `SearchSpace.combo_labels` names
+their rows.
 """
 
 from __future__ import annotations
@@ -121,7 +123,6 @@ class SearchSpace:
 @dataclass
 class Witness:
     mask: int
-    labels: list[str]
     passed: list[str]
 
 
@@ -177,12 +178,14 @@ class _Kernel:
     cocyclic matrix this is the row-sum test of Horadam and de Launey,
     and few products pass it.  Their survivors, `chunk` at a time, are
     tested on the pairs (i >= 1, j); that completes the planar Hadamard
-    test, so a degree-2 `hadamard2d` walk never unpacks.  Only for the
-    improper and proper tests are the products that pass unpacked, for
-    one pass over one test list: the sections along each later axis, then
-    the parallel rows of every pair of axes.  The three predicates are
-    prefixes of that list, so the numpy calls per batch do not grow with
-    v.
+    test, so a degree-2 walk never unpacks, whatever the predicate: a
+    square ±1 matrix with orthogonal rows has orthogonal columns, so at
+    n = 2 the improper and proper tests are the planar one.  At n >= 3,
+    only for the improper and proper tests are the products that pass
+    unpacked, for one pass over one test list: the sections along each
+    later axis, then the parallel rows of every pair of axes.  The three
+    predicates are prefixes of that list, so the numpy calls per batch do
+    not grow with v.
     """
 
     def __init__(self, space: SearchSpace):
@@ -200,12 +203,15 @@ class _Kernel:
         self.stages = [(x[:1], y[:1]), (x[1:v - 1], y[1:v - 1]),
                        (x[v - 1:], y[v - 1:])]
         # the unpacked tests, (axes moved, to where, segments per row): the
-        # sections along each later axis, then the rows of each pair of axes
-        self.tests = [((1 + a,), (1,), 1) for a in range(1, n)] \
+        # sections along each later axis, then the rows of each pair of axes;
+        # at n = 2 the packed pairs have decided all of them
+        self.tests = [] if n == 2 else (
+            [((1 + a,), (1,), 1) for a in range(1, n)]
             + [((1 + l, 1 + j), (1, n), self.length // v)
-               for l in range(n) for j in range(l + 1, n)]
+               for l in range(n) for j in range(l + 1, n)])
         # each predicate is a prefix of the unpacked tests
-        self.ends = {"hadamard2d": 0, "improper": n - 1, "proper": len(self.tests)}
+        self.ends = {"hadamard2d": 0, "improper": min(n - 1, len(self.tests)),
+                     "proper": len(self.tests)}
         groups = -(-space.m // 4)
         rows = np.zeros((4 * groups, width), dtype=np.uint64)
         rows[:space.m] = pack_rows(space.bits.reshape(
@@ -530,8 +536,7 @@ def enumerate_span(space: SearchSpace,
             counts[p] += c[p]
         merged.extend(items)
     merged.sort()
-    witnesses = [Witness(m, space.combo_labels(m), list(p))
-                 for m, p in merged[:max_witnesses]]
+    witnesses = [Witness(m, list(p)) for m, p in merged[:max_witnesses]]
     return SearchReport(examined=sum(r[0] for r in results), hits=counts,
                         witnesses=witnesses,
                         duration=time.perf_counter() - t0,

@@ -116,29 +116,63 @@ def test_g2_chain_map(t):
         assert (lhs == rhs.astype(np.uint8)).all()
 
 
-def test_save_load_roundtrip(tmp_path):
-    m = builtin_model(GroupSpec(Family.G1, 1), 2)
-    path = tmp_path / "g1.json"
-    save_model(m, path)
-    loaded = load_model(path)
+def assert_same_model(loaded, m):
     assert loaded.degree == m.degree
     assert loaded.dims == m.dims
+    assert loaded.diff.keys() == m.diff.keys()
     for i in m.diff:
+        assert loaded.diff[i].shape == m.diff[i].shape
         assert (loaded.diff[i] == m.diff[i]).all()
+    assert loaded.lift_table.shape == m.lift_table.shape
     assert (loaded.lift_table == m.lift_table).all()
-    assert loaded.group.order == m.group.order
     assert (loaded.group.mul == m.group.mul).all()
 
 
+def test_save_load_roundtrip(tmp_path):
+    path = tmp_path / "model.json"
+    for fam, deg in [(Family.G1, 2), (Family.G2, 2), (Family.D4T, 2),
+                     (Family.G1, 3), (Family.G2, 3), (Family.CYCLIC, 3)]:
+        for t in (1, 2):
+            m = builtin_model(GroupSpec(fam, t), deg)
+            save_model(m, path)
+            assert_same_model(load_model(path), m)
+
+
+def test_lift_is_stored_row_major(tmp_path):
+    # row k of the saved lift is the k-th n-tuple in row-major order, as in
+    # cochain bits: (0, 1), (0, 1) sits at 4e + e
+    m = builtin_model(GroupSpec(Family.G1, 1), 2)
+    path = tmp_path / "g1.json"
+    save_model(m, path)
+    doc = json.loads(path.read_text())
+    e = int(m.group.index_of((0, 1)))
+    assert doc["lift"][e * m.group.order + e] == [0, 0, 1]
+    assert doc["lift"] == m.lift_table.tolist()
+
+
+def test_roundtrip_with_no_lower_basis(tmp_path):
+    # q = 0: d^(n-1) has no rows and is saved as []; over Z_2 the lift is
+    # the cocycle f(a, b) = ab
+    zero = np.zeros((1, 1), dtype=np.uint8)
+    m = CohModel(group=build_group(GroupSpec(Family.CYCLIC, 1)), degree=2,
+                 dims={1: 0, 2: 1, 3: 1},
+                 diff={1: np.zeros((0, 1), dtype=np.uint8), 2: zero},
+                 lift_table=np.array([[0], [0], [0], [1]], dtype=np.uint8))
+    path = tmp_path / "q0.json"
+    save_model(m, path)
+    assert json.loads(path.read_text())["diff"][0] == []
+    assert_same_model(load_model(path), m)
+
+
 def test_cyclic_lift_table_counts(tmp_path):
-    # t=2, degree 3: full table has 64 entries, 12 of them nonzero
+    # t=2, degree 3: full table has 64 rows, 12 of them nonzero
     # (k odd and i+j >= 4: 2 * 6 tuples)
     m = builtin_model(GroupSpec(Family.CYCLIC, 2), 3)
     path = tmp_path / "cyc.json"
     save_model(m, path)
     doc = json.loads(path.read_text())
     assert len(doc["lift"]) == 64
-    nonzero = sum(1 for bits in doc["lift"].values() if any(bits))
+    nonzero = sum(1 for bits in doc["lift"] if any(bits))
     assert nonzero == 12
 
 
@@ -158,9 +192,10 @@ def test_load_rejects_incomplete_lift(tmp_path):
     path = tmp_path / "short.json"
     save_model(m, path)
     doc = json.loads(path.read_text())
-    doc["lift"].popitem()
+    doc["lift"].pop()
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="incomplete"):
+    with pytest.raises(ValueError, match=r"short.json: bad lift table "
+                                         r"\(expected a 16 x 3 matrix"):
         load_model(path)
 
 
@@ -169,23 +204,33 @@ def test_load_rejects_non_bit_entries(tmp_path):
     path = tmp_path / "bad_bits.json"
     save_model(m, path)
     doc = json.loads(path.read_text())
-    key = next(iter(doc["lift"]))
-    doc["lift"][key] = [2, 0, 0]
+    doc["lift"][0] = [2, 0, 0]
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"bad lift table \(2 is not a bit"):
         load_model(path)
 
 
-def _lift_as_list(doc):
-    doc["lift"] = [[0, 0, 0]]
+def test_load_rejects_lift_that_is_not_a_cocycle(tmp_path):
+    # over Z_2 with zero d, Ker d^2 is everything, and its one row lifts to
+    # the cochain that is 1 at the 1-based tuple (1, 2) only: d of it is 1
+    # at (1, 1, 2), so it is no cocycle
+    path = tmp_path / "cochain.json"
+    path.write_text(json.dumps({
+        "group": "cyclic:1", "degree": 2, "dims": [1, 1, 1],
+        "diff": [[[0]], [[0]]], "lift": [[0], [1], [0], [0]]}))
+    with pytest.raises(ValueError, match=r"cochain.json: 1 of the 1 rows of "
+                                         r"Ker d\^2 lift to cochains that are "
+                                         r"not cocycles"):
+        load_model(path)
 
 
-def _lift_key_not_int(doc):
-    doc["lift"]["a,1"] = doc["lift"].pop("1,1")
+def _lift_keyed(doc):
+    # the lift as an object keyed by 1-based comma-joined tuples
+    doc["lift"] = {"1,1": [0, 0, 0]}
 
 
 def _lift_bit_not_int(doc):
-    doc["lift"]["1,1"] = ["x", 0, 0]
+    doc["lift"][0] = ["x", 0, 0]
 
 
 def _degree_negative(doc):
@@ -198,7 +243,7 @@ def _dims_not_int(doc):
 
 def _degree_below_two(doc):
     doc["degree"] = 1
-    doc["lift"] = {k.partition(",")[0]: bits for k, bits in doc["lift"].items()}
+    doc["lift"] = doc["lift"][:4]
 
 
 def _group_spec_bad(doc):
@@ -213,18 +258,43 @@ def _diff_entry(value):
 
 def _lift_bit(value):
     def mutate(doc):
-        doc["lift"]["1,1"][0] = value
+        doc["lift"][0][0] = value
     return mutate
 
 
-def _lift_key_repeated(doc):
-    doc["lift"]["02,2"] = doc["lift"]["2,2"]
+def _transposed(x):
+    return [list(col) for col in zip(*x)]
+
+
+def _diff_transposed(doc):
+    doc["diff"][0] = _transposed(doc["diff"][0])
+
+
+def _diff_flat(doc):
+    doc["diff"][0] = sum(doc["diff"][0], [])
+
+
+def _lift_one_row_short(doc):
+    doc["lift"].pop()
+
+
+def _lift_transposed(doc):
+    doc["lift"] = _transposed(doc["lift"])
+
+
+def _lift_flat(doc):
+    doc["lift"] = sum(doc["lift"], [])
+
+
+# g1:1 at degree 2: dims (2, 3, 4), and the lift has 16 rows of 3 bits
+DIFF_SHAPE = r"bad codifferential data \(expected a 2 x 3 matrix as nested lists\)$"
+LIFT_SHAPE = r"bad lift table \(expected a 16 x 3 matrix as nested lists\)$"
 
 
 @pytest.mark.parametrize("mutate,match", [
-    (_lift_as_list, "lift must map"),
-    (_lift_key_not_int, "bad lift entry 'a,1'"),
-    (_lift_bit_not_int, "bad lift entry '1,1'"),
+    pytest.param(_lift_keyed, LIFT_SHAPE, id="lift-keyed-object"),
+    pytest.param(_lift_bit_not_int, r"bad lift table \('x' is not",
+                 id="lift-bit-word"),
     (None, "not a JSON model file"),
     pytest.param(_degree_negative, "degree must be an integer >= 2, got -1",
                  id="degree-negative"),
@@ -243,12 +313,19 @@ def _lift_key_repeated(doc):
                  id="diff-str"),
     pytest.param(_diff_entry(-1), r"bad codifferential data \(-1 is not",
                  id="diff-negative"),
-    pytest.param(_lift_bit(1.9), r"bad lift entry '1,1' \(1\.9 is not",
+    pytest.param(_diff_transposed, DIFF_SHAPE, id="diff-transposed"),
+    pytest.param(_diff_flat, DIFF_SHAPE, id="diff-flat"),
+    pytest.param(_lift_bit(1.5), r"bad lift table \(1\.5 is not",
                  id="lift-bit-float"),
-    pytest.param(_lift_bit("1"), r"bad lift entry '1,1' \('1' is not",
+    pytest.param(_lift_bit(True), r"bad lift table \(True is not",
+                 id="lift-bit-bool"),
+    pytest.param(_lift_bit("1"), r"bad lift table \('1' is not",
                  id="lift-bit-str"),
-    pytest.param(_lift_key_repeated, "lift key '02,2' repeats a tuple",
-                 id="lift-key-repeated")])
+    pytest.param(_lift_bit(-1), r"bad lift table \(-1 is not",
+                 id="lift-bit-negative"),
+    pytest.param(_lift_one_row_short, LIFT_SHAPE, id="lift-one-row-short"),
+    pytest.param(_lift_transposed, LIFT_SHAPE, id="lift-transposed"),
+    pytest.param(_lift_flat, LIFT_SHAPE, id="lift-flat")])
 def test_load_rejects_malformed_lift_or_json(tmp_path, mutate, match):
     m = builtin_model(GroupSpec(Family.G1, 1), 2)
     path = tmp_path / "malformed.json"
@@ -268,9 +345,9 @@ def test_load_rejects_repeated_json_key(tmp_path):
     m = builtin_model(GroupSpec(Family.G1, 1), 2)
     path = tmp_path / "twice.json"
     save_model(m, path)
-    text = path.read_text().replace('"lift": {', '"lift": {"1,1": [1, 0, 0], ')
+    text = path.read_text().replace('"degree": 2', '"degree": 3, "degree": 2')
     path.write_text(text)
-    with pytest.raises(ValueError, match="twice.json: .*key '1,1' given twice"):
+    with pytest.raises(ValueError, match="twice.json: .*key 'degree' given twice"):
         load_model(path)
 
 
@@ -284,11 +361,12 @@ def test_load_explicit_table_group(tmp_path):
     path.write_text(json.dumps(doc))
     loaded = load_model(path)
     assert loaded.group.spec is None
-    assert (loaded.lift_table == m.lift_table).all()
+    assert_same_model(loaded, m)
     path2 = tmp_path / "table2.json"
     save_model(loaded, path2)
     again = load_model(path2)
-    assert (again.group.mul == loaded.group.mul).all()
+    assert again.group.spec is None
+    assert_same_model(again, m)
 
 
 def table_model(mul):

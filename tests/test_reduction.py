@@ -15,7 +15,7 @@ from cocyred.reduction import (ORACLE_BYTES, Cochain, OracleSizeError,
                                coboundary_basis, coboundary_generator,
                                coboundary_matrix, codifferential_words,
                                count_non_cocycles, full_cocycle_basis,
-                               oracle_bytes, representative_cocycles)
+                               oracle_bytes)
 from cocyred.search import SearchSpace
 from cocyred.verify import (closed_form_rep_tensors, product_identity_holds,
                             run_verify)
@@ -231,7 +231,7 @@ def test_all_mode_spans_full_coboundary_image(spec, n):
 ])
 def test_reps_match_closed_forms(fam, t, deg):
     model = builtin_model(GroupSpec(fam, t), deg)
-    reps = representative_cocycles(model, deg)
+    reps = full_cocycle_basis(model, deg).reps
     expected = closed_form_rep_tensors(GroupSpec(fam, t), deg)
     assert len(reps) == len(expected)
     for (_, c), exp in zip(reps.entries, expected):
@@ -240,8 +240,8 @@ def test_reps_match_closed_forms(fam, t, deg):
 
 def test_representative_degree_mismatch():
     model = builtin_model(GroupSpec(Family.G1, 1), 2)
-    with pytest.raises(ValueError):
-        representative_cocycles(model, 3)
+    with pytest.raises(ValueError, match="model is for degree 2, not 3"):
+        full_cocycle_basis(model, 3)
 
 
 def test_full_basis_counts():

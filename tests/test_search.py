@@ -513,14 +513,17 @@ def test_equal_sections_fail_in_the_survivor_pass(v, n, i, j):
 
 
 def test_degree2_hadamard_walks_never_unpack(monkeypatch):
-    # a hadamard2d walk is decided on packed axis-0 sections alone
+    # a degree-2 walk is decided on packed axis-0 sections alone, whatever
+    # the predicate: orthogonal rows of a square ±1 matrix make its columns
+    # orthogonal too
     def refuse(self, prod):
-        raise AssertionError("a hadamard2d walk unpacked its products")
+        raise AssertionError("a degree-2 walk unpacked its products")
 
     space = space_for(Family.D4T, 3, 2, mode="normalized")
     monkeypatch.setattr(search_mod._Kernel, "bits", refuse)
-    expect = assert_walk_matches_referees(space, ("hadamard2d",))
-    assert len(expect) == 72
+    for predicates in [("hadamard2d",), ("improper", "proper"), ("proper",)]:
+        expect = assert_walk_matches_referees(space, predicates)
+        assert len(expect) == 72, predicates
 
 
 def test_unpacked_products_have_orthogonal_axis0_sections(monkeypatch):
