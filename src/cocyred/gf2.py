@@ -144,22 +144,19 @@ class SnfResult:
     D: np.ndarray
     P: np.ndarray
     Q: np.ndarray
-    Qinv: np.ndarray
     rank: int
 
 
 def smith_normal_form_gf2(m) -> SnfResult:
-    """Rank normal form D = P·M·Q over GF(2), with P, Q and Q^-1.
+    """Rank normal form D = P·M·Q over GF(2), with P and Q.
 
     Over a field the Smith form is I_rank ⊕ 0; P and Q are accumulated from
-    the elementary operations (transvections and swaps are self-inverse, so
-    Q^-1 is accumulated alongside rather than inverted afterwards).
+    the elementary operations.
     """
     d = as_bits(m).copy()
     q_rows, r_cols = d.shape
     p = np.eye(q_rows, dtype=np.uint8)
     q = np.eye(r_cols, dtype=np.uint8)
-    qinv = np.eye(r_cols, dtype=np.uint8)
 
     rank = 0
     while True:
@@ -174,7 +171,6 @@ def smith_normal_form_gf2(m) -> SnfResult:
         if j != rank:
             d[:, [rank, j]] = d[:, [j, rank]]
             q[:, [rank, j]] = q[:, [j, rank]]
-            qinv[[rank, j]] = qinv[[j, rank]]
         # clear the pivot column with row ops, then the pivot row with column ops
         rows = np.nonzero(d[:, rank])[0]
         rows = rows[rows != rank]
@@ -186,10 +182,9 @@ def smith_normal_form_gf2(m) -> SnfResult:
         if cols.size:
             d[:, cols] ^= d[:, [rank]]
             q[:, cols] ^= q[:, [rank]]
-            qinv[rank] ^= (qinv[cols].sum(axis=0) & 1).astype(np.uint8)
         rank += 1
 
-    return SnfResult(D=d, P=p, Q=q, Qinv=qinv, rank=rank)
+    return SnfResult(D=d, P=p, Q=q, rank=rank)
 
 
 def left_kernel(m) -> tuple[int, np.ndarray]:

@@ -7,13 +7,15 @@ Families (t >= 1):
 * ``d4t``    -- the dihedral group D_4t = Z_2 semidirect Z_2t, order 4t
 * ``cyclic`` -- Z_2t, order 2t
 
-Elements are indexed 0..v-1 internally; index 0 is the identity.  The
-index <-> coordinate maps follow the row-major product ordering, so that
-index+1 reproduces the 1..|G| labeling used in all printed output.
+Elements are indexed 0..v-1 internally; index 0 is the identity.  Index i
+has the mixed-radix coordinates `np.unravel_index(i, spec.radices)` (the
+row-major product ordering), so index+1 reproduces the 1..|G| labeling
+used in all printed output.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,8 +39,15 @@ class GroupSpec:
             raise ValueError(f"t must be >= 1, got {self.t}")
 
     @property
+    def radices(self) -> tuple[int, ...]:
+        """The family's coordinate form: coordinate p runs over Z_radices[p]."""
+        t = self.t
+        return {Family.G1: (2 * t, 2), Family.G2: (t, 2, 2),
+                Family.D4T: (2, 2 * t), Family.CYCLIC: (2 * t,)}[self.family]
+
+    @property
     def order(self) -> int:
-        return 2 * self.t if self.family is Family.CYCLIC else 4 * self.t
+        return math.prod(self.radices)
 
     def __str__(self) -> str:
         return f"{self.family.value}:{self.t}"
@@ -90,34 +99,16 @@ class FiniteGroup:
 
     def coords_of(self, idx: np.ndarray | int):
         """Coordinates of element indices in the family's product form."""
-        if self.spec is None:
-            raise ValueError("table-built group has no coordinate form")
-        idx = np.asarray(idx)
-        t = self.spec.t
-        fam = self.spec.family
-        if fam is Family.G1:
-            return idx // 2, idx % 2
-        if fam is Family.G2:
-            return idx // 4, (idx // 2) % 2, idx % 2
-        if fam is Family.D4T:
-            return idx // (2 * t), idx % (2 * t)
-        return (idx,)
+        return np.unravel_index(idx, self._radices())
 
     def index_of(self, coords) -> np.ndarray:
+        """Element indices of coordinates; raises if one is out of range."""
+        return np.asarray(np.ravel_multi_index(tuple(coords), self._radices()))
+
+    def _radices(self) -> tuple[int, ...]:
         if self.spec is None:
             raise ValueError("table-built group has no coordinate form")
-        t = self.spec.t
-        fam = self.spec.family
-        if fam is Family.G1:
-            i1, i2 = coords
-            return np.asarray(2 * i1 + i2)
-        if fam is Family.G2:
-            i1, i2, i3 = coords
-            return np.asarray(4 * i1 + 2 * i2 + i3)
-        if fam is Family.D4T:
-            i1, i2 = coords
-            return np.asarray(2 * t * i1 + i2)
-        return np.asarray(coords[0])
+        return self.spec.radices
 
     def __repr__(self) -> str:
         tag = self.spec if self.spec is not None else "table"
@@ -125,32 +116,21 @@ class FiniteGroup:
 
 
 def build_group(spec: GroupSpec) -> FiniteGroup:
-    """Materialize the multiplication table for a family spec."""
-    t = spec.t
-    v = spec.order
-    a = np.arange(v)
-    fam = spec.family
-    if fam is Family.G1:
-        i1, i2 = a // 2, a % 2
-        mul = 2 * ((i1[:, None] + i1[None, :]) % (2 * t)) + (i2[:, None] ^ i2[None, :])
-    elif fam is Family.G2:
-        i1, i2, i3 = a // 4, (a // 2) % 2, a % 2
-        mul = (4 * ((i1[:, None] + i1[None, :]) % t)
-               + 2 * (i2[:, None] ^ i2[None, :])
-               + (i3[:, None] ^ i3[None, :]))
-    elif fam is Family.D4T:
+    """Materialize the multiplication table for a family spec: coordinates
+    add modulo their radix, with one twist for d4t."""
+    radices = spec.radices
+    coords = np.unravel_index(np.arange(spec.order), radices)
+    left = [c[:, None] for c in coords]
+    right = [c[None, :] for c in coords]
+    prod = [(x + y) % m for x, y, m in zip(left, right, radices)]
+    if spec.family is Family.D4T:
         # (i1, i2) * (j1, j2) = (i1 + j1 mod 2, i2 + (-1)^i1 * j2 mod 2t):
         # the flip part of the LEFT operand twists the rotation of the right.
         # This is the unique orientation under which every lifted dual basis
         # element satisfies the 2-cocycle condition (checked by `verify`);
         # the mirror convention fails for the third basis element at t >= 2.
-        i1, i2 = a // (2 * t), a % (2 * t)
-        sign = 1 - 2 * i1[:, None]
-        mul = (2 * t * ((i1[:, None] + i1[None, :]) % 2)
-               + (i2[:, None] + sign * i2[None, :]) % (2 * t))
-    else:
-        mul = (a[:, None] + a[None, :]) % (2 * t)
-    return FiniteGroup(spec, mul)
+        prod[1] = (left[1] + (1 - 2 * left[0]) * right[1]) % radices[1]
+    return FiniteGroup(spec, np.ravel_multi_index(prod, radices))
 
 
 def group_axioms_hold(g: FiniteGroup) -> bool:

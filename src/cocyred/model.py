@@ -8,8 +8,9 @@ to a bar tuple [g_1|...|g_n].  Lifting a coordinate row c therefore gives
 the cochain  tuple |-> <c, lift(tuple)> mod 2.
 
 Built-in data exists for (g1, g2, d4t) at degree 2 and (g1, g2, cyclic) at
-degree 3.  Coefficients of the form "t * basis element" are stored already
-reduced mod 2, so the matrices depend only on the parity of t.
+degree 3, one row of `BUILTIN` each.  Coefficients of the form "t * basis
+element" are stored already reduced mod 2, so the matrices depend only on
+the parity of t.
 
 Models can also be loaded from JSON files carrying an explicit lift table;
 see `save_model` / `load_model`.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,26 +31,6 @@ from .groups import (Family, FiniteGroup, GroupSpec, build_group,
 
 class ModelUnavailableError(ValueError):
     """Raised when no built-in model exists for a (family, degree) pair."""
-
-
-#: (family, degree, t parity) -> (rank of lower codifferential l,
-#: rank of upper codifferential k, tabulated cohomology dimension).
-#: The tabulated dimension is what the source tables print; for (g2, 3, odd)
-#: it disagrees with r - k - l = 4 and is surfaced as a warning downstream.
-TABULATED = {
-    (Family.G1, 2, 0): (0, 0, 3),
-    (Family.G1, 2, 1): (0, 0, 3),
-    (Family.D4T, 2, 0): (0, 0, 3),
-    (Family.D4T, 2, 1): (0, 0, 3),
-    (Family.G2, 2, 0): (0, 0, 6),
-    (Family.G2, 2, 1): (1, 2, 3),
-    (Family.G1, 3, 0): (0, 0, 4),
-    (Family.G1, 3, 1): (0, 0, 4),
-    (Family.G2, 3, 0): (0, 0, 10),
-    (Family.G2, 3, 1): (2, 4, 3),
-    (Family.CYCLIC, 3, 0): (0, 0, 1),
-    (Family.CYCLIC, 3, 1): (0, 0, 1),
-}
 
 
 @dataclass
@@ -70,127 +52,112 @@ class CohModel:
         if self.lift_table.shape != (self.group.order ** n, r):
             raise ValueError("lift table has wrong shape")
 
-
-def _coord_grids(g: FiniteGroup, n: int):
-    """Per-tuple coordinate arrays, each of shape (v,)*n per tuple slot."""
-    v = g.order
-    idx = np.indices((v,) * n)  # idx[p] = element index in slot p
-    return [g.coords_of(idx[p]) for p in range(n)]
-
-
-def _lift_bits_g1(g: FiniteGroup, n: int) -> np.ndarray:
-    t = g.spec.t
-    if n == 2:
-        (i1, i2), (j1, j2) = _coord_grids(g, 2)
-        cols = [i1 + j1 >= 2 * t, (i1 * j2) % 2, i2 + j2 >= 2]
-    else:
-        (i1, i2), (j1, j2), (k1, k2) = _coord_grids(g, 3)
-        cols = [(k1 * (i1 + j1 >= 2 * t)) % 2,
-                (k2 * (i1 + j1 >= 2 * t)) % 2,
-                (i1 * (j2 + k2 >= 2)) % 2,
-                (k2 * (i2 + j2 >= 2)) % 2]
-    return np.stack([np.asarray(c, dtype=np.uint8).ravel() for c in cols], axis=1)
+    def lift(self, coords) -> np.ndarray:
+        """The cochains of (k, r) coordinate rows, as a (k, v**n) uint8
+        matrix: row c is the cochain tuple |-> <c, lift(tuple)> mod 2."""
+        return ((np.asarray(coords, dtype=np.int64) @ self.lift_table.T) % 2
+                ).astype(np.uint8)
 
 
-def _lift_bits_g2(g: FiniteGroup, n: int) -> np.ndarray:
-    # The printed e_1 / v_1 condition "i1 + j2 >= t" contradicts the closed
-    # form BN_t ⊗ 1_4; the consistent condition uses j1.
-    t = g.spec.t
-    if n == 2:
-        (i1, i2, i3), (j1, j2, j3) = _coord_grids(g, 2)
-        cols = [i1 + j1 >= t,
-                (i1 * j2) % 2,
-                (i1 * j3) % 2,
-                i2 + j2 >= 2,
-                (i2 * j3) % 2,
-                i3 + j3 >= 2]
-    else:
-        (i1, i2, i3), (j1, j2, j3), (k1, k2, k3) = _coord_grids(g, 3)
-        cols = [(k1 * (i1 + j1 >= t)) % 2,
-                (k2 * (i1 + j1 >= t)) % 2,
-                (k3 * (i1 + j1 >= t)) % 2,
-                (i1 * (j2 + k2 >= 2)) % 2,
-                (i1 * j2 * k3) % 2,
-                (i1 * (j3 + k3 >= 2)) % 2,
-                (k2 * (i2 + j2 >= 2)) % 2,
-                (k3 * (i2 + j2 >= 2)) % 2,
-                (i2 * (j3 + k3 >= 2)) % 2,
-                (k3 * (i3 + j3 >= 2)) % 2]
-    return np.stack([np.asarray(c, dtype=np.uint8).ravel() for c in cols], axis=1)
+def _lift_g1_2(t, i, j):
+    (i1, i2), (j1, j2) = i, j
+    return [i1 + j1 >= 2 * t, i1 * j2, i2 + j2 >= 2]
 
 
-def _lift_bits_d4t(g: FiniteGroup) -> np.ndarray:
-    # Inner brackets over Z with the marked mod-2t reductions; one global
-    # mod-2 reduction at the end.
-    t = g.spec.t
+def _lift_g1_3(t, i, j, k):
+    (i1, i2), (j1, j2), (k1, k2) = i, j, k
+    return [k1 * (i1 + j1 >= 2 * t), k2 * (i1 + j1 >= 2 * t),
+            i1 * (j2 + k2 >= 2), k2 * (i2 + j2 >= 2)]
+
+
+# The printed e_1 / v_1 condition "i1 + j2 >= t" of g2 contradicts the
+# closed form BN_t ⊗ 1_4; the consistent condition uses j1.
+
+def _lift_g2_2(t, i, j):
+    (i1, i2, i3), (j1, j2, j3) = i, j
+    return [i1 + j1 >= t, i1 * j2, i1 * j3, i2 + j2 >= 2, i2 * j3, i3 + j3 >= 2]
+
+
+def _lift_g2_3(t, i, j, k):
+    (i1, i2, i3), (j1, j2, j3), (k1, k2, k3) = i, j, k
+    return [k1 * (i1 + j1 >= t), k2 * (i1 + j1 >= t), k3 * (i1 + j1 >= t),
+            i1 * (j2 + k2 >= 2), i1 * j2 * k3, i1 * (j3 + k3 >= 2),
+            k2 * (i2 + j2 >= 2), k3 * (i2 + j2 >= 2), i2 * (j3 + k3 >= 2),
+            k3 * (i3 + j3 >= 2)]
+
+
+def _lift_d4t_2(t, i, j):
+    # Inner brackets over Z with the marked mod-2t reductions.
+    (i1, i2), (j1, j2) = i, j
     m = 2 * t
-    (i1, i2), (j1, j2) = _coord_grids(g, 2)
-    i1 = i1.astype(np.int64); i2 = i2.astype(np.int64)
-    j1 = j1.astype(np.int64); j2 = j2.astype(np.int64)
-    e1 = i1 * j1
-    e2 = (-j1 * ((-1) ** i1) * i2) % m
     twist = (((-1) ** (i1 + j1)) * i2) % m
-    e3 = (((((-1) ** j1) * j2) % m + twist) >= m).astype(np.int64) \
-        + j1 * (i2 >= 1) * (twist - 1)
-    cols = [e1 % 2, e2 % 2, e3 % 2]
-    return np.stack([np.asarray(c, dtype=np.uint8).ravel() for c in cols], axis=1)
+    return [i1 * j1,
+            (-j1 * ((-1) ** i1) * i2) % m,
+            ((((-1) ** j1) * j2) % m + twist >= m) + j1 * (i2 >= 1) * (twist - 1)]
 
 
-def _lift_bits_cyclic(g: FiniteGroup) -> np.ndarray:
-    t = g.spec.t
-    (i,), (j,), (k,) = _coord_grids(g, 3)
-    bit = (k * (i + j >= 2 * t)) % 2
-    return np.asarray(bit, dtype=np.uint8).reshape(-1, 1)
+def _lift_cyclic_3(t, i, j, k):
+    return [k[0] * (i[0] + j[0] >= 2 * t)]
+
+
+class Builtin(NamedTuple):
+    """One built-in model: dims (q, r, s) of degrees n-1, n, n+1; the
+    diagonal positions of d^(n-1) and d^n whose entry is t mod 2 (all other
+    entries are 0); the lift builder, which maps t and the coordinates of
+    the n tuple slots (arrays over the v**n tuples) to the r brackets of the
+    model projection, taken mod 2 afterwards; and the printed (l, k, hdim)
+    for even and for odd t."""
+    dims: tuple[int, int, int]
+    lower: tuple[int, ...]
+    upper: tuple[int, ...]
+    lift: Callable
+    even: tuple[int, int, int]
+    odd: tuple[int, int, int]
+
+
+#: The built-in models by (family, degree).  The printed hdim of (g2, 3,
+#: odd t) disagrees with r - k - l = 4 and is surfaced as a warning
+#: downstream.
+BUILTIN = {
+    (Family.G1, 2): Builtin((2, 3, 4), (), (), _lift_g1_2, (0, 0, 3), (0, 0, 3)),
+    (Family.D4T, 2): Builtin((2, 3, 4), (), (), _lift_d4t_2, (0, 0, 3), (0, 0, 3)),
+    (Family.G2, 2): Builtin((3, 6, 10), (0,), (1, 2), _lift_g2_2,
+                            (0, 0, 6), (1, 2, 3)),
+    (Family.G1, 3): Builtin((3, 4, 5), (), (), _lift_g1_3, (0, 0, 4), (0, 0, 4)),
+    (Family.G2, 3): Builtin((6, 10, 15), (1, 2), (0, 3, 4, 5), _lift_g2_3,
+                            (0, 0, 10), (2, 4, 3)),
+    (Family.CYCLIC, 3): Builtin((1, 1, 1), (), (), _lift_cyclic_3,
+                                (0, 0, 1), (0, 0, 1)),
+}
 
 
 def builtin_model(spec: GroupSpec, degree: int) -> CohModel:
     """The built-in model for (spec, degree); raises ModelUnavailableError
     for pairs with no built-in data."""
-    fam, t = spec.family, spec.t
-    par = t % 2
-    g = build_group(spec)
-    if degree == 2 and fam in (Family.G1, Family.D4T):
-        dims = {1: 2, 2: 3, 3: 4}
-        d1 = np.zeros((2, 3), dtype=np.uint8)
-        d2 = np.zeros((3, 4), dtype=np.uint8)
-        lift = _lift_bits_g1(g, 2) if fam is Family.G1 else _lift_bits_d4t(g)
-        diff = {1: d1, 2: d2}
-    elif degree == 2 and fam is Family.G2:
-        dims = {1: 3, 2: 6, 3: 10}
-        d1 = np.zeros((3, 6), dtype=np.uint8)
-        d1[0, 0] = par
-        d2 = np.zeros((6, 10), dtype=np.uint8)
-        d2[1, 1] = par
-        d2[2, 2] = par
-        lift = _lift_bits_g2(g, 2)
-        diff = {1: d1, 2: d2}
-    elif degree == 3 and fam is Family.G1:
-        dims = {2: 3, 3: 4, 4: 5}
-        diff = {2: np.zeros((3, 4), dtype=np.uint8), 3: np.zeros((4, 5), dtype=np.uint8)}
-        lift = _lift_bits_g1(g, 3)
-    elif degree == 3 and fam is Family.G2:
-        dims = {2: 6, 3: 10, 4: 15}
-        d2 = np.zeros((6, 10), dtype=np.uint8)
-        d2[1, 1] = par
-        d2[2, 2] = par
-        d3 = np.zeros((10, 15), dtype=np.uint8)
-        for m in (0, 3, 4, 5):
-            d3[m, m] = par
-        diff = {2: d2, 3: d3}
-        lift = _lift_bits_g2(g, 3)
-    elif degree == 3 and fam is Family.CYCLIC:
-        dims = {2: 1, 3: 1, 4: 1}
-        diff = {2: np.zeros((1, 1), dtype=np.uint8), 3: np.zeros((1, 1), dtype=np.uint8)}
-        lift = _lift_bits_cyclic(g)
-    else:
+    row = BUILTIN.get((spec.family, degree))
+    if row is None:
         raise ModelUnavailableError(
             f"no built-in model for this family/degree pair ({spec}, degree {degree})"
         )
-    return CohModel(group=g, degree=degree, dims=dims, diff=diff,
-                    lift_table=lift, tabulated=TABULATED[(fam, degree, par)])
+    n, par = degree, spec.t % 2
+    q, r, s = row.dims
+    diff = {n - 1: np.zeros((q, r), np.uint8), n: np.zeros((r, s), np.uint8)}
+    for j, at in ((n - 1, row.lower), (n, row.upper)):
+        diff[j][list(at), list(at)] = par
+    g = build_group(spec)
+    brackets = row.lift(spec.t, *map(g.coords_of, np.indices((g.order,) * n)))
+    lift = np.stack([np.ravel(b) % 2 for b in brackets], axis=1).astype(np.uint8)
+    return CohModel(group=g, degree=n, dims={n - 1: q, n: r, n + 1: s},
+                    diff=diff, lift_table=lift,
+                    tabulated=row.odd if par else row.even)
 
 
 # -- model files ---------------------------------------------------------
+
+
+#: The top-level keys that `save_model` writes; `load_model` requires them
+#: all and rejects any other.
+MODEL_KEYS = ("group", "degree", "dims", "diff", "lift")
 
 
 def save_model(model: CohModel, path) -> None:
@@ -238,9 +205,10 @@ def _matrix(x, rows: int, cols: int) -> np.ndarray:
 
 
 def load_model(path) -> CohModel:
-    """Load a JSON model file; validates the shapes that `dims` gives,
-    entries that are the integers 0 and 1, d∘d = 0, the group axioms of an
-    explicit table, and that every row of Ker d^n lifts to a cocycle."""
+    """Load a JSON model file; validates its keys, the shapes that `dims`
+    gives, entries that are the integers 0 and 1, d∘d = 0, the group axioms
+    of an explicit table, and that every row of Ker d^n lifts to a
+    cocycle."""
     with open(path) as fh:
         try:
             doc = json.load(fh, object_pairs_hook=_object)
@@ -251,6 +219,9 @@ def load_model(path) -> CohModel:
         grp, diff_raw, lift_raw = doc["group"], doc["diff"], doc["lift"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed model file ({exc})") from None
+    extra = sorted(doc.keys() - MODEL_KEYS)
+    if extra:
+        raise ValueError(f"{path}: unknown keys {extra}, not in {MODEL_KEYS}")
     if not _is_int(n) or n < 2:
         raise ValueError(f"{path}: degree must be an integer >= 2, got {n!r}")
     if not (isinstance(dims, list) and len(dims) == 3
@@ -272,9 +243,11 @@ def load_model(path) -> CohModel:
                              f"associativity, identity, inverse or Latin-square)")
     q, r, s = dims
     try:
+        if not (isinstance(diff_raw, list) and len(diff_raw) == 2):
+            raise ValueError("expected a list of two matrices")
         d_lo = _matrix(diff_raw[0], q, r)
         d_hi = _matrix(diff_raw[1], r, s)
-    except (TypeError, KeyError, IndexError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: bad codifferential data ({exc})") from None
     try:
         table = _matrix(lift_raw, group.order ** n, r)
@@ -289,7 +262,7 @@ def load_model(path) -> CohModel:
         raise ValueError(f"{path}: {exc}") from None
     from .reduction import count_non_cocycles  # reduction imports this module
     _, kernel = left_kernel(d_hi)
-    bad = count_non_cocycles(group, n, (kernel.astype(np.int64) @ table.T) % 2)
+    bad = count_non_cocycles(group, n, model.lift(kernel))
     if bad:
         raise ValueError(f"{path}: {bad} of the {len(kernel)} rows of Ker d^{n} "
                          f"lift to cochains that are not cocycles")

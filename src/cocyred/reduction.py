@@ -244,21 +244,19 @@ def _lift_representatives(model: CohModel, n: int, snf_lo: SnfResult,
                           snf_hi: SnfResult) -> CochainBasis:
     """Representative degree-n cocycles lifted from the model.
 
-    Steps: rank/image of the lower codifferential from its Smith form
-    (first l rows of Q^-1), kernel of the upper one (last r-k rows of P),
-    first-fit selection of kernel rows outside the image span, then lift
+    Steps: kernel of the upper codifferential from its Smith form (last
+    r-k rows of P), first-fit selection of kernel rows outside the image of
+    the lower one (spanned by the rows of d^(n-1), rank l), then lift
     through the model's projection coefficients.
     """
-    l, k = snf_lo.rank, snf_hi.rank
+    l, k, q = snf_lo.rank, snf_hi.rank, model.dims[n - 1]
     kernel_rows = snf_hi.P[k:]
-    selected, _ = greedy_independent_rows(np.vstack([snf_lo.Qinv[:l], kernel_rows]))
-    kept = kernel_rows[[i - l for i in selected if i >= l]]
+    selected, _ = greedy_independent_rows(np.vstack([model.diff[n - 1], kernel_rows]))
+    kept = kernel_rows[[i - q for i in selected if i >= q]]
     if len(kept) != model.dims[n] - k - l:
         raise AssertionError("kernel filtering did not yield r-k-l representatives")
-
-    bits = ((kept.astype(np.int64) @ model.lift_table.T) % 2).astype(np.uint8)
     return CochainBasis([f"rep:{m}" for m in range(1, len(kept) + 1)],
-                        model.group.order, n, bits)
+                        model.group.order, n, model.lift(kept))
 
 
 def default_mode(n: int) -> str:

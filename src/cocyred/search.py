@@ -56,6 +56,8 @@ MAX_EXHAUSTIVE_BITS = 62
 # Bytes one `_scan` call may hold in its XOR tables plus one batch's
 # temporaries, which sets the batch and survivor chunk sizes.  A batch gets
 # at least a quarter of it, so the bound is tables + max(rest, quarter).
+# It does not cover the witness heap (up to `max_witnesses` masks) or the
+# per-batch `passed` lists of the hits, which grow with the hits.
 SCAN_BYTES = 1 << 19
 
 # Fewest combinations per worker that pay for starting a process pool;

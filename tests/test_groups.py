@@ -82,6 +82,16 @@ def test_coords_roundtrip(fam):
     assert (g.index_of(g.coords_of(idx)) == idx).all()
 
 
+def test_index_of_rejects_out_of_range_coordinates():
+    # (2t, 2) at t = 2: the first coordinate runs over 0..3
+    g = build_group(GroupSpec(Family.G1, 2))
+    assert int(g.index_of((3, 1))) == 7
+    with pytest.raises(ValueError):
+        g.index_of((4, 0))
+    with pytest.raises(ValueError):
+        g.index_of((0, 2))
+
+
 
 # A loop of order 5, the smallest order with a non-associative one: 0 is
 # the identity and every row and column is a permutation, but

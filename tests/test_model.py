@@ -286,8 +286,29 @@ def _lift_flat(doc):
     doc["lift"] = sum(doc["lift"], [])
 
 
+def _extra_key(doc):
+    doc["note"] = "ignored?"
+
+
+def _missing_key(doc):
+    del doc["dims"]
+
+
+def _diff_third_entry(doc):
+    doc["diff"].append("anything")
+
+
+def _diff_one_entry(doc):
+    doc["diff"].pop()
+
+
+def _diff_object(doc):
+    doc["diff"] = {"0": doc["diff"][0], "1": doc["diff"][1]}
+
+
 # g1:1 at degree 2: dims (2, 3, 4), and the lift has 16 rows of 3 bits
 DIFF_SHAPE = r"bad codifferential data \(expected a 2 x 3 matrix as nested lists\)$"
+DIFF_PAIR = r"bad codifferential data \(expected a list of two matrices"
 LIFT_SHAPE = r"bad lift table \(expected a 16 x 3 matrix as nested lists\)$"
 
 
@@ -325,7 +346,13 @@ LIFT_SHAPE = r"bad lift table \(expected a 16 x 3 matrix as nested lists\)$"
                  id="lift-bit-negative"),
     pytest.param(_lift_one_row_short, LIFT_SHAPE, id="lift-one-row-short"),
     pytest.param(_lift_transposed, LIFT_SHAPE, id="lift-transposed"),
-    pytest.param(_lift_flat, LIFT_SHAPE, id="lift-flat")])
+    pytest.param(_lift_flat, LIFT_SHAPE, id="lift-flat"),
+    pytest.param(_extra_key, r"unknown keys \['note'\]", id="extra-key"),
+    pytest.param(_missing_key, r"malformed model file \('dims'\)",
+                 id="missing-key"),
+    pytest.param(_diff_third_entry, DIFF_PAIR, id="diff-third-entry"),
+    pytest.param(_diff_one_entry, DIFF_PAIR, id="diff-one-entry"),
+    pytest.param(_diff_object, DIFF_PAIR, id="diff-object")])
 def test_load_rejects_malformed_lift_or_json(tmp_path, mutate, match):
     m = builtin_model(GroupSpec(Family.G1, 1), 2)
     path = tmp_path / "malformed.json"
