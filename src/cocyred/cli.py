@@ -68,7 +68,8 @@ def _build_parser() -> _Parser:
                     help="defaults to $COCYRED_WORKERS or 1")
     sp.add_argument("--sample", type=int, default=None, metavar="K",
                     help="sampled mode: draw K combinations")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="sampled mode: nonnegative generator seed")
     sp.add_argument("--dump", default=None, help="write witnesses as JSON")
     sp.add_argument("--max-witnesses", type=int, default=1024)
 

@@ -3,7 +3,9 @@
 Both modes are one walk over a stream of combination masks, taken in
 batches whose size follows from the byte budget `SCAN_BYTES`.  Exhaustive
 mode streams the reflected Gray codes g = i ^ (i >> 1) of an index range;
-sampled mode streams seeded `getrandbits(m)` draws.  The exhaustive index
+sampled mode streams seeded `getrandbits(m)` draws, a batch from one
+`getrandbits` call.  A stream yields only the masks' little-endian bytes;
+only a hit is decoded to an int.  The exhaustive index
 space may be partitioned across workers by its leading bits, walked in a
 process pool when each worker gets at least `POOL_MIN_COMBOS` of them and
 inline otherwise; counts and retained witnesses are independent of the
@@ -426,32 +428,41 @@ def _gray_batches(start: int, stop: int, size: int):
     for a in range(start, stop, size):
         i = np.arange(a, min(a + size, stop), dtype=np.int64)
         masks = i ^ (i >> 1)
-        yield masks, masks.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+        yield masks.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
 
 
 def _sampled_batches(rng: random.Random, m: int, count: int, size: int):
-    """`count` draws of `rng.getrandbits(m)`, in order, in batches."""
-    width = (m + 7) // 8
+    """`count` draws of `rng.getrandbits(m)`, in order, in batches of
+    little-endian mask bytes.  getrandbits(k) takes ceil(k/32) 32-bit
+    generator words, lowest first, and shifts only the last right by -k
+    mod 32, so one call for all of a batch's words, with each draw's last
+    word shifted, gives the same draws and leaves the same state."""
+    words, shift = -(-m // 32), -m % 32
     for a in range(0, count, size):
-        masks = [rng.getrandbits(m) for _ in range(min(size, count - a))]
-        raw = b"".join(x.to_bytes(width, "little") for x in masks)
-        yield masks, np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
+        c = min(size, count - a)
+        drawn = rng.getrandbits(32 * words * c).to_bytes(4 * words * c, "little")
+        rows = np.frombuffer(drawn, dtype="<u4").reshape(c, words)
+        if shift:
+            rows = rows.copy()
+            rows[:, -1] >>= shift
+        yield rows.view(np.uint8)[:, :(m + 7) // 8]
 
 
 def _scan(space: SearchSpace, predicates: tuple[str, ...], stream, cap: int,
           quotient: _Quotient | None = None):
     """Test the product of every mask of `stream(batch)`, an iterable of
-    (masks, their little-endian bytes) batches of rows of `space`; returns
-    the examined count, the hit counts and the `cap` smallest distinct hit
-    masks.  With a quotient, `space` is its complement and each mask
-    counts, and is offered as a witness, once per mask of its coset."""
+    batches of masks of rows of `space`, each an array of little-endian
+    mask bytes, one row per mask; returns the examined count, the hit
+    counts and the `cap` smallest distinct hit masks, decoding only the
+    hits to ints.  With a quotient, `space` is its complement and each
+    mask counts, and is offered as a witness, once per mask of its coset."""
     quotient = quotient or _Quotient(space, [])
     kernel = _Kernel(space)
     counts = dict.fromkeys(predicates, 0)
     heap = _WitnessHeap(cap)
     examined = 0
-    for masks, raw in stream(kernel.batch):
-        examined += len(masks) << quotient.dim
+    for raw in stream(kernel.batch):
+        examined += len(raw) << quotient.dim
         passed: dict[int, list[str]] = {}
         hits = kernel.hits(kernel.products(raw), predicates)
         for p, where in hits.items():
@@ -459,8 +470,9 @@ def _scan(space: SearchSpace, predicates: tuple[str, ...], stream, cap: int,
             for k in where.tolist():
                 passed.setdefault(k, []).append(p)
         for k, ps in passed.items():
-            for mask in quotient.expand(int(masks[k])):
-                heap.offer(mask, tuple(ps))
+            mask = int.from_bytes(raw[k].tobytes(), "little")
+            for original in quotient.expand(mask):
+                heap.offer(original, tuple(ps))
     return examined, counts, heap.items()
 
 
@@ -484,8 +496,9 @@ def enumerate_span(space: SearchSpace,
     2^m) combinations in Gray-code order and refuses when that count
     exceeds 2^62; a walk of all 2^m walks them modulo the separable
     combinations, with the same counts and witnesses.  Sampled mode draws
-    sample_count masks from a seeded generator.  Counts and witnesses are
-    independent of the worker count.
+    sample_count masks from a generator seeded with `seed` >= 0, the same
+    as sample_count calls of `random.Random(seed).getrandbits(m)`.  Counts
+    and witnesses are independent of the worker count.
     """
     predicates = tuple(predicates)
     for p in predicates:
@@ -494,7 +507,7 @@ def enumerate_span(space: SearchSpace,
     if "hadamard2d" in predicates and space.n != 2:
         raise ValueError("hadamard2d applies only to 2-dimensional spans")
     for name, count in (("sample_count", sample_count), ("limit", limit),
-                        ("max_witnesses", max_witnesses)):
+                        ("max_witnesses", max_witnesses), ("seed", seed)):
         if count is not None and count < 0:
             raise ValueError(f"{name} must be nonnegative, got {count}")
     t0 = time.perf_counter()

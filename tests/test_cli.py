@@ -72,6 +72,12 @@ def test_search_negative_sample_is_usage_error(capsys):
     assert code == 1 and out == "" and "nonnegative" in err
 
 
+def test_search_negative_seed_is_usage_error(capsys):
+    code, out, err = run(capsys, "search", "--group", "g1:1", "--degree", "3",
+                         "--test", "improper", "--sample", "4096", "--seed", "-1")
+    assert code == 1 and out == "" and "seed must be nonnegative" in err
+
+
 def test_search_negative_witness_cap_is_usage_error(capsys):
     code, out, err = run(capsys, "search", "--group", "g1:1", "--degree", "3",
                          "--test", "improper", "--max-witnesses", "-5")

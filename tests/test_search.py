@@ -260,8 +260,10 @@ def test_limit_applies_before_refusal():
         enumerate_span(space, ("hadamard2d",), limit=2 ** 62 + 1)
 
 
-@pytest.mark.parametrize("kwargs", ({"sample_count": -5}, {"limit": -1}))
+@pytest.mark.parametrize("kwargs", ({"sample_count": -5}, {"limit": -1},
+                                    {"sample_count": 5, "seed": -1}))
 def test_negative_counts_raise(kwargs):
+    # Random(-s) is seeded as Random(s), so a negative seed is refused
     space = space_for(Family.CYCLIC, 2, 3)
     with pytest.raises(ValueError, match="nonnegative"):
         enumerate_span(space, ("improper",), **kwargs)
@@ -683,6 +685,46 @@ def test_sampled_witnesses_are_distinct_masks():
     assert len(hit_draws) == 6
     assert [w.mask for w in report.witnesses] == sorted(set(hit_draws))
     assert len(report.witnesses) == 5
+
+
+@pytest.mark.parametrize("m", [0, 1, 5, 31, 32, 33, 63, 64, 65, 91, 96, 243])
+def test_sampled_stream_equals_per_draw_referee(m):
+    # one getrandbits call per batch gives the bytes of the per-draw
+    # getrandbits(m) referee and leaves the generator in its state
+    rng, referee = random.Random(m), random.Random(m)
+    batches = list(search_mod._sampled_batches(rng, m, 1000, 64))
+    assert [len(raw) for raw in batches] == [64] * 15 + [40]
+    rows = [row.tobytes() for raw in batches for row in raw]
+    width = (m + 7) // 8
+    assert rows == [referee.getrandbits(m).to_bytes(width, "little")
+                    for _ in range(1000)]
+    assert rng.getstate() == referee.getstate()
+
+
+def test_sampled_witnesses_above_bit_63():
+    # 64 distinct separable rows under g1:1's 15 rows (m = 79): a mask is a
+    # hit iff its top 15 bits are a g1:1 hit, so every hit has bits above 63
+    top = space_for(Family.G1, 1, 3)
+    f = np.random.default_rng(0).integers(0, 2, size=(400, 3, 4), dtype=np.uint8)
+    separable = (f[:, 0, :, None, None] ^ f[:, 1, None, :, None]
+                 ^ f[:, 2, None, None, :]).reshape(400, 64)
+    low = [row for row in np.unique(separable, axis=0)
+           if row.any() and not (row == top.bits).all(axis=1).any()][:64]
+    assert len(low) == 64
+    space = SearchSpace(v=4, n=3, labels=[f"s{i}" for i in range(64)] + top.labels,
+                        bits=np.vstack(low + [top.bits]))
+    predicates = ("improper", "proper")
+    rng = random.Random(2)
+    draws = [rng.getrandbits(space.m) for _ in range(8192)]
+    hits = [x for x in draws if is_improper_hadamard(space.combo_tensor(x))]
+    assert len(hits) > 5 and min(hits) >> 64
+    assert not any(is_proper_hadamard(space.combo_tensor(x)) for x in hits)
+    for cap in (1024, 3):
+        report = enumerate_span(space, predicates, sample_count=8192, seed=2,
+                                max_witnesses=cap)
+        assert report.hits == {"improper": len(hits), "proper": 0}
+        assert [(w.mask, w.passed) for w in report.witnesses] == \
+            [(x, ["improper"]) for x in sorted(set(hits))[:cap]]
 
 
 def test_witness_heap_ignores_held_masks():
