@@ -32,9 +32,15 @@ integer and bit operations only: packed popcount tests of every two
 sections along axis 0, then, for the improper and proper tests at degree
 n >= 3 only, one pass over the unpacked bits of the products that pass,
 over one test list whose prefixes are the predicates (see `_Kernel`).
-The predicates of `tensor.py` are the slow referee that the tests judge
-this kernel by.  Witnesses are masks; `SearchSpace.combo_labels` names
-their rows.
+From v = STAGE_MIN_V = 8 on, a walk is staged in two: it first forms only
+the head s_0 ^ s_j of each mask's product, one section wide, and forms
+the full products, a survivor chunk at a time, only of the masks whose
+head has L/2 ones, as every predicate requires.  j is picked once per
+space, as the pair (0, j) that the fewest of PROBE_MASKS seeded draws
+pass.  Below v = 8 the second products call per batch costs more than
+the sections it saves.  The predicates of `tensor.py` are the slow
+referee that the tests judge this kernel by.  Witnesses are masks;
+`SearchSpace.combo_labels` names their rows.
 """
 
 from __future__ import annotations
@@ -55,16 +61,25 @@ from .tensor import SignTensor
 
 MAX_EXHAUSTIVE_BITS = 62
 
-# Bytes one `_scan` call may hold in its XOR tables plus one batch's
-# temporaries, which sets the batch and survivor chunk sizes.  A batch gets
-# at least a quarter of it, so the bound is tables + max(rest, quarter).
-# It does not cover the witness heap (up to `max_witnesses` masks) or the
-# per-batch `passed` lists of the hits, which grow with the hits.
+# Bytes one `_scan` call may hold in its XOR tables (and, when staged, the
+# head table, 1/v of their size) plus one batch's temporaries, which sets
+# the batch and survivor chunk sizes.  A batch gets at least a quarter of
+# it, so the bound is max(SCAN_BYTES, tables + head table + quarter).  The
+# probe that picks a staged space's first pair runs before, within the
+# same bound.  It does not cover the witness heap (up to `max_witnesses`
+# masks) or the per-batch `passed` lists of the hits, which grow with the
+# hits.
 SCAN_BYTES = 1 << 19
 
 # Fewest combinations per worker that pay for starting a process pool;
 # below it the worker ranges are walked inline, one after another.
 POOL_MIN_COMBOS = 1 << 17
+
+# Smallest order v whose walks are staged (see `_Kernel`).
+STAGE_MIN_V = 8
+
+# Seeded draws that pick a staged space's first pair (0, j).
+PROBE_MASKS = 1024
 
 PREDICATES = ("improper", "proper", "hadamard2d")
 
@@ -123,6 +138,20 @@ class SearchSpace:
         computed once per space."""
         return _Quotient(self, _separable_masks(self))
 
+    @cached_property
+    def _first_pair(self) -> tuple[int, float] | None:
+        """(j, share) for the pair (0, j) that a staged walk tests first and
+        the share of probe masks that pass it, or None when v <
+        STAGE_MIN_V and walks are not staged.  j is the pair that the
+        fewest of PROBE_MASKS draws of random.Random(0) pass, ties to the
+        smallest; computed once per space."""
+        if self.v < STAGE_MIN_V:
+            return None
+        passes = _Kernel(self).pair_passes(partial(
+            _sampled_batches, random.Random(0), self.m, PROBE_MASKS))
+        j = int(np.argmin(passes))
+        return 1 + j, int(passes[j]) / PROBE_MASKS
+
 
 @dataclass
 class Witness:
@@ -139,6 +168,7 @@ class SearchReport:
     mode: str
     seed: int | None = None
     quotient_dim: int = 0
+    first_pair: int | None = None
 
 
 def _set_bits(x: int) -> list[int]:
@@ -190,9 +220,20 @@ class _Kernel:
     later axis, then the parallel rows of every pair of axes.  The three
     predicates are prefixes of that list, so the numpy calls per batch do
     not grow with v.
+
+    A staged kernel (`first` = (j, share), from v = STAGE_MIN_V on) tests
+    the pair (0, j) before it forms any full product.  Its head table is
+    the tables restricted to section 0 XOR section j, so `products` forms
+    the head s_0 ^ s_j of every mask of a batch, one section wide.  Only
+    the masks whose head has L/2 ones get full products, `full` at a time,
+    for the unchanged `hits`.  A batch holds its heads and leaves room for
+    one survivor chunk of a quarter more than `share`, the probe's share of
+    masks that pass (0, j), so one chunk usually takes all its survivors;
+    a chunk is never larger than an unstaged batch.
     """
 
-    def __init__(self, space: SearchSpace):
+    def __init__(self, space: SearchSpace,
+                 first: tuple[int, float] | None = None):
         v, n = space.v, space.n
         self.v, self.n = v, n
         self.length = v ** (n - 1)
@@ -229,46 +270,97 @@ class _Kernel:
         # tables past the budget (spans far beyond exhaustive reach) still
         # leave a quarter of it to a batch
         room = max(SCAN_BYTES - self.tables.nbytes, SCAN_BYTES // 4)
-        # a batch holds its mask stream and digits, the product and one
-        # gathered table entry per mask, and one section row's XORs and
-        # popcounts
+        # a batch of full products holds its mask stream and digits, the
+        # product and one gathered table entry per mask, and one section
+        # row's XORs and popcounts
         per_mask = 24 * width + (25 * self.words + 5) * v + 128
-        self.batch = max(1, room // per_mask)
-        # the survivor pass runs while the batch's products and masks are
-        # held; per survivor it holds the packed and unpacked product, the
-        # cube, one moved copy, and per pair of rows two rows and the counts;
-        # that is more than the packed pair test before it holds, about
-        # 18 bytes per pair per word
-        held = (8 * width + 128) * self.batch
+        self.head = None
+        if first is None:
+            self.batch = max(1, room // per_mask)
+        else:
+            j, share = first
+            sections = self.tables.reshape(groups, 16, v, self.words)
+            self.head = sections[:, :, 0] ^ sections[:, :, j]
+            room = max(room - self.head.nbytes, SCAN_BYTES // 4)
+            # a batch of heads holds its mask stream and digits, the head
+            # and one gathered entry per mask, and the head's popcounts;
+            # then, while the survivors' full products are formed, the
+            # masks as drawn and the survivor positions, beside one
+            # survivor chunk
+            rows = -(-space.m // 32)
+            per_head = 24 * self.words + 4 * -(-space.m // 8) + 8 * rows + 64
+            per_held = 8 * rows + 24
+            survive = min(1.0, 1.25 * share + 0.01)
+            self.batch = max(1, min(room // per_head,
+                                    int(room // (per_held + survive * per_mask))))
+            room -= per_held * self.batch
+        # the full products of `full` masks are formed at once: the whole
+        # batch if not staged, else one survivor chunk
+        self.full = max(1, room // per_mask)
+        # the survivor pass runs while the full products and their masks
+        # are held; per survivor it holds the packed and unpacked product,
+        # the cube, one moved copy, and per pair of rows two rows and the
+        # counts; that is more than the packed pair test before it holds,
+        # about 18 bytes per pair per word
+        held = (8 * width + 128) * self.full
         per_survivor = 72 * width + 3 * v ** n \
             + (2 * v + 5) * (v - 1) * self.length // 2
         self.chunk = max(1, (room - held) // per_survivor)
 
-    def products(self, raw: np.ndarray) -> np.ndarray:
+    def products(self, raw: np.ndarray, table: np.ndarray) -> np.ndarray:
         """Packed products of a batch of masks, given as rows of
-        little-endian mask bytes: one table entry per 4-bit digit.
+        little-endian mask bytes, from `table` (the tables or the head
+        table): one table entry per 4-bit digit.
 
         A digit that is the same throughout the batch (the high digits of
         a run of Gray codes) adds one fixed entry instead of a gather.
         """
-        groups = min(len(self.tables), 2 * raw.shape[1])
+        groups = min(len(table), 2 * raw.shape[1])
         used = np.ascontiguousarray(raw[:, :(groups + 1) // 2].T)
         spread = np.bitwise_or.reduce(used ^ used[:, :1], axis=1).tolist()
         digits = np.empty((2 * len(used), len(raw)), dtype=np.uint8)
         np.bitwise_and(used, 15, out=digits[0::2])
         np.right_shift(used, 4, out=digits[1::2])
-        prod = np.zeros((len(raw), self.width), dtype=np.uint64)
+        prod = np.zeros((len(raw), table.shape[2]), dtype=np.uint64)
         entry = np.empty_like(prod)
         fixed = np.zeros_like(prod[0])
         for g in range(groups):
             if spread[g // 2] >> 4 * (g % 2) & 15:
                 # digits are below 16, so "clip" only skips the bounds check
-                np.take(self.tables[g], digits[g], axis=0, out=entry, mode="clip")
+                np.take(table[g], digits[g], axis=0, out=entry, mode="clip")
                 prod ^= entry
             else:
-                fixed ^= self.tables[g, digits[g, 0]]
+                fixed ^= table[g, digits[g, 0]]
         prod ^= fixed
         return prod
+
+    def verdicts(self, raw: np.ndarray,
+                 predicates: tuple[str, ...]) -> dict[str, np.ndarray]:
+        """Batch positions of the masks, given as in `products`, whose
+        products pass each predicate.  A staged kernel forms the heads of
+        the batch, and the full products only of the masks whose head has
+        L/2 ones, `full` at a time."""
+        if self.head is None:
+            return self.hits(self.products(raw, self.tables), predicates)
+        alive = np.flatnonzero(
+            self._ones(self.products(raw, self.head)) == self.half)
+        found = {p: [alive[:0]] for p in predicates}
+        for k in range(0, len(alive), self.full):
+            part = alive[k:k + self.full]
+            hits = self.hits(self.products(raw[part], self.tables), predicates)
+            for p, where in hits.items():
+                found[p].append(part[where])
+        return {p: np.concatenate(parts) for p, parts in found.items()}
+
+    def pair_passes(self, stream) -> np.ndarray:
+        """For j = 1..v-1, how many masks of `stream(self.full)` have
+        sections 0 and j orthogonal."""
+        passes = np.zeros(self.v - 1, dtype=np.int64)
+        for raw in stream(self.full):
+            s = self.products(raw, self.tables).reshape(
+                len(raw), self.v, self.words)
+            passes += (self._ones(s[:, :1] ^ s[:, 1:]) == self.half).sum(axis=0)
+        return passes
 
     def bits(self, prod: np.ndarray) -> np.ndarray:
         """Cochain bits of packed products."""
@@ -457,15 +549,14 @@ def _scan(space: SearchSpace, predicates: tuple[str, ...], stream, cap: int,
     hits to ints.  With a quotient, `space` is its complement and each
     mask counts, and is offered as a witness, once per mask of its coset."""
     quotient = quotient or _Quotient(space, [])
-    kernel = _Kernel(space)
+    kernel = _Kernel(space, space._first_pair)
     counts = dict.fromkeys(predicates, 0)
     heap = _WitnessHeap(cap)
     examined = 0
     for raw in stream(kernel.batch):
         examined += len(raw) << quotient.dim
         passed: dict[int, list[str]] = {}
-        hits = kernel.hits(kernel.products(raw), predicates)
-        for p, where in hits.items():
+        for p, where in kernel.verdicts(raw, predicates).items():
             counts[p] += len(where) << quotient.dim
             for k in where.tolist():
                 passed.setdefault(k, []).append(p)
@@ -515,6 +606,7 @@ def enumerate_span(space: SearchSpace,
     sampled = sample_count is not None
     dim = 0
     if sampled:
+        stage = space._first_pair
         stream = partial(_sampled_batches, random.Random(seed), space.m,
                          sample_count)
         results = [_scan(space, predicates, stream, max_witnesses)]
@@ -529,6 +621,8 @@ def enumerate_span(space: SearchSpace,
         quotient = space._quotient if total == 1 << space.m \
             else _Quotient(space, [])
         dim = quotient.dim
+        # computed here, so that every worker receives it with the space
+        stage = quotient.space._first_pair
         total >>= dim
         nworkers = max(1, int(workers))
         nranges = 1
@@ -556,7 +650,8 @@ def enumerate_span(space: SearchSpace,
                         witnesses=witnesses,
                         duration=time.perf_counter() - t0,
                         mode="sampled" if sampled else "exhaustive",
-                        seed=seed if sampled else None, quotient_dim=dim)
+                        seed=seed if sampled else None, quotient_dim=dim,
+                        first_pair=stage[0] if stage else None)
 
 
 def default_workers() -> int:

@@ -317,3 +317,13 @@ def test_search_reports_quotient_dim(capsys, group, degree, test, dim):
     assert code == 0
     assert f"quotient_dim: {dim}\n" in err
     assert "quotient_dim" not in out
+
+
+@pytest.mark.parametrize("group,degree,test,first", [
+    ("g1:1", "3", "improper", "none"), ("g1:3", "2", "hadamard2d", "5")])
+def test_search_reports_first_pair(capsys, group, degree, test, first):
+    code, out, err = run(capsys, "search", "--group", group, "--degree",
+                         degree, "--test", test)
+    assert code == 0
+    assert f"first_pair: {first}\n" in err
+    assert "first_pair" not in out

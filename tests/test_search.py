@@ -105,16 +105,28 @@ def test_gray_matches_naive_improper():
     assert report.hits["proper"] == naive_pro
 
 
+def unpacked(prod, length):
+    """The first `length` bits of each packed row of `prod`."""
+    bits = np.unpackbits(prod.view(np.uint8), axis=1, bitorder="little")
+    return bits[:, :length]
+
+
 def test_gray_state_equals_from_scratch_product(monkeypatch):
     # record every batched product of the Gray walk and of a seeded sampled
     # walk, and compare it against the mask's from-scratch product
     space = space_for(Family.CYCLIC, 1, 3)  # m = 3, dim K = 2
     snapshots = []
+    heads = []
     orig = search_mod._Kernel.products
 
-    def spy(self, raw):
-        prod = orig(self, raw)
-        snapshots.extend(1 - 2 * self.bits(prod).astype(np.int32))
+    def spy(self, raw, table):
+        prod = orig(self, raw, table)
+        if table is self.tables:
+            snapshots.extend(1 - 2 * self.bits(prod).astype(np.int32))
+        else:
+            assert table is self.head
+            masks = [int.from_bytes(r.tobytes(), "little") for r in raw]
+            heads.extend(zip(masks, unpacked(prod, self.length)))
         return prod
 
     monkeypatch.setattr(search_mod._Kernel, "products", spy)
@@ -139,6 +151,33 @@ def test_gray_state_equals_from_scratch_product(monkeypatch):
         enumerate_span(space, ("improper",), sample_count=sample_count, seed=3)
         assert len(snapshots) == len(masks)
         for mask, pm in zip(masks, snapshots):
+            expect = 1 - 2 * space.combo_bits(mask).astype(np.int32)
+            assert (pm == expect).all()
+    assert not heads  # v = 2 is not staged
+    # at v = 8 the walk forms the head s_0 ^ s_j of every mask, and the
+    # full product of exactly the masks whose head has L/2 ones
+    space = space_for(Family.G1, 2, 2, mode="normalized")  # m = 8, j = 3
+    j, _ = space._first_pair
+    assert space.v == 8 and j == 3
+    rng = random.Random(4)
+    for sample_count, masks in (
+            (None, [i ^ (i >> 1) for i in range(2 ** space.m)]),
+            (300, [rng.getrandbits(space.m) for _ in range(300)])):
+        snapshots.clear()
+        heads.clear()
+        report = enumerate_span(space, ("hadamard2d",),
+                                sample_count=sample_count, seed=4)
+        assert report.first_pair == j
+        assert [mask for mask, _ in heads] == masks
+        survivors = []
+        for mask, head in heads:
+            cube = space.combo_bits(mask).reshape(space.v, -1)
+            assert (head == cube[0] ^ cube[j]).all()
+            if 2 * head.sum() == len(head):
+                survivors.append(mask)
+        assert 0 < len(survivors) < len(masks)
+        assert len(snapshots) == len(survivors)
+        for mask, pm in zip(survivors, snapshots):
             expect = 1 - 2 * space.combo_bits(mask).astype(np.int32)
             assert (pm == expect).all()
 
@@ -408,7 +447,7 @@ def test_packed_sections_give_exact_dot_products(v, n):
     bits = ((1 - pm) // 2).reshape(1, -1).astype(np.uint8)
     space = SearchSpace(v=v, n=n, labels=["t"], bits=bits)
     kernel = search_mod._Kernel(space)
-    prod = kernel.products(np.array([[1]], dtype=np.uint8))
+    prod = kernel.products(np.array([[1]], dtype=np.uint8), kernel.tables)
     assert (kernel.bits(prod) == bits).all()
     # axis 0 from the packed product, the later axes from the unpacked
     # bits that the survivor pass reshapes
@@ -501,7 +540,7 @@ def test_equal_sections_fail_in_the_survivor_pass(v, n, i, j):
     space = SearchSpace(v=v, n=n, labels=["t", "s", "r"],
                         bits=np.array(rows, dtype=np.uint8))
     kernel = search_mod._Kernel(space)
-    planted = kernel.products(np.array([[1]], dtype=np.uint8))
+    planted = kernel.products(np.array([[1]], dtype=np.uint8), kernel.tables)
     assert kernel._axis0(planted).tolist() == [0]
     ten = space.combo_tensor(1)
     assert not is_improper_hadamard(ten)
@@ -549,6 +588,92 @@ def test_unpacked_products_have_orthogonal_axis0_sections(monkeypatch):
         s = np.array([section(ten, 0, i).reshape(-1) for i in range(space.v)])
         gram = s @ s.T
         assert (gram == s.shape[1] * np.eye(space.v, dtype=np.int64)).all()
+
+
+# -- staged walks ------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(v=st.sampled_from([8, 12, 16]), n=st.sampled_from([2, 3]),
+       kind=st.sampled_from(["proper", "improper", "random"]),
+       heads=st.sampled_from(["none", "all", "any"]),
+       share=st.sampled_from([0.0, 0.5, 1.0]),
+       budget=st.sampled_from([0, 20_000, None]),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_staged_verdicts_equal_referees(v, n, kind, heads, share, budget,
+                                        seed, data):
+    # one batch through a kernel staged on a drawn pair (0, j), against the
+    # tensor.py referees; in it no head, every head or any share of the
+    # heads has L/2 ones.  A budget of 0 forms one full product at a time
+    assume(heads != "all" or kind != "random")
+    rng = np.random.default_rng(seed)
+    space = span_around(planted_tensor(v, n, kind, rng), n + 2, rng)
+    j = data.draw(st.integers(1, v - 1))
+    sets = [("improper", "proper"), ("proper",)]
+    if n == 2:
+        sets.append(("hadamard2d", "improper"))
+    predicates = data.draw(st.sampled_from(sets))
+    # rows 1..n are single-axis sign changes: with them alone the sections
+    # along axis 0 are equal or opposite, and with the planted tensor, row
+    # 0, they stay pairwise orthogonal
+    signs = [k << 1 for k in range(2 ** n)]
+    masks = {"none": signs, "all": [1 | k for k in signs],
+             "any": list(range(2 ** space.m))}[heads]
+    raw = np.array(masks, dtype=np.uint8)[:, None]
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(search_mod, "SCAN_BYTES", budget)
+        kernel = search_mod._Kernel(space, (j, share))
+    head = kernel._ones(kernel.products(raw, kernel.head)) == kernel.half
+    assert heads != "none" or not head.any()
+    assert heads != "all" or head.all()
+    got = kernel.verdicts(raw, predicates)
+    for p in predicates:
+        expect = [k for k, mask in enumerate(masks)
+                  if REFEREES[p](space.combo_tensor(mask))]
+        assert got[p].tolist() == expect
+    if heads == "all" and kind == "proper":
+        assert all(len(got[p]) == len(masks) for p in predicates)
+
+
+@pytest.mark.parametrize("t,j", [(3, 5), (4, 2)])
+def test_first_pair_passes_fewest_probe_masks(t, j):
+    # the probe's pass counts, by tensor.py dot products of the sections
+    # along axis 0 of the same draws: j has the fewest, ties to the smallest
+    space = space_for(Family.G1, t, 2, mode="normalized")
+    rng = random.Random(0)
+    passes = np.zeros(space.v, dtype=np.int64)
+    for _ in range(search_mod.PROBE_MASKS):
+        ten = space.combo_tensor(rng.getrandbits(space.m))
+        s0 = section(ten, 0, 0).reshape(-1).astype(np.int64)
+        passes += [s0 @ section(ten, 0, k).reshape(-1) == 0
+                   for k in range(space.v)]
+    passes[0] = passes.max() + 1
+    assert space._first_pair == (j, passes[j] / search_mod.PROBE_MASKS)
+    assert j == int(np.argmin(passes))
+
+
+def test_walk_staged_on_a_later_pair_equals_referees():
+    # g1:3 at degree 2 is staged on the pair (0, 5)
+    space = space_for(Family.G1, 3, 2, mode="normalized")
+    assert space._first_pair[0] == 5
+    expect = assert_walk_matches_referees(space, ("hadamard2d", "improper"))
+    assert len(expect) == 24
+    assert enumerate_span(space, ("hadamard2d",)).first_pair == 5
+
+
+@pytest.mark.parametrize("v", [4, 6, 8, 10])
+def test_walks_are_staged_from_order_8(v):
+    # the unit cochains span every v x v sign matrix
+    space = SearchSpace(v=v, n=2, labels=[f"e{k}" for k in range(v * v)],
+                        bits=np.eye(v * v, dtype=np.uint8))
+    report = enumerate_span(space, ("hadamard2d",), sample_count=64)
+    if v < 8:
+        assert space._first_pair is None and report.first_pair is None
+    else:
+        assert report.first_pair == space._first_pair[0]
+    kernel = search_mod._Kernel(space, space._first_pair)
+    assert (kernel.head is None) == (v < 8)
 
 
 # -- batch edges -------------------------------------------------------------
@@ -632,16 +757,29 @@ def test_empty_basis_sampled():
     assert report.hits == {"improper": 0, "proper": 0}
 
 
+def with_row_0(stream):
+    """`stream` with row 0 added to every mask."""
+    def batches(size):
+        for raw in stream(size):
+            raw = raw.copy()
+            raw[:, 0] |= 1
+            yield raw
+    return batches
+
+
 @pytest.mark.parametrize("family,t,degree,stream", [
     (Family.CYCLIC, 5, 3, "sampled"),  # m = 91, v = 10
     (Family.D4T, 4, 2, "gray"),        # m = 16, v = 16
     pytest.param(None, 16, 3, "survivors", id="axis0-survivors"),  # m = 31
-    pytest.param(None, 16, 2, "survivors", id="axis0-survivors-deg2")])  # m = 16
+    pytest.param(None, 16, 2, "survivors", id="axis0-survivors-deg2"),  # m = 16
+    pytest.param(None, 16, 3, "with-t", id="first-pair-survivors")])  # m = 31
 def test_scan_stays_within_byte_budget(family, t, degree, stream):
-    if stream == "survivors":
+    if stream in ("survivors", "with-t"):
         # T(x0, x1, x2) = H16[x0, x1]: every mask with T, half of all
         # masks, passes axis 0 and fails axis 2; at degree 2, T = H16 and
-        # every mask with it is Hadamard
+        # every mask with it is Hadamard.  With T added to every mask,
+        # every mask passes the first pair, and every survivor chunk is
+        # full
         h = hadamard_matrix(16)
         if degree == 2:
             space = with_indicator_rows(h)
@@ -651,6 +789,8 @@ def test_scan_stays_within_byte_budget(family, t, degree, stream):
             predicates = ("improper", "proper")
         masks = partial(search_mod._sampled_batches, random.Random(1),
                         space.m, 2048)
+        if stream == "with-t":
+            masks = with_row_0(masks)
     elif stream == "sampled":
         space = space_for(family, t, degree)
         predicates = ("improper", "proper")
