@@ -7,10 +7,12 @@ coefficient vector, in the degree-n basis, of the model projection applied
 to a bar tuple [g_1|...|g_n].  Lifting a coordinate row c therefore gives
 the cochain  tuple |-> <c, lift(tuple)> mod 2.
 
-Built-in data exists for (g1, g2, d4t) at degree 2 and (g1, g2, cyclic) at
-degree 3, one row of `BUILTIN` each.  Coefficients of the form "t * basis
-element" are stored already reduced mod 2, so the matrices depend only on
-the parity of t.
+The abelian families (g1, g2, cyclic) get their model at every degree
+n >= 2 from one rule, the tensor product of the models of the cyclic
+factors Z_N in `GroupSpec.radices` (Künneth / Eilenberg-Zilber), spelled
+out by `_product_diff` and `_product_lift`.  d4t, which is not abelian,
+keeps one hand-written model at degree 2.  `PRINTED` holds the paper's
+(l, k, hdim) for its six (family, degree) pairs.
 
 Models can also be loaded from JSON files carrying an explicit lift table;
 see `save_model` / `load_model`.
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from itertools import product
 
 import numpy as np
 
@@ -59,97 +61,94 @@ class CohModel:
                 ).astype(np.uint8)
 
 
-def _lift_g1_2(t, i, j):
-    (i1, i2), (j1, j2) = i, j
-    return [i1 + j1 >= 2 * t, i1 * j2, i2 + j2 >= 2]
-
-
-def _lift_g1_3(t, i, j, k):
-    (i1, i2), (j1, j2), (k1, k2) = i, j, k
-    return [k1 * (i1 + j1 >= 2 * t), k2 * (i1 + j1 >= 2 * t),
-            i1 * (j2 + k2 >= 2), k2 * (i2 + j2 >= 2)]
-
-
-# The printed e_1 / v_1 condition "i1 + j2 >= t" of g2 contradicts the
-# closed form BN_t ⊗ 1_4; the consistent condition uses j1.
-
-def _lift_g2_2(t, i, j):
-    (i1, i2, i3), (j1, j2, j3) = i, j
-    return [i1 + j1 >= t, i1 * j2, i1 * j3, i2 + j2 >= 2, i2 * j3, i3 + j3 >= 2]
-
-
-def _lift_g2_3(t, i, j, k):
-    (i1, i2, i3), (j1, j2, j3), (k1, k2, k3) = i, j, k
-    return [k1 * (i1 + j1 >= t), k2 * (i1 + j1 >= t), k3 * (i1 + j1 >= t),
-            i1 * (j2 + k2 >= 2), i1 * j2 * k3, i1 * (j3 + k3 >= 2),
-            k2 * (i2 + j2 >= 2), k3 * (i2 + j2 >= 2), i2 * (j3 + k3 >= 2),
-            k3 * (i3 + j3 >= 2)]
-
-
-def _lift_d4t_2(t, i, j):
-    # Inner brackets over Z with the marked mod-2t reductions.
-    (i1, i2), (j1, j2) = i, j
-    m = 2 * t
+def _lift_d4t_2(g: FiniteGroup) -> np.ndarray:
+    """d4t's degree-2 lift table: brackets over Z, reduced mod 2t where marked."""
+    (i1, i2), (j1, j2) = map(g.coords_of, np.indices((g.order,) * 2))
+    m = g.order // 2
     twist = (((-1) ** (i1 + j1)) * i2) % m
-    return [i1 * j1,
-            (-j1 * ((-1) ** i1) * i2) % m,
-            ((((-1) ** j1) * j2) % m + twist >= m) + j1 * (i2 >= 1) * (twist - 1)]
+    brackets = [i1 * j1, (-j1 * ((-1) ** i1) * i2) % m,
+                ((((-1) ** j1) * j2) % m + twist >= m) + j1 * (i2 >= 1) * (twist - 1)]
+    return np.stack([np.ravel(b) % 2 for b in brackets], axis=1).astype(np.uint8)
 
 
-def _lift_cyclic_3(t, i, j, k):
-    return [k[0] * (i[0] + j[0] >= 2 * t)]
+def _compositions(d: int, k: int) -> list[tuple[int, ...]]:
+    """The weak compositions of d into k parts, in descending lexicographic
+    order: the degree-d basis of the product model."""
+    return sorted((a for a in product(range(d + 1), repeat=k) if sum(a) == d),
+                  reverse=True)
 
 
-class Builtin(NamedTuple):
-    """One built-in model: dims (q, r, s) of degrees n-1, n, n+1; the
-    diagonal positions of d^(n-1) and d^n whose entry is t mod 2 (all other
-    entries are 0); the lift builder, which maps t and the coordinates of
-    the n tuple slots (arrays over the v**n tuples) to the r brackets of the
-    model projection, taken mod 2 afterwards; and the printed (l, k, hdim)
-    for even and for odd t."""
-    dims: tuple[int, int, int]
-    lower: tuple[int, ...]
-    upper: tuple[int, ...]
-    lift: Callable
-    even: tuple[int, int, int]
-    odd: tuple[int, int, int]
+def _product_diff(radices: tuple[int, ...], d: int) -> np.ndarray:
+    """The product model's d from degree d: a goes to a + e_p for each
+    factor p with a_p and N_p odd (Z_N's d is N mod 2 from odd degrees)."""
+    lo, hi = _compositions(d, len(radices)), _compositions(d + 1, len(radices))
+    at = {a: col for col, a in enumerate(hi)}
+    diff = np.zeros((len(lo), len(hi)), np.uint8)
+    for row, a in enumerate(lo):
+        for p, (ap, radix) in enumerate(zip(a, radices)):
+            if ap % 2 and radix % 2:
+                diff[row, at[a[:p] + (ap + 1,) + a[p + 1:]]] = 1
+    return diff
 
 
-#: The built-in models by (family, degree).  The printed hdim of (g2, 3,
-#: odd t) disagrees with r - k - l = 4 and is surfaced as a warning
-#: downstream.
-BUILTIN = {
-    (Family.G1, 2): Builtin((2, 3, 4), (), (), _lift_g1_2, (0, 0, 3), (0, 0, 3)),
-    (Family.D4T, 2): Builtin((2, 3, 4), (), (), _lift_d4t_2, (0, 0, 3), (0, 0, 3)),
-    (Family.G2, 2): Builtin((3, 6, 10), (0,), (1, 2), _lift_g2_2,
-                            (0, 0, 6), (1, 2, 3)),
-    (Family.G1, 3): Builtin((3, 4, 5), (), (), _lift_g1_3, (0, 0, 4), (0, 0, 4)),
-    (Family.G2, 3): Builtin((6, 10, 15), (1, 2), (0, 3, 4, 5), _lift_g2_3,
-                            (0, 0, 10), (2, 4, 3)),
-    (Family.CYCLIC, 3): Builtin((1, 1, 1), (), (), _lift_cyclic_3,
-                                (0, 0, 1), (0, 0, 1)),
+def _product_lift(g: FiniteGroup, n: int) -> np.ndarray:
+    """The (v**n, r) lift table of the product model.  Composition a takes
+    the n tuple slots left to right, a_p of them for factor p, whose
+    cochain on its slots is the product of the carries [y + y' >= N_p] of
+    consecutive slot pairs (beta), times the last slot's coordinate mod 2
+    when a_p is odd (alpha)."""
+    v, radices = g.order, g.spec.radices
+    coords = g.coords_of(np.arange(v))
+    y = [[c.reshape((1,) * s + (v,) + (1,) * (n - 1 - s)) for c in coords]
+         for s in range(n)]
+    comps = _compositions(n, len(radices))
+    lift = np.empty((v,) * n + (len(comps),), np.uint8)
+    for col, a in enumerate(comps):
+        term, s = 1, 0
+        for p, (ap, radix) in enumerate(zip(a, radices)):
+            for i in range(s, s + ap - 1, 2):
+                term = term * (y[i][p] + y[i + 1][p] >= radix)
+            if ap % 2:
+                term = term * (y[s + ap - 1][p] % 2)
+            s += ap
+        lift[..., col] = term
+    return lift.reshape(v ** n, len(comps))
+
+
+#: The paper's printed (l, k, hdim) for even and for odd t, by (family,
+#: degree), for `verify` to compare against.  The printed hdim of (g2, 3,
+#: odd t) disagrees with r - k - l = 4 and is surfaced as a warning there.
+PRINTED = {
+    (Family.G1, 2): ((0, 0, 3), (0, 0, 3)),
+    (Family.D4T, 2): ((0, 0, 3), (0, 0, 3)),
+    (Family.G2, 2): ((0, 0, 6), (1, 2, 3)),
+    (Family.G1, 3): ((0, 0, 4), (0, 0, 4)),
+    (Family.G2, 3): ((0, 0, 10), (2, 4, 3)),
+    (Family.CYCLIC, 3): ((0, 0, 1), (0, 0, 1)),
 }
 
 
 def builtin_model(spec: GroupSpec, degree: int) -> CohModel:
-    """The built-in model for (spec, degree); raises ModelUnavailableError
-    for pairs with no built-in data."""
-    row = BUILTIN.get((spec.family, degree))
-    if row is None:
+    """The built-in model for (spec, degree): the product of cyclic models
+    for the abelian families at every degree >= 2, and the hand-written
+    degree-2 model for d4t.  Raises ModelUnavailableError otherwise."""
+    n = degree
+    if n < 2 or (spec.family is Family.D4T and n != 2):
         raise ModelUnavailableError(
-            f"no built-in model for this family/degree pair ({spec}, degree {degree})"
+            f"no built-in model for this family/degree pair ({spec}, degree {n})"
         )
-    n, par = degree, spec.t % 2
-    q, r, s = row.dims
-    diff = {n - 1: np.zeros((q, r), np.uint8), n: np.zeros((r, s), np.uint8)}
-    for j, at in ((n - 1, row.lower), (n, row.upper)):
-        diff[j][list(at), list(at)] = par
     g = build_group(spec)
-    brackets = row.lift(spec.t, *map(g.coords_of, np.indices((g.order,) * n)))
-    lift = np.stack([np.ravel(b) % 2 for b in brackets], axis=1).astype(np.uint8)
+    if spec.family is Family.D4T:
+        diff = {1: np.zeros((2, 3), np.uint8), 2: np.zeros((3, 4), np.uint8)}
+        lift = _lift_d4t_2(g)
+    else:
+        diff = {d: _product_diff(spec.radices, d) for d in (n - 1, n)}
+        lift = _product_lift(g, n)
+    q, (r, s) = len(diff[n - 1]), diff[n].shape
+    printed = PRINTED.get((spec.family, n))
     return CohModel(group=g, degree=n, dims={n - 1: q, n: r, n + 1: s},
                     diff=diff, lift_table=lift,
-                    tabulated=row.odd if par else row.even)
+                    tabulated=None if printed is None else printed[spec.t % 2])
 
 
 # -- model files ---------------------------------------------------------

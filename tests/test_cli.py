@@ -176,6 +176,20 @@ def test_missing_model_exit_code(capsys, command):
         "(d4t:2, degree 3)\n"
 
 
+@pytest.mark.parametrize("degree", ["1", "0"])
+def test_degree_below_two_exit_code(capsys, degree):
+    code, out, err = run(capsys, "cohomology", "--group", "g1:1",
+                         "--degree", degree)
+    assert code == 1 and out == ""
+    assert err == "error: no built-in model for this family/degree pair " \
+        f"(g1:1, degree {degree})\n"
+
+
+def test_cohomology_degree4(capsys):
+    code, out, _ = run(capsys, "cohomology", "--group", "g1:1", "--degree", "4")
+    assert code == 0 and "dim H^4 = 5" in out
+
+
 @pytest.mark.parametrize("command", ["cohomology", "verify"])
 def test_bad_group_spec(capsys, command):
     code, _, err = run(capsys, command, "--group", "g9:1", "--degree", "2")
@@ -202,11 +216,6 @@ def test_verify_warns_on_g2_odd_degree3(capsys):
     assert code == 0
     assert "WARN hdim-tabulated" in out
     assert "1 warnings" in out
-
-
-def test_verify_missing_model(capsys):
-    code, _, err = run(capsys, "verify", "--group", "cyclic:2", "--degree", "2")
-    assert code == 1 and "no built-in model" in err
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

@@ -1,13 +1,16 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from cocyred.groups import Family, FiniteGroup, GroupSpec, build_group
+from cocyred.groups import (Family, FiniteGroup, GroupSpec, build_group,
+                            parse_group_spec)
 from cocyred.model import (CohModel, ModelUnavailableError, builtin_model,
                            load_model, save_model)
-from cocyred.reduction import Cochain, bar_codifferential
+from cocyred.reduction import codifferential_words
 from cocyred.tensor import all_ones, back_negacyclic
+from cocyred.verify import run_verify
 
 from test_groups import LOOP5
 
@@ -20,6 +23,10 @@ def test_dims_per_family():
         (Family.G1, 3): (3, 4, 5),
         (Family.G2, 3): (6, 10, 15),
         (Family.CYCLIC, 3): (1, 1, 1),
+        (Family.CYCLIC, 2): (1, 1, 1),
+        (Family.G1, 4): (4, 5, 6),
+        (Family.G2, 4): (10, 15, 21),
+        (Family.CYCLIC, 4): (1, 1, 1),
     }
     for (fam, deg), (q, r, s) in cases.items():
         m = builtin_model(GroupSpec(fam, 2), deg)
@@ -27,9 +34,13 @@ def test_dims_per_family():
 
 
 def test_unsupported_pairs_raise():
-    for fam, deg in [(Family.CYCLIC, 2), (Family.D4T, 3), (Family.G1, 4)]:
-        with pytest.raises(ModelUnavailableError):
-            builtin_model(GroupSpec(fam, 2), deg)
+    for fam, deg in [(Family.D4T, 3), (Family.D4T, 1), (Family.G1, 1),
+                     (Family.G2, 1), (Family.CYCLIC, 1), (Family.CYCLIC, 0)]:
+        spec = GroupSpec(fam, 2)
+        with pytest.raises(ModelUnavailableError, match=re.escape(
+                f"no built-in model for this family/degree pair ({spec}, "
+                f"degree {deg})")):
+            builtin_model(spec, deg)
 
 
 def test_g2_codifferentials_odd_t():
@@ -102,18 +113,39 @@ def test_g2_lift_of_first_element_is_bn_kron_ones():
         assert (lifted == np.kron(back_negacyclic(t), all_ones(4))).all()
 
 
+def assert_chain_map(spec, n):
+    # d(lift_n(e_m)) == lift_{n+1}(d^n e_m) for every basis element e_m: one
+    # identity cross-validating the group law, both lift tables and the
+    # codifferential data; the columns of a lift table are the lifted e_m
+    m, m_next = builtin_model(spec, n), builtin_model(spec, n + 1)
+    lhs = codifferential_words(m.group, n, m.lift_table)
+    assert (lhs == m_next.lift(m.diff[n]).T).all()
+
+
 @pytest.mark.parametrize("t", (1, 2, 3, 4, 5))
 def test_g2_chain_map(t):
-    # d(lift_2(e_m)) == lift_3(d^2 e_m): one identity cross-validating the
-    # group law, both lift formulas and the codifferential data
-    m2 = builtin_model(GroupSpec(Family.G2, t), 2)
-    m3 = builtin_model(GroupSpec(Family.G2, t), 3)
-    g = m2.group
-    for col in range(6):
-        lhs = bar_codifferential(g, 2, Cochain(g.order, 2,
-                                               m2.lift_table[:, col])).bits
-        rhs = (m3.lift_table @ m2.diff[2][col].astype(np.int64)) % 2
-        assert (lhs == rhs.astype(np.uint8)).all()
+    assert_chain_map(GroupSpec(Family.G2, t), 2)
+
+
+@pytest.mark.parametrize("t", (1, 2, 3))
+@pytest.mark.parametrize("fam,n", [
+    (Family.G1, 2), (Family.G1, 3), (Family.G1, 4), (Family.G2, 3),
+    (Family.G2, 4), (Family.CYCLIC, 2), (Family.CYCLIC, 3), (Family.CYCLIC, 4)])
+def test_product_model_chain_map(fam, n, t):
+    # with test_g2_chain_map, every abelian family at n = 2, 3, 4
+    assert_chain_map(GroupSpec(fam, t), n)
+
+
+@pytest.mark.parametrize("spec,n", [
+    ("g1:1", 4), ("g2:1", 4), ("cyclic:1", 4), ("cyclic:2", 4),
+    ("cyclic:3", 4), ("cyclic:1", 2), ("cyclic:2", 2), ("cyclic:3", 2),
+    ("cyclic:2", 5), ("g1:1", 5), ("g1:2", 4)])
+def test_product_models_pass_verify(spec, n):
+    # pairs with no printed data: verify's closed-form and tabulated checks
+    # are skipped, and the bar-complex oracle referees the model
+    checks = run_verify(parse_group_spec(spec), n)
+    assert [c.line() for c in checks if c.status == "FAIL"] == []
+    assert [c.status for c in checks if c.name == "oracle-hdim"] == ["PASS"]
 
 
 def assert_same_model(loaded, m):

@@ -105,6 +105,24 @@ def test_gray_matches_naive_improper():
     assert report.hits["proper"] == naive_pro
 
 
+@pytest.mark.parametrize("degree,m,improper", [(4, 6, 8), (5, 11, 88),
+                                                (6, 22, 12368)])
+def test_cyclic1_walks_above_degree3(degree, m, improper):
+    # the n-generic kernel at n >= 4, walked through the quotient; at
+    # degrees 4 and 5 the tensor.py predicates re-judge every mask
+    space = space_for(Family.CYCLIC, 1, degree)
+    assert space.m == m
+    report = enumerate_span(space, ("improper", "proper"))
+    assert report.examined == 2 ** m and report.quotient_dim > 0
+    assert report.hits == {"improper": improper, "proper": 0}
+    if degree <= 5:
+        tensors = [space.combo_tensor(mask) for mask in range(2 ** m)]
+        hits = [mask for mask, ten in enumerate(tensors)
+                if is_improper_hadamard(ten)]
+        assert [w.mask for w in report.witnesses] == hits
+        assert not any(map(is_proper_hadamard, tensors))
+
+
 def unpacked(prod, length):
     """The first `length` bits of each packed row of `prod`."""
     bits = np.unpackbits(prod.view(np.uint8), axis=1, bitorder="little")
