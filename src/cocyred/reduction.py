@@ -265,12 +265,23 @@ def default_mode(n: int) -> str:
     return "normalized" if n == 2 else "all"
 
 
+class ReductionSizeError(ValueError):
+    """The cocycle basis at this size exceeds the byte budget."""
+
+
 def full_cocycle_basis(model: CohModel, n: int,
                        mode: str | None = None) -> ReductionOutput:
     """Juxtaposed representative + coboundary basis, with joint independence
-    asserted."""
+    asserted.  Refuses before any cochain is allocated when the unpacked
+    basis (at most v**(n-1) + r rows of v**n bytes) and the `Basis` of the
+    rows of d^(n-1) (`oracle_bytes(v, n - 1)`) exceed ORACLE_BYTES."""
     mode = default_mode(n) if mode is None else mode
     snf_lo, snf_hi = _model_smith_forms(model, n)
+    v = model.group.order
+    need = (v ** (n - 1) + model.dims[n]) * v ** n + oracle_bytes(v, n - 1)
+    if need > ORACLE_BYTES:
+        raise ReductionSizeError(f"degree-{n} cocycle basis needs {need} bytes "
+                                 f"at v = {v}, over the {ORACLE_BYTES}-byte budget")
     reps = _lift_representatives(model, n, snf_lo, snf_hi)
     return ReductionOutput(basis=_greedy_coboundaries(model.group, n, mode, reps),
                            hdim=len(reps), snf_lower=snf_lo, snf_upper=snf_hi)
@@ -281,7 +292,7 @@ def full_cocycle_basis(model: CohModel, n: int,
 # Budget for what the oracle holds at its largest (`oracle_bytes`): the
 # basis of d^n, one chunk of its rows and the arrays that pick the chunk.
 # v=20 at degree 3 (about 183 MB) fits, v=32 at degree 3 (about 4.7 GB)
-# does not.
+# does not.  `full_cocycle_basis` refuses past the same budget.
 ORACLE_BYTES = 2 ** 28
 
 

@@ -5,13 +5,14 @@ batches whose size follows from the byte budget `SCAN_BYTES`.  Exhaustive
 mode streams the reflected Gray codes g = i ^ (i >> 1) of an index range;
 sampled mode streams seeded `getrandbits(m)` draws, a batch from one
 `getrandbits` call.  A stream yields only the masks' little-endian bytes;
-only a hit is decoded to an int.  The exhaustive index
-space may be partitioned across workers by its leading bits, walked in a
-process pool when each worker gets at least `POOL_MIN_COMBOS` of them and
-inline otherwise; counts and retained witnesses are independent of the
-partitioning because retention keeps the numerically smallest distinct
-combination masks.  `limit` caps the walk before the size refusal, so a
-limited prefix of a span with more than 2^62 combinations may be walked.
+only a hit is decoded to an int.  The exhaustive index space may be
+partitioned across workers by its leading bits, walked in a process pool
+when each worker gets at least `POOL_MIN_COMBOS` of them; otherwise it is
+walked inline as one range.  Counts and retained witnesses are
+independent of the partitioning because retention keeps the numerically
+smallest distinct combination masks.  `limit` caps the walk before the
+size refusal, so a limited prefix of a span with more than 2^62
+combinations may be walked.
 
 A walk of the whole span is taken modulo separable sign changes.
 Multiplying a ±1 tensor by a product of single-axis ±1 functions s_a(x_a)
@@ -32,15 +33,14 @@ integer and bit operations only: packed popcount tests of every two
 sections along axis 0, then, for the improper and proper tests at degree
 n >= 3 only, one pass over the unpacked bits of the products that pass,
 over one test list whose prefixes are the predicates (see `_Kernel`).
-From v = STAGE_MIN_V = 8 on, a walk is staged in two: it first forms only
-the head s_0 ^ s_j of each mask's product, one section wide, and forms
-the full products, a survivor chunk at a time, only of the masks whose
-head has L/2 ones, as every predicate requires.  j is picked once per
-space, as the pair (0, j) that the fewest of PROBE_MASKS seeded draws
-pass.  Below v = 8 the second products call per batch costs more than
-the sections it saves.  The predicates of `tensor.py` are the slow
-referee that the tests judge this kernel by.  Witnesses are masks;
-`SearchSpace.combo_labels` names their rows.
+Every walk is staged in two: it first forms only the head s_0 ^ s_j of
+each mask's product, one section wide, and forms the full products, a
+survivor chunk at a time, only of the masks whose head has L/2 ones, as
+every predicate requires.  j is picked once per space, as the pair
+(0, j) that the fewest of at most PROBE_MASKS seeded draws pass.  The
+predicates of `tensor.py` are the slow referee that the tests judge this
+kernel by.  Witnesses are masks; `SearchSpace.combo_labels` names their
+rows.
 """
 
 from __future__ import annotations
@@ -61,24 +61,20 @@ from .tensor import SignTensor
 
 MAX_EXHAUSTIVE_BITS = 62
 
-# Bytes one `_scan` call may hold in its XOR tables (and, when staged, the
-# head table, 1/v of their size) plus one batch's temporaries, which sets
-# the batch and survivor chunk sizes.  A batch gets at least a quarter of
-# it, so the bound is max(SCAN_BYTES, tables + head table + quarter).  The
-# probe that picks a staged space's first pair runs before, within the
-# same bound.  It does not cover the witness heap (up to `max_witnesses`
-# masks) or the per-batch `passed` lists of the hits, which grow with the
-# hits.
+# Bytes one `_scan` call may hold in its XOR tables and head table (1/v
+# of their size) plus one batch's temporaries, which sets the batch and
+# survivor chunk sizes.  A batch gets at least a quarter of it, so the
+# bound is max(SCAN_BYTES, tables + head table + quarter).  The probe that
+# picks a space's first pair runs before, within the same bound.  It does
+# not cover the witness heap (up to `max_witnesses` masks) or the
+# per-batch `passed` lists of the hits, which grow with the hits.
 SCAN_BYTES = 1 << 19
 
 # Fewest combinations per worker that pay for starting a process pool;
-# below it the worker ranges are walked inline, one after another.
+# below it the walk is one range, walked inline.
 POOL_MIN_COMBOS = 1 << 17
 
-# Smallest order v whose walks are staged (see `_Kernel`).
-STAGE_MIN_V = 8
-
-# Seeded draws that pick a staged space's first pair (0, j).
+# Most seeded draws that pick a space's first pair (0, j).
 PROBE_MASKS = 1024
 
 PREDICATES = ("improper", "proper", "hadamard2d")
@@ -139,18 +135,18 @@ class SearchSpace:
         return _Quotient(self, _separable_masks(self))
 
     @cached_property
-    def _first_pair(self) -> tuple[int, float] | None:
-        """(j, share) for the pair (0, j) that a staged walk tests first and
-        the share of probe masks that pass it, or None when v <
-        STAGE_MIN_V and walks are not staged.  j is the pair that the
-        fewest of PROBE_MASKS draws of random.Random(0) pass, ties to the
-        smallest; computed once per space."""
-        if self.v < STAGE_MIN_V:
-            return None
-        passes = _Kernel(self).pair_passes(partial(
-            _sampled_batches, random.Random(0), self.m, PROBE_MASKS))
+    def _first_pair(self) -> tuple[int, float]:
+        """(j, share): the pair (0, j) that a walk tests first, the one that
+        the fewest of min(PROBE_MASKS, 2^m) draws of random.Random(0) pass,
+        ties to the smallest, and the share of draws that pass it; computed
+        once per space.  At v = 1, with no pair, s_0 ^ s_0 passes all."""
+        if self.v == 1:
+            return 0, 1.0
+        draws = min(PROBE_MASKS, 1 << self.m)
+        passes = _Kernel(self, (1, 1.0)).pair_passes(partial(
+            _sampled_batches, random.Random(0), self.m, draws))
         j = int(np.argmin(passes))
-        return 1 + j, int(passes[j]) / PROBE_MASKS
+        return 1 + j, int(passes[j]) / draws
 
 
 @dataclass
@@ -168,7 +164,7 @@ class SearchReport:
     mode: str
     seed: int | None = None
     quotient_dim: int = 0
-    first_pair: int | None = None
+    first_pair: int = 0
 
 
 def _set_bits(x: int) -> list[int]:
@@ -221,26 +217,25 @@ class _Kernel:
     predicates are prefixes of that list, so the numpy calls per batch do
     not grow with v.
 
-    A staged kernel (`first` = (j, share), from v = STAGE_MIN_V on) tests
-    the pair (0, j) before it forms any full product.  Its head table is
-    the tables restricted to section 0 XOR section j, so `products` forms
-    the head s_0 ^ s_j of every mask of a batch, one section wide.  Only
-    the masks whose head has L/2 ones get full products, `full` at a time,
-    for the unchanged `hits`.  A batch holds its heads and leaves room for
-    one survivor chunk of a quarter more than `share`, the probe's share of
-    masks that pass (0, j), so one chunk usually takes all its survivors;
-    a chunk is never larger than an unstaged batch.
+    The kernel is staged on `first` = (j, share): its head table is the
+    tables restricted to section 0 XOR section j, so `products` forms the
+    head s_0 ^ s_j of every mask of a batch, one section wide, and only the
+    masks whose head has L/2 ones get full products, `full` at a time.  A
+    batch holds its heads and leaves room for one survivor chunk of a
+    quarter more than `share`, the probe's share of masks that pass (0, j),
+    so one chunk usually takes all its survivors.  At share 1, as the probe
+    builds it to form the full product of every mask, a chunk is a batch.
     """
 
-    def __init__(self, space: SearchSpace,
-                 first: tuple[int, float] | None = None):
+    def __init__(self, space: SearchSpace, first: tuple[int, float]):
         v, n = space.v, space.n
         self.v, self.n = v, n
         self.length = v ** (n - 1)
         self.words = -(-self.length // WORD)
         self.width = width = v * self.words
-        # ±1 vectors of odd length have odd dot products: no count is half
-        self.half = self.length // 2 if self.length % 2 == 0 else -1
+        # ±1 vectors of odd length have odd dot products: no count is half;
+        # at v = 1 the head s_0 ^ s_0 has 0 = L // 2 ones
+        self.half = self.length // 2 if self.length % 2 == 0 or v == 1 else -1
         r = np.arange(v)
         # every pair i < j, row-major, so the v - 1 pairs (0, j) come first;
         # the packed tests take (0, 1), then (0, j >= 2), then (i >= 1, j)
@@ -267,35 +262,29 @@ class _Kernel:
         for b in range(4):
             np.bitwise_xor(self.tables[:, :1 << b], rows[b::4, None],
                            out=self.tables[:, 1 << b:2 << b])
+        j, share = first
+        sections = self.tables.reshape(groups, 16, v, self.words)
+        self.head = sections[:, :, 0] ^ sections[:, :, j]
         # tables past the budget (spans far beyond exhaustive reach) still
         # leave a quarter of it to a batch
-        room = max(SCAN_BYTES - self.tables.nbytes, SCAN_BYTES // 4)
+        room = max(SCAN_BYTES - self.tables.nbytes - self.head.nbytes,
+                   SCAN_BYTES // 4)
         # a batch of full products holds its mask stream and digits, the
         # product and one gathered table entry per mask, and one section
         # row's XORs and popcounts
         per_mask = 24 * width + (25 * self.words + 5) * v + 128
-        self.head = None
-        if first is None:
-            self.batch = max(1, room // per_mask)
-        else:
-            j, share = first
-            sections = self.tables.reshape(groups, 16, v, self.words)
-            self.head = sections[:, :, 0] ^ sections[:, :, j]
-            room = max(room - self.head.nbytes, SCAN_BYTES // 4)
-            # a batch of heads holds its mask stream and digits, the head
-            # and one gathered entry per mask, and the head's popcounts;
-            # then, while the survivors' full products are formed, the
-            # masks as drawn and the survivor positions, beside one
-            # survivor chunk
-            rows = -(-space.m // 32)
-            per_head = 24 * self.words + 4 * -(-space.m // 8) + 8 * rows + 64
-            per_held = 8 * rows + 24
-            survive = min(1.0, 1.25 * share + 0.01)
-            self.batch = max(1, min(room // per_head,
-                                    int(room // (per_held + survive * per_mask))))
-            room -= per_held * self.batch
-        # the full products of `full` masks are formed at once: the whole
-        # batch if not staged, else one survivor chunk
+        # a batch of heads holds its mask stream and digits, the head and
+        # one gathered entry per mask, and the head's popcounts; then, while
+        # the survivors' full products are formed, the masks as drawn and
+        # the survivor positions, beside one survivor chunk
+        rows = -(-space.m // 32)
+        per_head = 24 * self.words + 4 * -(-space.m // 8) + 8 * rows + 64
+        per_held = 8 * rows + 24
+        survive = min(1.0, 1.25 * share + 0.01)
+        self.batch = max(1, min(room // per_head,
+                                int(room // (per_held + survive * per_mask))))
+        room -= per_held * self.batch
+        # one survivor chunk: the full products of `full` masks at once
         self.full = max(1, room // per_mask)
         # the survivor pass runs while the full products and their masks
         # are held; per survivor it holds the packed and unpacked product,
@@ -337,11 +326,9 @@ class _Kernel:
     def verdicts(self, raw: np.ndarray,
                  predicates: tuple[str, ...]) -> dict[str, np.ndarray]:
         """Batch positions of the masks, given as in `products`, whose
-        products pass each predicate.  A staged kernel forms the heads of
-        the batch, and the full products only of the masks whose head has
-        L/2 ones, `full` at a time."""
-        if self.head is None:
-            return self.hits(self.products(raw, self.tables), predicates)
+        products pass each predicate: the heads of the batch, then the full
+        products only of the masks whose head has L/2 ones, `full` at a
+        time."""
         alive = np.flatnonzero(
             self._ones(self.products(raw, self.head)) == self.half)
         found = {p: [alive[:0]] for p in predicates}
@@ -606,7 +593,7 @@ def enumerate_span(space: SearchSpace,
     sampled = sample_count is not None
     dim = 0
     if sampled:
-        stage = space._first_pair
+        first = space._first_pair
         stream = partial(_sampled_batches, random.Random(seed), space.m,
                          sample_count)
         results = [_scan(space, predicates, stream, max_witnesses)]
@@ -622,17 +609,18 @@ def enumerate_span(space: SearchSpace,
             else _Quotient(space, [])
         dim = quotient.dim
         # computed here, so that every worker receives it with the space
-        stage = quotient.space._first_pair
+        first = quotient.space._first_pair
         total >>= dim
         nworkers = max(1, int(workers))
-        nranges = 1
-        while nranges < nworkers:
-            nranges *= 2
+        # the power of two at or above nworkers, or one range if no pool
+        nranges = 1 << (nworkers - 1).bit_length()
+        if total // nranges < POOL_MIN_COMBOS:
+            nranges = 1
         bounds = [(total * k // nranges, total * (k + 1) // nranges)
                   for k in range(nranges)]
         args = [(quotient, predicates, a, b, max_witnesses)
                 for a, b in bounds if b > a]
-        if nworkers == 1 or total // nranges < POOL_MIN_COMBOS:
+        if nranges == 1:
             results = [_scan_gray_range(a) for a in args]
         else:
             with ProcessPoolExecutor(max_workers=nworkers) as pool:
@@ -651,7 +639,7 @@ def enumerate_span(space: SearchSpace,
                         duration=time.perf_counter() - t0,
                         mode="sampled" if sampled else "exhaustive",
                         seed=seed if sampled else None, quotient_dim=dim,
-                        first_pair=stage[0] if stage else None)
+                        first_pair=first[0])
 
 
 def default_workers() -> int:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -190,6 +191,25 @@ def test_cohomology_degree4(capsys):
     assert code == 0 and "dim H^4 = 5" in out
 
 
+def test_oversized_reduction_refused(capsys):
+    # g1:3 at degree 5 would unpack a basis of about 5 GB; it is refused
+    # before any cochain is allocated.  g1:2 at degree 5 (about 155 MB)
+    # fits the budget
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "cohomology", "--group", "g1:3",
+                             "--degree", "5")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert err == "error: degree-5 cocycle basis needs 5860295680 bytes at " \
+        "v = 12, over the 268435456-byte budget\n"
+    assert peak < 1 << 24
+    code, out, _ = run(capsys, "cohomology", "--group", "g1:2", "--degree", "5")
+    assert code == 0 and "dim H^5 = 6" in out
+
+
 @pytest.mark.parametrize("command", ["cohomology", "verify"])
 def test_bad_group_spec(capsys, command):
     code, _, err = run(capsys, command, "--group", "g9:1", "--degree", "2")
@@ -329,7 +349,7 @@ def test_search_reports_quotient_dim(capsys, group, degree, test, dim):
 
 
 @pytest.mark.parametrize("group,degree,test,first", [
-    ("g1:1", "3", "improper", "none"), ("g1:3", "2", "hadamard2d", "5")])
+    ("g1:1", "3", "improper", "2"), ("g1:3", "2", "hadamard2d", "5")])
 def test_search_reports_first_pair(capsys, group, degree, test, first):
     code, out, err = run(capsys, "search", "--group", group, "--degree",
                          degree, "--test", test)

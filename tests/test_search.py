@@ -130,74 +130,72 @@ def unpacked(prod, length):
 
 
 def test_gray_state_equals_from_scratch_product(monkeypatch):
-    # record every batched product of the Gray walk and of a seeded sampled
-    # walk, and compare it against the mask's from-scratch product
-    space = space_for(Family.CYCLIC, 1, 3)  # m = 3, dim K = 2
+    # record every batched head and product of the Gray walk and of a
+    # seeded sampled walk: the walk forms the head s_0 ^ s_j of every mask,
+    # and the full product of exactly the masks whose head has L/2 ones,
+    # each equal to the mask's from-scratch product
+    space = space_for(Family.CYCLIC, 1, 4)  # m = 6, dim K = 2
     snapshots = []
     heads = []
     orig = search_mod._Kernel.products
 
     def spy(self, raw, table):
         prod = orig(self, raw, table)
+        masks = [int.from_bytes(r.tobytes(), "little") for r in raw]
         if table is self.tables:
-            snapshots.extend(1 - 2 * self.bits(prod).astype(np.int32))
+            snapshots.extend(zip(masks, self.bits(prod)))
         else:
             assert table is self.head
-            masks = [int.from_bytes(r.tobytes(), "little") for r in raw]
             heads.extend(zip(masks, unpacked(prod, self.length)))
         return prod
 
-    monkeypatch.setattr(search_mod._Kernel, "products", spy)
-    # modulo K the walk forms one product per coset, over the free rows:
-    # each equals the product of its lifted original mask
-    free = space._quotient.free
-    assert len(free) == 1
-    lifted = [sum(1 << i for j, i in enumerate(free) if g >> j & 1)
-              for g in (k ^ (k >> 1) for k in range(2 ** len(free)))]
-    enumerate_span(space, ("improper",))
-    assert len(snapshots) == len(lifted) == 2
-    for mask, pm in zip(lifted, snapshots):
-        assert (pm == 1 - 2 * space.combo_bits(mask).astype(np.int32)).all()
-    # without K the walk forms every product
-    monkeypatch.setattr(search_mod, "_separable_masks", lambda space: [])
-    space = space_for(Family.CYCLIC, 1, 3)
-    rng = random.Random(3)
-    for sample_count, masks in (
-            (None, [i ^ (i >> 1) for i in range(2 ** space.m)]),
-            (40, [rng.getrandbits(space.m) for _ in range(40)])):
-        snapshots.clear()
-        enumerate_span(space, ("improper",), sample_count=sample_count, seed=3)
-        assert len(snapshots) == len(masks)
-        for mask, pm in zip(masks, snapshots):
-            expect = 1 - 2 * space.combo_bits(mask).astype(np.int32)
-            assert (pm == expect).all()
-    assert not heads  # v = 2 is not staged
-    # at v = 8 the walk forms the head s_0 ^ s_j of every mask, and the
-    # full product of exactly the masks whose head has L/2 ones
-    space = space_for(Family.G1, 2, 2, mode="normalized")  # m = 8, j = 3
-    j, _ = space._first_pair
-    assert space.v == 8 and j == 3
-    rng = random.Random(4)
-    for sample_count, masks in (
-            (None, [i ^ (i >> 1) for i in range(2 ** space.m)]),
-            (300, [rng.getrandbits(space.m) for _ in range(300)])):
-        snapshots.clear()
-        heads.clear()
-        report = enumerate_span(space, ("hadamard2d",),
-                                sample_count=sample_count, seed=4)
-        assert report.first_pair == j
+    def survivors(space, masks, j):
+        """The masks whose head has L/2 ones, after checking that the walk
+        formed the head of each of `masks` and the full product of exactly
+        those."""
         assert [mask for mask, _ in heads] == masks
-        survivors = []
+        alive = []
         for mask, head in heads:
             cube = space.combo_bits(mask).reshape(space.v, -1)
             assert (head == cube[0] ^ cube[j]).all()
             if 2 * head.sum() == len(head):
-                survivors.append(mask)
-        assert 0 < len(survivors) < len(masks)
-        assert len(snapshots) == len(survivors)
-        for mask, pm in zip(survivors, snapshots):
-            expect = 1 - 2 * space.combo_bits(mask).astype(np.int32)
-            assert (pm == expect).all()
+                alive.append(mask)
+        assert [mask for mask, _ in snapshots] == alive
+        for mask, bits in snapshots:
+            assert (bits == space.combo_bits(mask)).all()
+        snapshots.clear()
+        heads.clear()
+        return alive
+
+    quotient = space._quotient
+    # walked without K: at v = 2 (j = 1) and at v = 8 (j = 3)
+    plain = [(space_for(Family.CYCLIC, 1, 4), ("improper",), 40, 1),
+             (space_for(Family.G1, 2, 2, mode="normalized"), ("hadamard2d",),
+              300, 3)]
+    # the probes that pick j run before the spy records
+    assert [s._first_pair[0] for s in [quotient.space] + [p[0] for p in plain]] \
+        == [1, 1, 3]
+    monkeypatch.setattr(search_mod._Kernel, "products", spy)
+    # modulo K the walk forms one head per coset, over the free rows: each
+    # product equals the product of its lifted original mask
+    assert len(quotient.free) == 4
+    enumerate_span(space, ("improper",))
+    alive = survivors(quotient.space, [i ^ (i >> 1) for i in range(16)], 1)
+    assert len(alive) == 6
+    for mask in alive:
+        lifted = quotient.expand(mask)[0]
+        assert (quotient.space.combo_bits(mask) == space.combo_bits(lifted)).all()
+    # without K, every mask
+    monkeypatch.setattr(search_mod, "_separable_masks", lambda space: [])
+    for space, predicates, count, j in plain:
+        rng = random.Random(4)
+        for sample_count, masks in (
+                (None, [i ^ (i >> 1) for i in range(2 ** space.m)]),
+                (count, [rng.getrandbits(space.m) for _ in range(count)])):
+            report = enumerate_span(space, predicates,
+                                    sample_count=sample_count, seed=4)
+            assert report.first_pair == j
+            assert 0 < len(survivors(space, masks, j)) < len(masks)
 
 
 def test_sampled_hits_match_referee():
@@ -246,14 +244,27 @@ def test_pool_runs_at_threshold(monkeypatch):
 
 
 def test_small_walks_run_inline(monkeypatch):
-    # 2^15 combinations over 4 workers is under POOL_MIN_COMBOS each
+    # 2^15 combinations over 4 workers is under POOL_MIN_COMBOS each; the
+    # walk, of the quotient or of a prefix, is one range, one `_scan` call
     def refuse(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
+    calls = []
+    orig = search_mod._scan
+
+    def spy(*args, **kwargs):
+        calls.append(args[2].args[:2])
+        return orig(*args, **kwargs)
+
     monkeypatch.setattr(search_mod, "ProcessPoolExecutor", refuse)
-    report = enumerate_span(space_for(Family.G1, 1, 3), ("improper", "proper"),
-                            workers=4)
+    monkeypatch.setattr(search_mod, "_scan", spy)
+    space = space_for(Family.G1, 1, 3)
+    report = enumerate_span(space, ("improper", "proper"), workers=4)
     assert report.hits == {"improper": 64, "proper": 0}
+    report = enumerate_span(space, ("improper", "proper"), workers=4,
+                            limit=20001)
+    assert report.examined == 20001 and report.hits["improper"] > 0
+    assert calls == [(0, 2 ** 11), (0, 20001)]
 
 
 def test_basis_order_invariance():
@@ -464,7 +475,7 @@ def test_packed_sections_give_exact_dot_products(v, n):
     pm = rng.choice(np.array([-1, 1]), size=(v,) * n)
     bits = ((1 - pm) // 2).reshape(1, -1).astype(np.uint8)
     space = SearchSpace(v=v, n=n, labels=["t"], bits=bits)
-    kernel = search_mod._Kernel(space)
+    kernel = search_mod._Kernel(space, space._first_pair)
     prod = kernel.products(np.array([[1]], dtype=np.uint8), kernel.tables)
     assert (kernel.bits(prod) == bits).all()
     # axis 0 from the packed product, the later axes from the unpacked
@@ -557,7 +568,7 @@ def test_equal_sections_fail_in_the_survivor_pass(v, n, i, j):
             np.random.default_rng(n).integers(0, 2, size=v ** n)]
     space = SearchSpace(v=v, n=n, labels=["t", "s", "r"],
                         bits=np.array(rows, dtype=np.uint8))
-    kernel = search_mod._Kernel(space)
+    kernel = search_mod._Kernel(space, space._first_pair)
     planted = kernel.products(np.array([[1]], dtype=np.uint8), kernel.tables)
     assert kernel._axis0(planted).tolist() == [0]
     ten = space.combo_tensor(1)
@@ -612,7 +623,7 @@ def test_unpacked_products_have_orthogonal_axis0_sections(monkeypatch):
 
 
 @settings(max_examples=80, deadline=None)
-@given(v=st.sampled_from([8, 12, 16]), n=st.sampled_from([2, 3]),
+@given(v=st.sampled_from([2, 4, 6, 8, 12, 16]), n=st.sampled_from([2, 3]),
        kind=st.sampled_from(["proper", "improper", "random"]),
        heads=st.sampled_from(["none", "all", "any"]),
        share=st.sampled_from([0.0, 0.5, 1.0]),
@@ -622,8 +633,9 @@ def test_staged_verdicts_equal_referees(v, n, kind, heads, share, budget,
                                         seed, data):
     # one batch through a kernel staged on a drawn pair (0, j), against the
     # tensor.py referees; in it no head, every head or any share of the
-    # heads has L/2 ones.  A budget of 0 forms one full product at a time
-    assume(heads != "all" or kind != "random")
+    # heads has L/2 ones.  A budget of 0 forms one full product at a time.
+    # v = 6 has no Hadamard matrix, and its planted tensor is random
+    assume(heads != "all" or kind != "random" and v != 6)
     rng = np.random.default_rng(seed)
     space = span_around(planted_tensor(v, n, kind, rng), n + 2, rng)
     j = data.draw(st.integers(1, v - 1))
@@ -654,20 +666,23 @@ def test_staged_verdicts_equal_referees(v, n, kind, heads, share, budget,
         assert all(len(got[p]) == len(masks) for p in predicates)
 
 
-@pytest.mark.parametrize("t,j", [(3, 5), (4, 2)])
+@pytest.mark.parametrize("t,j", [(2, 3), (3, 5), (4, 2)])
 def test_first_pair_passes_fewest_probe_masks(t, j):
     # the probe's pass counts, by tensor.py dot products of the sections
-    # along axis 0 of the same draws: j has the fewest, ties to the smallest
+    # along axis 0 of the same draws: j has the fewest, ties to the
+    # smallest.  g1:2 (m = 8) has 256 masks and draws 256 times
     space = space_for(Family.G1, t, 2, mode="normalized")
+    draws = min(search_mod.PROBE_MASKS, 2 ** space.m)
+    assert (draws == 256) == (t == 2)
     rng = random.Random(0)
     passes = np.zeros(space.v, dtype=np.int64)
-    for _ in range(search_mod.PROBE_MASKS):
+    for _ in range(draws):
         ten = space.combo_tensor(rng.getrandbits(space.m))
         s0 = section(ten, 0, 0).reshape(-1).astype(np.int64)
         passes += [s0 @ section(ten, 0, k).reshape(-1) == 0
                    for k in range(space.v)]
     passes[0] = passes.max() + 1
-    assert space._first_pair == (j, passes[j] / search_mod.PROBE_MASKS)
+    assert space._first_pair == (j, passes[j] / draws)
     assert j == int(np.argmin(passes))
 
 
@@ -680,18 +695,17 @@ def test_walk_staged_on_a_later_pair_equals_referees():
     assert enumerate_span(space, ("hadamard2d",)).first_pair == 5
 
 
-@pytest.mark.parametrize("v", [4, 6, 8, 10])
+@pytest.mark.parametrize("v", [2, 4, 6, 8, 10])
 def test_walks_are_staged_from_order_8(v):
-    # the unit cochains span every v x v sign matrix
+    # every walk is staged, from order 2 on; the unit cochains span every
+    # v x v sign matrix
     space = SearchSpace(v=v, n=2, labels=[f"e{k}" for k in range(v * v)],
                         bits=np.eye(v * v, dtype=np.uint8))
     report = enumerate_span(space, ("hadamard2d",), sample_count=64)
-    if v < 8:
-        assert space._first_pair is None and report.first_pair is None
-    else:
-        assert report.first_pair == space._first_pair[0]
+    j, _ = space._first_pair
+    assert report.first_pair == j and 1 <= j < v
     kernel = search_mod._Kernel(space, space._first_pair)
-    assert (kernel.head is None) == (v < 8)
+    assert kernel.head.shape == (len(kernel.tables), 16, kernel.words)
 
 
 # -- batch edges -------------------------------------------------------------
@@ -707,7 +721,7 @@ def test_batch_edges_keep_counts_and_witnesses(monkeypatch, budget):
     assert len(full) == 32
     if budget is not None:
         monkeypatch.setattr(search_mod, "SCAN_BYTES", budget)
-    batch = search_mod._Kernel(space).batch
+    batch = search_mod._Kernel(space, space._first_pair).batch
     for limit in (1, batch - 1, batch + 1, 3 * batch + 7, None):
         walked = 2 ** space.m if limit is None else min(limit, 2 ** space.m)
         masks = {i ^ (i >> 1) for i in range(walked)}
@@ -738,8 +752,8 @@ def test_survivor_chunks_split_batches(monkeypatch):
         planted_tensor(4, 3, "proper", np.random.default_rng(4)))
     monkeypatch.setattr(search_mod, "SCAN_BYTES", 6000)
     predicates = ("improper", "proper")
-    kernel = search_mod._Kernel(space)
-    assert 2 < 2 * kernel.chunk < kernel.batch
+    kernel = search_mod._Kernel(space, space._first_pair)
+    assert 2 < 2 * kernel.chunk < kernel.full
     # a prefix is walked mask by mask, not modulo the separable rows
     walked = 2 ** space.m - 1
     expect = []
@@ -753,12 +767,13 @@ def test_survivor_chunks_split_batches(monkeypatch):
     assert [(w.mask, w.passed) for w in report.witnesses] == expect
 
 
-def test_worker_ranges_split_batches():
-    # two ranges of 16384 and of 10000/10001 masks, none a multiple of the
-    # batch
+def test_worker_ranges_split_batches(monkeypatch):
+    # two ranges, of the quotient walk and of 10000/10001 masks, none a
+    # multiple of the batch; without a pool the walk is one range
+    monkeypatch.setattr(search_mod, "POOL_MIN_COMBOS", 1)
     space = space_for(Family.G1, 1, 3)
-    batch = search_mod._Kernel(space).batch
-    assert 16384 % batch and 10000 % batch and 10001 % batch
+    batch = search_mod._Kernel(space, space._first_pair).batch
+    assert 10000 % batch and 10001 % batch
     for limit in (None, 20001):
         r1 = enumerate_span(space, ("improper", "proper"), limit=limit)
         r2 = enumerate_span(space, ("improper", "proper"), limit=limit,
@@ -788,6 +803,7 @@ def with_row_0(stream):
 @pytest.mark.parametrize("family,t,degree,stream", [
     (Family.CYCLIC, 5, 3, "sampled"),  # m = 91, v = 10
     (Family.D4T, 4, 2, "gray"),        # m = 16, v = 16
+    (Family.G1, 1, 3, "gray"),         # m = 15, v = 4
     pytest.param(None, 16, 3, "survivors", id="axis0-survivors"),  # m = 31
     pytest.param(None, 16, 2, "survivors", id="axis0-survivors-deg2"),  # m = 16
     pytest.param(None, 16, 3, "with-t", id="first-pair-survivors")])  # m = 31
@@ -816,7 +832,7 @@ def test_scan_stays_within_byte_budget(family, t, degree, stream):
                         space.m, 4096)
     else:
         space = space_for(family, t, degree)
-        predicates = ("hadamard2d",)
+        predicates = ("hadamard2d",) if degree == 2 else ("improper", "proper")
         masks = partial(search_mod._gray_batches, 0, 8192)
     tracemalloc.start()
     try:
