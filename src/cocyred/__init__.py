@@ -5,8 +5,8 @@ from .gf2 import (SnfResult, gf2_rank, greedy_independent_rows, in_row_space,
                   smith_normal_form_gf2)
 from .groups import (Family, FiniteGroup, GroupSpec, build_group,
                      parse_group_spec)
-from .model import (CohModel, ModelUnavailableError, builtin_model, load_model,
-                    save_model)
+from .model import (CohModel, ModelSizeError, ModelUnavailableError,
+                    builtin_model, load_model, save_model)
 from .reduction import (BruteForceResult, Cochain, CochainBasis,
                         OracleSizeError, ReductionOutput, bar_codifferential,
                         brute_force_cohomology, coboundary_basis,

@@ -199,7 +199,7 @@ def _cmd_search(spec, model, args) -> int:
         print(f"{args.test}: {report.hits[args.test]}")
     print(f"witnesses_kept: {len(report.witnesses)}", file=sys.stderr)
     print(f"quotient_dim: {report.quotient_dim}", file=sys.stderr)
-    print(f"first_pair: {report.first_pair}", file=sys.stderr)
+    print("head_pairs:", *report.head_pairs, file=sys.stderr)
     print(f"duration_s: {report.duration:.3f}", file=sys.stderr)
     if args.dump:
         doc = {"group": str(spec), "degree": n, "test": args.test,

@@ -21,6 +21,7 @@ see `save_model` / `load_model`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -33,6 +34,10 @@ from .groups import (Family, FiniteGroup, GroupSpec, build_group,
 
 class ModelUnavailableError(ValueError):
     """Raised when no built-in model exists for a (family, degree) pair."""
+
+
+class ModelSizeError(ValueError):
+    """The built-in model's lift table at this size exceeds the byte budget."""
 
 
 @dataclass
@@ -128,15 +133,34 @@ PRINTED = {
 }
 
 
+def model_bytes(v: int, n: int, r: int) -> int:
+    """Upper bound on the bytes `builtin_model` holds while it builds a
+    model of order v at degree n with r degree-n generators: the (v**n, r)
+    uint8 lift table and, while a column is formed, two int64 terms of
+    v**n entries and their masks; and the group's v x v tables, or d4t's
+    int64 bracket terms, at most 20 of v**2 entries."""
+    return v ** n * (r + 24) + 160 * v * v
+
+
 def builtin_model(spec: GroupSpec, degree: int) -> CohModel:
     """The built-in model for (spec, degree): the product of cyclic models
     for the abelian families at every degree >= 2, and the hand-written
-    degree-2 model for d4t.  Raises ModelUnavailableError otherwise."""
+    degree-2 model for d4t.  Raises ModelUnavailableError otherwise, and
+    ModelSizeError, before the group is built, when `model_bytes` exceeds
+    the budget ORACLE_BYTES that `full_cocycle_basis` also keeps."""
+    from . import reduction  # reduction imports this module
     n = degree
     if n < 2 or (spec.family is Family.D4T and n != 2):
         raise ModelUnavailableError(
             f"no built-in model for this family/degree pair ({spec}, degree {n})"
         )
+    k = len(spec.radices)
+    r = 3 if spec.family is Family.D4T else math.comb(n + k - 1, k - 1)
+    need = model_bytes(spec.order, n, r)
+    if need > reduction.ORACLE_BYTES:
+        raise ModelSizeError(f"degree-{n} model needs {need} bytes at v = "
+                             f"{spec.order}, over the {reduction.ORACLE_BYTES}"
+                             f"-byte budget")
     g = build_group(spec)
     if spec.family is Family.D4T:
         diff = {1: np.zeros((2, 3), np.uint8), 2: np.zeros((3, 4), np.uint8)}

@@ -269,16 +269,23 @@ class ReductionSizeError(ValueError):
     """The cocycle basis at this size exceeds the byte budget."""
 
 
+def basis_bytes(v: int, n: int, r: int) -> int:
+    """Upper bound on the bytes `full_cocycle_basis` holds at degree n and
+    order v for a model with r degree-n generators: the unpacked basis (at
+    most v**(n-1) + r rows of v**n bytes) and the `Basis` of the rows of
+    d^(n-1) (`oracle_bytes(v, n - 1)`)."""
+    return (v ** (n - 1) + r) * v ** n + oracle_bytes(v, n - 1)
+
+
 def full_cocycle_basis(model: CohModel, n: int,
                        mode: str | None = None) -> ReductionOutput:
     """Juxtaposed representative + coboundary basis, with joint independence
-    asserted.  Refuses before any cochain is allocated when the unpacked
-    basis (at most v**(n-1) + r rows of v**n bytes) and the `Basis` of the
-    rows of d^(n-1) (`oracle_bytes(v, n - 1)`) exceed ORACLE_BYTES."""
+    asserted.  Refuses before any cochain is allocated when `basis_bytes`
+    exceeds ORACLE_BYTES."""
     mode = default_mode(n) if mode is None else mode
     snf_lo, snf_hi = _model_smith_forms(model, n)
     v = model.group.order
-    need = (v ** (n - 1) + model.dims[n]) * v ** n + oracle_bytes(v, n - 1)
+    need = basis_bytes(v, n, model.dims[n])
     if need > ORACLE_BYTES:
         raise ReductionSizeError(f"degree-{n} cocycle basis needs {need} bytes "
                                  f"at v = {v}, over the {ORACLE_BYTES}-byte budget")
@@ -292,7 +299,8 @@ def full_cocycle_basis(model: CohModel, n: int,
 # Budget for what the oracle holds at its largest (`oracle_bytes`): the
 # basis of d^n, one chunk of its rows and the arrays that pick the chunk.
 # v=20 at degree 3 (about 183 MB) fits, v=32 at degree 3 (about 4.7 GB)
-# does not.  `full_cocycle_basis` refuses past the same budget.
+# does not.  `full_cocycle_basis` and `builtin_model` refuse past the same
+# budget.
 ORACLE_BYTES = 2 ** 28
 
 

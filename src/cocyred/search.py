@@ -33,11 +33,16 @@ integer and bit operations only: packed popcount tests of every two
 sections along axis 0, then, for the improper and proper tests at degree
 n >= 3 only, one pass over the unpacked bits of the products that pass,
 over one test list whose prefixes are the predicates (see `_Kernel`).
-Every walk is staged in two: it first forms only the head s_0 ^ s_j of
-each mask's product, one section wide, and forms the full products, a
-survivor chunk at a time, only of the masks whose head has L/2 ones, as
-every predicate requires.  j is picked once per space, as the pair
-(0, j) that the fewest of at most PROBE_MASKS seeded draws pass.  The
+Every walk is staged in two: it first forms only the head of each mask's
+product, the sections s_0 ^ s_j for the h pairs (0, j) of the head, and
+forms the full products, a survivor chunk at a time, only of the masks
+whose head sections all have L/2 ones, as every predicate requires.  The
+pairs are picked once per space, greedily on at most PROBE_MASKS seeded
+draws: each is the pair that the fewest draws surviving the pairs before
+it pass, and one is added only while it cuts the share that pass by more
+than 1/v, so that a head section more per mask spares more than it costs
+in full products.  At degree 3 a single pair passes so few draws that the
+head stays one pair; at degree 2 it takes two or three.  The
 predicates of `tensor.py` are the slow referee that the tests judge this
 kernel by.  Witnesses are masks; `SearchSpace.combo_labels` names their
 rows.
@@ -61,20 +66,21 @@ from .tensor import SignTensor
 
 MAX_EXHAUSTIVE_BITS = 62
 
-# Bytes one `_scan` call may hold in its XOR tables and head table (1/v
-# of their size) plus one batch's temporaries, which sets the batch and
-# survivor chunk sizes.  A batch gets at least a quarter of it, so the
-# bound is max(SCAN_BYTES, tables + head table + quarter).  The probe that
-# picks a space's first pair runs before, within the same bound.  It does
-# not cover the witness heap (up to `max_witnesses` masks) or the
-# per-batch `passed` lists of the hits, which grow with the hits.
+# Bytes one `_scan` call may hold in its XOR tables and head table (h/v
+# of their size, for a head of h pairs) plus one batch's temporaries,
+# which sets the batch and survivor chunk sizes.  A batch gets at least a
+# quarter of it, so the bound is max(SCAN_BYTES, tables + head table +
+# quarter).  The probe that picks a space's head runs before, within the
+# same bound.  It does not cover the witness heap (up to `max_witnesses`
+# masks) or the per-batch `passed` lists of the hits, which grow with the
+# hits.
 SCAN_BYTES = 1 << 19
 
 # Fewest combinations per worker that pay for starting a process pool;
 # below it the walk is one range, walked inline.
 POOL_MIN_COMBOS = 1 << 17
 
-# Most seeded draws that pick a space's first pair (0, j).
+# Most seeded draws that pick the pairs (0, j) of a space's head.
 PROBE_MASKS = 1024
 
 PREDICATES = ("improper", "proper", "hadamard2d")
@@ -135,18 +141,30 @@ class SearchSpace:
         return _Quotient(self, _separable_masks(self))
 
     @cached_property
-    def _first_pair(self) -> tuple[int, float]:
-        """(j, share): the pair (0, j) that a walk tests first, the one that
-        the fewest of min(PROBE_MASKS, 2^m) draws of random.Random(0) pass,
-        ties to the smallest, and the share of draws that pass it; computed
-        once per space.  At v = 1, with no pair, s_0 ^ s_0 passes all."""
+    def _head(self) -> tuple[tuple[int, ...], float]:
+        """(pairs, share): the pairs (0, j) that a walk tests first and the
+        share of the draws of the probe, min(PROBE_MASKS, 2^m) draws of
+        random.Random(0), that pass all of them; computed once per space.
+        The first pair is the one that the fewest draws pass, and each next
+        one the one that the fewest of the draws surviving the pairs so far
+        pass, ties to the smallest j.  A pair is added only while it cuts
+        the pass share by more than 1/v: one more head section per mask
+        pays only if it spares a full product, v sections, for more than
+        one in v masks.  At v = 1, with no pair, s_0 ^ s_0 passes all."""
         if self.v == 1:
-            return 0, 1.0
+            return (0,), 1.0
         draws = min(PROBE_MASKS, 1 << self.m)
-        passes = _Kernel(self, (1, 1.0)).pair_passes(partial(
+        alive = _Kernel(self, ((1,), 1.0)).pair_passes(partial(
             _sampled_batches, random.Random(0), self.m, draws))
-        j = int(np.argmin(passes))
-        return 1 + j, int(passes[j]) / draws
+        pairs, count = [], draws
+        while True:
+            passes = alive.sum(axis=0)
+            j = int(np.argmin(passes))
+            if pairs and (count - passes[j]) * self.v <= draws:
+                return tuple(pairs), count / draws
+            pairs.append(1 + j)
+            count = int(passes[j])
+            alive = alive[alive[:, j]]
 
 
 @dataclass
@@ -164,7 +182,7 @@ class SearchReport:
     mode: str
     seed: int | None = None
     quotient_dim: int = 0
-    first_pair: int = 0
+    head_pairs: tuple[int, ...] = ()
 
 
 def _set_bits(x: int) -> list[int]:
@@ -217,17 +235,21 @@ class _Kernel:
     predicates are prefixes of that list, so the numpy calls per batch do
     not grow with v.
 
-    The kernel is staged on `first` = (j, share): its head table is the
-    tables restricted to section 0 XOR section j, so `products` forms the
-    head s_0 ^ s_j of every mask of a batch, one section wide, and only the
-    masks whose head has L/2 ones get full products, `full` at a time.  A
+    The kernel is staged on `head` = (pairs, share): its head table is the
+    tables restricted to section 0 XOR section j, for each j of the h
+    `pairs`, so `products` forms the head s_0 ^ s_j1, ..., s_0 ^ s_jh of
+    every mask of a batch, h sections wide, and only the masks whose h head
+    sections all have L/2 ones get full products, `full` at a time.  A
     batch holds its heads and leaves room for one survivor chunk of a
-    quarter more than `share`, the probe's share of masks that pass (0, j),
-    so one chunk usually takes all its survivors.  At share 1, as the probe
-    builds it to form the full product of every mask, a chunk is a batch.
+    quarter more than `share`, the probe's share of masks that pass every
+    pair of the head, so one chunk usually takes all its survivors.  A
+    walk's head is `SearchSpace._head`, whose pairs are picked greedily,
+    one more only while it cuts the share by more than 1/v.  At share 1, as
+    the probe builds it to form the full product of every mask, a chunk is
+    a batch.
     """
 
-    def __init__(self, space: SearchSpace, first: tuple[int, float]):
+    def __init__(self, space: SearchSpace, head: tuple[tuple[int, ...], float]):
         v, n = space.v, space.n
         self.v, self.n = v, n
         self.length = v ** (n - 1)
@@ -262,9 +284,12 @@ class _Kernel:
         for b in range(4):
             np.bitwise_xor(self.tables[:, :1 << b], rows[b::4, None],
                            out=self.tables[:, 1 << b:2 << b])
-        j, share = first
+        js, share = head
+        self.h = h = len(js)
         sections = self.tables.reshape(groups, 16, v, self.words)
-        self.head = sections[:, :, 0] ^ sections[:, :, j]
+        table = sections.take(js, axis=2)
+        table ^= sections[:, :, :1]
+        self.head = table.reshape(groups, 16, h * self.words)
         # tables past the budget (spans far beyond exhaustive reach) still
         # leave a quarter of it to a batch
         room = max(SCAN_BYTES - self.tables.nbytes - self.head.nbytes,
@@ -278,7 +303,7 @@ class _Kernel:
         # the survivors' full products are formed, the masks as drawn and
         # the survivor positions, beside one survivor chunk
         rows = -(-space.m // 32)
-        per_head = 24 * self.words + 4 * -(-space.m // 8) + 8 * rows + 64
+        per_head = 24 * h * self.words + 4 * -(-space.m // 8) + 8 * rows + 64
         per_held = 8 * rows + 24
         survive = min(1.0, 1.25 * share + 0.01)
         self.batch = max(1, min(room // per_head,
@@ -327,10 +352,12 @@ class _Kernel:
                  predicates: tuple[str, ...]) -> dict[str, np.ndarray]:
         """Batch positions of the masks, given as in `products`, whose
         products pass each predicate: the heads of the batch, then the full
-        products only of the masks whose head has L/2 ones, `full` at a
-        time."""
-        alive = np.flatnonzero(
-            self._ones(self.products(raw, self.head)) == self.half)
+        products only of the masks whose head sections all have L/2 ones,
+        `full` at a time."""
+        heads = self.products(raw, self.head).reshape(len(raw), self.h, self.words)
+        passed = self._ones(heads) == self.half
+        # a one-pair head's flat positions are its rows
+        alive = np.flatnonzero(passed.all(axis=1) if self.h > 1 else passed)
         found = {p: [alive[:0]] for p in predicates}
         for k in range(0, len(alive), self.full):
             part = alive[k:k + self.full]
@@ -340,14 +367,14 @@ class _Kernel:
         return {p: np.concatenate(parts) for p, parts in found.items()}
 
     def pair_passes(self, stream) -> np.ndarray:
-        """For j = 1..v-1, how many masks of `stream(self.full)` have
-        sections 0 and j orthogonal."""
-        passes = np.zeros(self.v - 1, dtype=np.int64)
+        """Whether sections 0 and j are orthogonal, for each mask of
+        `stream(self.full)` (rows) and j = 1..v-1 (columns)."""
+        passes = []
         for raw in stream(self.full):
             s = self.products(raw, self.tables).reshape(
                 len(raw), self.v, self.words)
-            passes += (self._ones(s[:, :1] ^ s[:, 1:]) == self.half).sum(axis=0)
-        return passes
+            passes.append(self._ones(s[:, :1] ^ s[:, 1:]) == self.half)
+        return np.concatenate(passes)
 
     def bits(self, prod: np.ndarray) -> np.ndarray:
         """Cochain bits of packed products."""
@@ -536,7 +563,7 @@ def _scan(space: SearchSpace, predicates: tuple[str, ...], stream, cap: int,
     hits to ints.  With a quotient, `space` is its complement and each
     mask counts, and is offered as a witness, once per mask of its coset."""
     quotient = quotient or _Quotient(space, [])
-    kernel = _Kernel(space, space._first_pair)
+    kernel = _Kernel(space, space._head)
     counts = dict.fromkeys(predicates, 0)
     heap = _WitnessHeap(cap)
     examined = 0
@@ -593,7 +620,7 @@ def enumerate_span(space: SearchSpace,
     sampled = sample_count is not None
     dim = 0
     if sampled:
-        first = space._first_pair
+        head = space._head
         stream = partial(_sampled_batches, random.Random(seed), space.m,
                          sample_count)
         results = [_scan(space, predicates, stream, max_witnesses)]
@@ -609,7 +636,7 @@ def enumerate_span(space: SearchSpace,
             else _Quotient(space, [])
         dim = quotient.dim
         # computed here, so that every worker receives it with the space
-        first = quotient.space._first_pair
+        head = quotient.space._head
         total >>= dim
         nworkers = max(1, int(workers))
         # the power of two at or above nworkers, or one range if no pool
@@ -639,7 +666,7 @@ def enumerate_span(space: SearchSpace,
                         duration=time.perf_counter() - t0,
                         mode="sampled" if sampled else "exhaustive",
                         seed=seed if sampled else None, quotient_dim=dim,
-                        first_pair=first[0])
+                        head_pairs=head[0])
 
 
 def default_workers() -> int:

@@ -211,6 +211,22 @@ def test_oversized_reduction_refused(capsys):
 
 
 @pytest.mark.parametrize("command", ["cohomology", "verify"])
+def test_oversized_model_refused(capsys, command):
+    # g1:6 at degree 6 would build a lift table of 24^6 x 7 bytes and its
+    # int64 terms, about 6 GB; it is refused before the group is built
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, command, "--group", "g1:6", "--degree", "6")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert err == "error: degree-6 model needs 5924284416 bytes at v = 24, " \
+        "over the 268435456-byte budget\n"
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("command", ["cohomology", "verify"])
 def test_bad_group_spec(capsys, command):
     code, _, err = run(capsys, command, "--group", "g9:1", "--degree", "2")
     assert code == 1
@@ -348,11 +364,11 @@ def test_search_reports_quotient_dim(capsys, group, degree, test, dim):
     assert "quotient_dim" not in out
 
 
-@pytest.mark.parametrize("group,degree,test,first", [
-    ("g1:1", "3", "improper", "2"), ("g1:3", "2", "hadamard2d", "5")])
-def test_search_reports_first_pair(capsys, group, degree, test, first):
+@pytest.mark.parametrize("group,degree,test,head", [
+    ("g1:1", "3", "improper", "2"), ("g1:3", "2", "hadamard2d", "5 4 1")])
+def test_search_reports_head_pairs(capsys, group, degree, test, head):
     code, out, err = run(capsys, "search", "--group", group, "--degree",
                          degree, "--test", test)
     assert code == 0
-    assert f"first_pair: {first}\n" in err
-    assert "first_pair" not in out
+    assert f"head_pairs: {head}\n" in err
+    assert "head_pairs" not in out

@@ -1,14 +1,17 @@
 import json
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cocyred.groups import (Family, FiniteGroup, GroupSpec, build_group,
                             parse_group_spec)
-from cocyred.model import (CohModel, ModelUnavailableError, builtin_model,
-                           load_model, save_model)
-from cocyred.reduction import codifferential_words
+import cocyred.reduction as reduction
+from cocyred.model import (CohModel, ModelSizeError, ModelUnavailableError,
+                           builtin_model, load_model, model_bytes, save_model)
+from cocyred.reduction import basis_bytes, codifferential_words
 from cocyred.tensor import all_ones, back_negacyclic
 from cocyred.verify import run_verify
 
@@ -41,6 +44,47 @@ def test_unsupported_pairs_raise():
                 f"no built-in model for this family/degree pair ({spec}, "
                 f"degree {deg})")):
             builtin_model(spec, deg)
+
+
+@pytest.mark.parametrize("spec,n,r", [("g1:3", 4, 5), ("g2:3", 4, 15),
+                                      ("d4t:40", 2, 3)])
+def test_oversized_model_refused_before_building(monkeypatch, spec, n, r):
+    # one byte under `model_bytes` the model is refused before the group is
+    # built; at it, the model is built within it
+    spec = parse_group_spec(spec)
+    v = spec.order
+    need = model_bytes(v, n, r)
+    monkeypatch.setattr(reduction, "ORACLE_BYTES", need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelSizeError, match=re.escape(
+                f"degree-{n} model needs {need} bytes at v = {v}, over the "
+                f"{need - 1}-byte budget")):
+            builtin_model(spec, n)
+        _, refused = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        monkeypatch.setattr(reduction, "ORACLE_BYTES", need)
+        model = builtin_model(spec, n)
+        _, built = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert refused < v ** n  # not one byte per tuple
+    assert model.dims[n] == r and built <= need
+
+
+def test_model_guard_never_refuses_what_the_reduction_accepts():
+    # wherever `model_bytes` is over the budget, so is `basis_bytes`, which
+    # `full_cocycle_basis` refuses past: the model guard only refuses
+    # earlier, never more
+    budget = reduction.ORACLE_BYTES
+    for fam in Family:
+        for t in range(1, 200):
+            v = GroupSpec(fam, t).order
+            k = len(GroupSpec(fam, t).radices)
+            for n in [2] if fam is Family.D4T else range(2, 30):
+                r = 3 if fam is Family.D4T else math.comb(n + k - 1, k - 1)
+                if model_bytes(v, n, r) > budget:
+                    assert basis_bytes(v, n, r) > budget, (fam, t, n)
 
 
 def test_g2_codifferentials_odd_t():

@@ -13,7 +13,7 @@ import cocyred.search as search_mod
 from cocyred.gf2 import gf2_rank, in_row_space
 from cocyred.groups import Family, GroupSpec
 from cocyred.model import builtin_model
-from cocyred.reduction import full_cocycle_basis
+from cocyred.reduction import default_mode, full_cocycle_basis
 from cocyred.search import (SearchSpace, SpanTooLargeError, enumerate_span,
                             tensor_of_combination)
 from cocyred.tensor import (SignTensor, is_hadamard_2d, is_improper_hadamard,
@@ -123,17 +123,20 @@ def test_cyclic1_walks_above_degree3(degree, m, improper):
         assert not any(map(is_proper_hadamard, tensors))
 
 
-def unpacked(prod, length):
-    """The first `length` bits of each packed row of `prod`."""
-    bits = np.unpackbits(prod.view(np.uint8), axis=1, bitorder="little")
-    return bits[:, :length]
+def unpacked(prod, sections, length):
+    """The first `length` bits of each of the `sections` packed sections of
+    each row of `prod`, as (rows, sections, length) bits."""
+    bits = np.unpackbits(prod.reshape(len(prod), sections, -1).view(np.uint8),
+                         axis=2, bitorder="little")
+    return bits[:, :, :length]
 
 
 def test_gray_state_equals_from_scratch_product(monkeypatch):
     # record every batched head and product of the Gray walk and of a
     # seeded sampled walk: the walk forms the head s_0 ^ s_j of every mask,
-    # and the full product of exactly the masks whose head has L/2 ones,
-    # each equal to the mask's from-scratch product
+    # for each pair (0, j) of the head, and the full product of exactly the
+    # masks whose head sections all have L/2 ones, each equal to the mask's
+    # from-scratch product
     space = space_for(Family.CYCLIC, 1, 4)  # m = 6, dim K = 2
     snapshots = []
     heads = []
@@ -146,19 +149,19 @@ def test_gray_state_equals_from_scratch_product(monkeypatch):
             snapshots.extend(zip(masks, self.bits(prod)))
         else:
             assert table is self.head
-            heads.extend(zip(masks, unpacked(prod, self.length)))
+            heads.extend(zip(masks, unpacked(prod, self.h, self.length)))
         return prod
 
-    def survivors(space, masks, j):
-        """The masks whose head has L/2 ones, after checking that the walk
-        formed the head of each of `masks` and the full product of exactly
-        those."""
+    def survivors(space, masks, js):
+        """The masks whose head sections all have L/2 ones, after checking
+        that the walk formed the head of each of `masks` and the full
+        product of exactly those."""
         assert [mask for mask, _ in heads] == masks
         alive = []
         for mask, head in heads:
             cube = space.combo_bits(mask).reshape(space.v, -1)
-            assert (head == cube[0] ^ cube[j]).all()
-            if 2 * head.sum() == len(head):
+            assert (head == cube[0] ^ cube[list(js)]).all()
+            if (2 * head.sum(axis=1) == head.shape[1]).all():
                 alive.append(mask)
         assert [mask for mask, _ in snapshots] == alive
         for mask, bits in snapshots:
@@ -168,34 +171,35 @@ def test_gray_state_equals_from_scratch_product(monkeypatch):
         return alive
 
     quotient = space._quotient
-    # walked without K: at v = 2 (j = 1) and at v = 8 (j = 3)
-    plain = [(space_for(Family.CYCLIC, 1, 4), ("improper",), 40, 1),
+    # walked without K: at v = 2 on the pair (0, 1) and at v = 8 on the
+    # head (0, 3), (0, 2)
+    plain = [(space_for(Family.CYCLIC, 1, 4), ("improper",), 40, (1,)),
              (space_for(Family.G1, 2, 2, mode="normalized"), ("hadamard2d",),
-              300, 3)]
-    # the probes that pick j run before the spy records
-    assert [s._first_pair[0] for s in [quotient.space] + [p[0] for p in plain]] \
-        == [1, 1, 3]
+              300, (3, 2))]
+    # the probes that pick the heads run before the spy records
+    assert [s._head[0] for s in [quotient.space] + [p[0] for p in plain]] \
+        == [(1,), (1,), (3, 2)]
     monkeypatch.setattr(search_mod._Kernel, "products", spy)
     # modulo K the walk forms one head per coset, over the free rows: each
     # product equals the product of its lifted original mask
     assert len(quotient.free) == 4
     enumerate_span(space, ("improper",))
-    alive = survivors(quotient.space, [i ^ (i >> 1) for i in range(16)], 1)
+    alive = survivors(quotient.space, [i ^ (i >> 1) for i in range(16)], (1,))
     assert len(alive) == 6
     for mask in alive:
         lifted = quotient.expand(mask)[0]
         assert (quotient.space.combo_bits(mask) == space.combo_bits(lifted)).all()
     # without K, every mask
     monkeypatch.setattr(search_mod, "_separable_masks", lambda space: [])
-    for space, predicates, count, j in plain:
+    for space, predicates, count, js in plain:
         rng = random.Random(4)
         for sample_count, masks in (
                 (None, [i ^ (i >> 1) for i in range(2 ** space.m)]),
                 (count, [rng.getrandbits(space.m) for _ in range(count)])):
             report = enumerate_span(space, predicates,
                                     sample_count=sample_count, seed=4)
-            assert report.first_pair == j
-            assert 0 < len(survivors(space, masks, j)) < len(masks)
+            assert report.head_pairs == js
+            assert 0 < len(survivors(space, masks, js)) < len(masks)
 
 
 def test_sampled_hits_match_referee():
@@ -475,7 +479,7 @@ def test_packed_sections_give_exact_dot_products(v, n):
     pm = rng.choice(np.array([-1, 1]), size=(v,) * n)
     bits = ((1 - pm) // 2).reshape(1, -1).astype(np.uint8)
     space = SearchSpace(v=v, n=n, labels=["t"], bits=bits)
-    kernel = search_mod._Kernel(space, space._first_pair)
+    kernel = search_mod._Kernel(space, space._head)
     prod = kernel.products(np.array([[1]], dtype=np.uint8), kernel.tables)
     assert (kernel.bits(prod) == bits).all()
     # axis 0 from the packed product, the later axes from the unpacked
@@ -568,7 +572,7 @@ def test_equal_sections_fail_in_the_survivor_pass(v, n, i, j):
             np.random.default_rng(n).integers(0, 2, size=v ** n)]
     space = SearchSpace(v=v, n=n, labels=["t", "s", "r"],
                         bits=np.array(rows, dtype=np.uint8))
-    kernel = search_mod._Kernel(space, space._first_pair)
+    kernel = search_mod._Kernel(space, space._head)
     planted = kernel.products(np.array([[1]], dtype=np.uint8), kernel.tables)
     assert kernel._axis0(planted).tolist() == [0]
     ten = space.combo_tensor(1)
@@ -631,14 +635,16 @@ def test_unpacked_products_have_orthogonal_axis0_sections(monkeypatch):
        seed=st.integers(0, 2 ** 32 - 1), data=st.data())
 def test_staged_verdicts_equal_referees(v, n, kind, heads, share, budget,
                                         seed, data):
-    # one batch through a kernel staged on a drawn pair (0, j), against the
-    # tensor.py referees; in it no head, every head or any share of the
-    # heads has L/2 ones.  A budget of 0 forms one full product at a time.
+    # one batch through a kernel staged on a head of 1 to 3 drawn pairs
+    # (0, j), against the tensor.py referees; in it no head section, every
+    # head section or any share of them has L/2 ones.  A budget of 0 forms
+    # one full product at a time.
     # v = 6 has no Hadamard matrix, and its planted tensor is random
     assume(heads != "all" or kind != "random" and v != 6)
     rng = np.random.default_rng(seed)
     space = span_around(planted_tensor(v, n, kind, rng), n + 2, rng)
-    j = data.draw(st.integers(1, v - 1))
+    js = tuple(data.draw(st.lists(st.integers(1, v - 1), min_size=1,
+                                  max_size=min(3, v - 1), unique=True)))
     sets = [("improper", "proper"), ("proper",)]
     if n == 2:
         sets.append(("hadamard2d", "improper"))
@@ -653,10 +659,17 @@ def test_staged_verdicts_equal_referees(v, n, kind, heads, share, budget,
     with pytest.MonkeyPatch.context() as mp:
         if budget is not None:
             mp.setattr(search_mod, "SCAN_BYTES", budget)
-        kernel = search_mod._Kernel(space, (j, share))
-    head = kernel._ones(kernel.products(raw, kernel.head)) == kernel.half
+        kernel = search_mod._Kernel(space, (js, share))
+    head = kernel._ones(kernel.products(raw, kernel.head).reshape(
+        len(masks), len(js), kernel.words)) == kernel.half
     assert heads != "none" or not head.any()
     assert heads != "all" or head.all()
+    # each head section by the tensor.py dot product s_0 . s_j = 0
+    for k, mask in enumerate(masks):
+        ten = space.combo_tensor(mask)
+        s0 = section(ten, 0, 0).reshape(-1).astype(np.int64)
+        assert head[k].tolist() == [s0 @ section(ten, 0, j).reshape(-1) == 0
+                                    for j in js]
     got = kernel.verdicts(raw, predicates)
     for p in predicates:
         expect = [k for k, mask in enumerate(masks)
@@ -666,46 +679,73 @@ def test_staged_verdicts_equal_referees(v, n, kind, heads, share, budget,
         assert all(len(got[p]) == len(masks) for p in predicates)
 
 
-@pytest.mark.parametrize("t,j", [(2, 3), (3, 5), (4, 2)])
-def test_first_pair_passes_fewest_probe_masks(t, j):
-    # the probe's pass counts, by tensor.py dot products of the sections
-    # along axis 0 of the same draws: j has the fewest, ties to the
-    # smallest.  g1:2 (m = 8) has 256 masks and draws 256 times
-    space = space_for(Family.G1, t, 2, mode="normalized")
-    draws = min(search_mod.PROBE_MASKS, 2 ** space.m)
-    assert (draws == 256) == (t == 2)
+def probe_passes(space):
+    """Whether s_0 . s_j = 0, by tensor.py dot products of the sections
+    along axis 0, for each draw of the probe (rows) and j = 1..v-1."""
     rng = random.Random(0)
-    passes = np.zeros(space.v, dtype=np.int64)
+    draws = min(search_mod.PROBE_MASKS, 2 ** space.m)
+    passes = []
     for _ in range(draws):
         ten = space.combo_tensor(rng.getrandbits(space.m))
-        s0 = section(ten, 0, 0).reshape(-1).astype(np.int64)
-        passes += [s0 @ section(ten, 0, k).reshape(-1) == 0
-                   for k in range(space.v)]
-    passes[0] = passes.max() + 1
-    assert space._first_pair == (j, passes[j] / draws)
-    assert j == int(np.argmin(passes))
+        s = np.array([section(ten, 0, k).reshape(-1)
+                      for k in range(space.v)], dtype=np.int64)
+        passes.append(s[0] @ s[1:].T == 0)
+    return np.array(passes)
+
+
+@pytest.mark.parametrize("family,t,degree,head", [
+    (Family.G1, 2, 2, (3, 2)), (Family.G1, 3, 2, (5, 4, 1)),
+    (Family.G1, 4, 2, (2, 4, 6)), (Family.D4T, 5, 2, (4, 2, 3)),
+    (Family.G1, 1, 3, (2,)), (Family.CYCLIC, 2, 3, (2,)),
+    (Family.G1, 2, 3, (4,)), (Family.CYCLIC, 5, 3, (1,)),
+    (Family.G2, 2, 3, (1,)), (Family.CYCLIC, 3, 3, (3,)),
+    (Family.G1, 4, 3, (9,))],
+    ids=["g1:2-2", "g1:3-2", "g1:4-2", "d4t:5-2", "g1:1-3", "cyclic:2-3",
+         "g1:2-3", "cyclic:5-3", "g2:2-3", "cyclic:3-3", "g1:4-3"])
+def test_head_is_the_greedy_probe_choice(family, t, degree, head):
+    # re-derive the head from the probe's draws: each pair is the one that
+    # the fewest draws surviving the pairs before it pass, ties to the
+    # smallest, and one is added only while it cuts the count of draws
+    # that pass by more than draws / v.  The degree-3 spaces that the span
+    # and sampled benchmarks walk, and cyclic:3 and g1:4, keep one pair,
+    # the one a single-pair head had.  g1:2 at degree 2 (m = 8) has 256
+    # masks and draws 256 times
+    space = space_for(family, t, degree, default_mode(degree))
+    passes = probe_passes(space)
+    draws, v = len(passes), space.v
+    assert (draws == 256) == (space.m == 8)
+    alive = np.ones(draws, dtype=bool)
+    for k, j in enumerate(head):
+        counts = passes[alive].sum(axis=0)
+        assert j == 1 + int(np.argmin(counts))
+        assert k == 0 or (alive.sum() - counts[j - 1]) * v > draws
+        alive &= passes[:, j - 1]
+    # the next pair would not cut enough
+    assert (alive.sum() - passes[alive].sum(axis=0).min()) * v <= draws
+    assert space._head == (head, alive.sum() / draws)
 
 
 def test_walk_staged_on_a_later_pair_equals_referees():
-    # g1:3 at degree 2 is staged on the pair (0, 5)
+    # g1:3 at degree 2 is staged on the head (0, 5), (0, 4), (0, 1)
     space = space_for(Family.G1, 3, 2, mode="normalized")
-    assert space._first_pair[0] == 5
+    assert space._head[0] == (5, 4, 1)
     expect = assert_walk_matches_referees(space, ("hadamard2d", "improper"))
     assert len(expect) == 24
-    assert enumerate_span(space, ("hadamard2d",)).first_pair == 5
+    assert enumerate_span(space, ("hadamard2d",)).head_pairs == (5, 4, 1)
 
 
 @pytest.mark.parametrize("v", [2, 4, 6, 8, 10])
 def test_walks_are_staged_from_order_8(v):
-    # every walk is staged, from order 2 on; the unit cochains span every
-    # v x v sign matrix
+    # every walk is staged, from order 2 on, on a head of distinct pairs;
+    # the unit cochains span every v x v sign matrix
     space = SearchSpace(v=v, n=2, labels=[f"e{k}" for k in range(v * v)],
                         bits=np.eye(v * v, dtype=np.uint8))
     report = enumerate_span(space, ("hadamard2d",), sample_count=64)
-    j, _ = space._first_pair
-    assert report.first_pair == j and 1 <= j < v
-    kernel = search_mod._Kernel(space, space._first_pair)
-    assert kernel.head.shape == (len(kernel.tables), 16, kernel.words)
+    js, _ = space._head
+    assert report.head_pairs == js
+    assert len(set(js)) == len(js) and all(1 <= j < v for j in js)
+    kernel = search_mod._Kernel(space, space._head)
+    assert kernel.head.shape == (len(kernel.tables), 16, len(js) * kernel.words)
 
 
 # -- batch edges -------------------------------------------------------------
@@ -721,7 +761,7 @@ def test_batch_edges_keep_counts_and_witnesses(monkeypatch, budget):
     assert len(full) == 32
     if budget is not None:
         monkeypatch.setattr(search_mod, "SCAN_BYTES", budget)
-    batch = search_mod._Kernel(space, space._first_pair).batch
+    batch = search_mod._Kernel(space, space._head).batch
     for limit in (1, batch - 1, batch + 1, 3 * batch + 7, None):
         walked = 2 ** space.m if limit is None else min(limit, 2 ** space.m)
         masks = {i ^ (i >> 1) for i in range(walked)}
@@ -752,7 +792,7 @@ def test_survivor_chunks_split_batches(monkeypatch):
         planted_tensor(4, 3, "proper", np.random.default_rng(4)))
     monkeypatch.setattr(search_mod, "SCAN_BYTES", 6000)
     predicates = ("improper", "proper")
-    kernel = search_mod._Kernel(space, space._first_pair)
+    kernel = search_mod._Kernel(space, space._head)
     assert 2 < 2 * kernel.chunk < kernel.full
     # a prefix is walked mask by mask, not modulo the separable rows
     walked = 2 ** space.m - 1
@@ -772,7 +812,7 @@ def test_worker_ranges_split_batches(monkeypatch):
     # multiple of the batch; without a pool the walk is one range
     monkeypatch.setattr(search_mod, "POOL_MIN_COMBOS", 1)
     space = space_for(Family.G1, 1, 3)
-    batch = search_mod._Kernel(space, space._first_pair).batch
+    batch = search_mod._Kernel(space, space._head).batch
     assert 10000 % batch and 10001 % batch
     for limit in (None, 20001):
         r1 = enumerate_span(space, ("improper", "proper"), limit=limit)
@@ -806,15 +846,22 @@ def with_row_0(stream):
     (Family.G1, 1, 3, "gray"),         # m = 15, v = 4
     pytest.param(None, 16, 3, "survivors", id="axis0-survivors"),  # m = 31
     pytest.param(None, 16, 2, "survivors", id="axis0-survivors-deg2"),  # m = 16
-    pytest.param(None, 16, 3, "with-t", id="first-pair-survivors")])  # m = 31
+    pytest.param(None, 16, 3, "with-t", id="first-pair-survivors"),  # m = 31
+    pytest.param(None, 16, 2, "every-head", id="every-head-pair-survivors")])
 def test_scan_stays_within_byte_budget(family, t, degree, stream):
-    if stream in ("survivors", "with-t"):
+    if stream in ("survivors", "with-t", "every-head"):
         # T(x0, x1, x2) = H16[x0, x1]: every mask with T, half of all
         # masks, passes axis 0 and fails axis 2; at degree 2, T = H16 and
         # every mask with it is Hadamard.  With T added to every mask,
         # every mask passes the first pair, and every survivor chunk is
-        # full
+        # full.  With row 5 of H16 made row 4, every mask with T still has
+        # section 0 orthogonal to every other, but no mask is a hit; on a
+        # head of three pairs and a share of 6%, as degree-2 probes give,
+        # every mask passes every pair of the head, 16 times the survivors
+        # that the batch was sized for
         h = hadamard_matrix(16)
+        if stream == "every-head":
+            h[5] = h[4]
         if degree == 2:
             space = with_indicator_rows(h)
             predicates = ("hadamard2d",)
@@ -823,8 +870,10 @@ def test_scan_stays_within_byte_budget(family, t, degree, stream):
             predicates = ("improper", "proper")
         masks = partial(search_mod._sampled_batches, random.Random(1),
                         space.m, 2048)
-        if stream == "with-t":
+        if stream != "survivors":
             masks = with_row_0(masks)
+        if stream == "every-head":
+            space._head = ((1, 2, 3), 0.06)
     elif stream == "sampled":
         space = space_for(family, t, degree)
         predicates = ("improper", "proper")
@@ -836,11 +885,12 @@ def test_scan_stays_within_byte_budget(family, t, degree, stream):
         masks = partial(search_mod._gray_batches, 0, 8192)
     tracemalloc.start()
     try:
-        examined, _, _ = search_mod._scan(space, predicates, masks, 1024)
+        examined, counts, _ = search_mod._scan(space, predicates, masks, 1024)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert examined in (2048, 4096, 8192)
+    assert stream != "every-head" or counts == {"hadamard2d": 0}
     assert peak < search_mod.SCAN_BYTES
 
 
