@@ -15,8 +15,8 @@ import json
 import sys
 
 from .groups import parse_group_spec
-from .model import builtin_model
-from .reduction import default_mode, full_cocycle_basis
+from .model import builtin_model, model_generators
+from .reduction import check_basis_size, default_mode, full_cocycle_basis
 from .search import (SearchSpace, SpanTooLargeError, default_workers,
                      enumerate_span, tensor_of_combination)
 from .tensor import tensor_to_json, tensor_to_text
@@ -107,6 +107,10 @@ def main(argv=None) -> int:
         spec = parse_group_spec(args.group)
         if args.command == "verify":
             return _cmd_verify(spec, args)
+        # refuse a model whose basis `full_cocycle_basis` would refuse
+        # before it is built
+        check_basis_size(spec.order, args.degree,
+                         model_generators(spec, args.degree))
         model = builtin_model(spec, args.degree)
         if args.command == "cohomology":
             return _cmd_cohomology(spec, model, args)

@@ -142,12 +142,12 @@ def model_bytes(v: int, n: int, r: int) -> int:
     return v ** n * (r + 24) + 160 * v * v
 
 
-def builtin_model(spec: GroupSpec, degree: int) -> CohModel:
-    """The built-in model for (spec, degree): the product of cyclic models
-    for the abelian families at every degree >= 2, and the hand-written
-    degree-2 model for d4t.  Raises ModelUnavailableError otherwise, and
-    ModelSizeError, before the group is built, when `model_bytes` exceeds
-    the budget ORACLE_BYTES that `full_cocycle_basis` also keeps."""
+def model_generators(spec: GroupSpec, degree: int) -> int:
+    """r, the number of degree-n generators of the built-in model for
+    (spec, degree), which `builtin_model` builds only after this returns.
+    Raises ModelUnavailableError when there is no such model, and
+    ModelSizeError when `model_bytes` exceeds the budget ORACLE_BYTES that
+    `full_cocycle_basis` also keeps."""
     from . import reduction  # reduction imports this module
     n = degree
     if n < 2 or (spec.family is Family.D4T and n != 2):
@@ -161,6 +161,16 @@ def builtin_model(spec: GroupSpec, degree: int) -> CohModel:
         raise ModelSizeError(f"degree-{n} model needs {need} bytes at v = "
                              f"{spec.order}, over the {reduction.ORACLE_BYTES}"
                              f"-byte budget")
+    return r
+
+
+def builtin_model(spec: GroupSpec, degree: int) -> CohModel:
+    """The built-in model for (spec, degree): the product of cyclic models
+    for the abelian families at every degree >= 2, and the hand-written
+    degree-2 model for d4t.  Refuses, before the group is built, as
+    `model_generators` does."""
+    n = degree
+    model_generators(spec, n)
     g = build_group(spec)
     if spec.family is Family.D4T:
         diff = {1: np.zeros((2, 3), np.uint8), 2: np.zeros((3, 4), np.uint8)}

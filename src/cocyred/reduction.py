@@ -277,6 +277,15 @@ def basis_bytes(v: int, n: int, r: int) -> int:
     return (v ** (n - 1) + r) * v ** n + oracle_bytes(v, n - 1)
 
 
+def check_basis_size(v: int, n: int, r: int) -> None:
+    """Raise ReductionSizeError when `basis_bytes(v, n, r)` exceeds
+    ORACLE_BYTES."""
+    need = basis_bytes(v, n, r)
+    if need > ORACLE_BYTES:
+        raise ReductionSizeError(f"degree-{n} cocycle basis needs {need} bytes "
+                                 f"at v = {v}, over the {ORACLE_BYTES}-byte budget")
+
+
 def full_cocycle_basis(model: CohModel, n: int,
                        mode: str | None = None) -> ReductionOutput:
     """Juxtaposed representative + coboundary basis, with joint independence
@@ -284,11 +293,7 @@ def full_cocycle_basis(model: CohModel, n: int,
     exceeds ORACLE_BYTES."""
     mode = default_mode(n) if mode is None else mode
     snf_lo, snf_hi = _model_smith_forms(model, n)
-    v = model.group.order
-    need = basis_bytes(v, n, model.dims[n])
-    if need > ORACLE_BYTES:
-        raise ReductionSizeError(f"degree-{n} cocycle basis needs {need} bytes "
-                                 f"at v = {v}, over the {ORACLE_BYTES}-byte budget")
+    check_basis_size(model.group.order, n, model.dims[n])
     reps = _lift_representatives(model, n, snf_lo, snf_hi)
     return ReductionOutput(basis=_greedy_coboundaries(model.group, n, mode, reps),
                            hdim=len(reps), snf_lower=snf_lo, snf_upper=snf_hi)

@@ -1,14 +1,16 @@
 """Exhaustive and sampled enumeration of the 2^m span of a cocycle basis.
 
 Both modes are one walk over a stream of combination masks, taken in
-batches whose size follows from the byte budget `SCAN_BYTES`.  Exhaustive
-mode streams the reflected Gray codes g = i ^ (i >> 1) of an index range;
-sampled mode streams seeded `getrandbits(m)` draws, a batch from one
-`getrandbits` call.  A stream yields only the masks' little-endian bytes;
-only a hit is decoded to an int.  The exhaustive index space may be
-partitioned across workers by its leading bits, walked in a process pool
-when each worker gets at least `POOL_MIN_COMBOS` of them; otherwise it is
-walked inline as one range.  Counts and retained witnesses are
+batches whose size follows from the byte budget `SCAN_BYTES`.  A stream
+yields the heads of each batch (see below) and gives the little-endian
+bytes of only the masks asked for; only a hit is decoded to an int.
+Exhaustive mode streams the reflected Gray codes g(i) = i ^ (i >> 1) of
+an index range, in blocks of 2^k indices aligned to 2^k; sampled mode
+streams seeded `getrandbits(m)` draws, a batch from one `getrandbits`
+call.  The exhaustive index space may be partitioned across workers by
+its leading bits, walked in a process pool when each worker gets at
+least `POOL_MIN_COMBOS` of them; otherwise it is walked inline as one
+range.  Counts and retained witnesses are
 independent of the partitioning because retention keeps the numerically
 smallest distinct combination masks.  `limit` caps the walk before the
 size refusal, so a limited prefix of a span with more than 2^62
@@ -36,10 +38,17 @@ over one test list whose prefixes are the predicates (see `_Kernel`).
 Every walk is staged in two: it first forms only the head of each mask's
 product, the sections s_0 ^ s_j for the h pairs (0, j) of the head, and
 forms the full products, a survivor chunk at a time, only of the masks
-whose head sections all have L/2 ones, as every predicate requires.  The
-pairs are picked once per space, greedily on at most PROBE_MASKS seeded
-draws: each is the pair that the fewest draws surviving the pairs before
-it pass, and one is added only while it cuts the share that pass by more
+whose head sections all have L/2 ones, as every predicate requires.  A
+sampled batch forms its heads from a head table, one entry per 4-bit digit
+of each mask.  A Gray block forms them with no digit at all: for a block
+aligned to 2^k, g(a + t) = g(a) ^ g(t) for every t < 2^k, and a head is
+linear in its mask, so the block's heads are one low table, the heads of
+g(0 .. 2^k - 1) built once per walk, XOR the head of g(a).  2^k is the
+largest power of two, at most 2^m, whose rows leave room in `SCAN_BYTES`
+for the full products of the block's expected survivors.  The pairs are
+picked once per space, greedily on at most PROBE_MASKS seeded draws:
+each is the pair that the fewest draws surviving the pairs before it
+pass, and one is added only while it cuts the share that pass by more
 than 1/v, so that a head section more per mask spares more than it costs
 in full products.  At degree 3 a single pair passes so few draws that the
 head stays one pair; at degree 2 it takes two or three.  The
@@ -68,12 +77,14 @@ MAX_EXHAUSTIVE_BITS = 62
 
 # Bytes one `_scan` call may hold in its XOR tables and head table (h/v
 # of their size, for a head of h pairs) plus one batch's temporaries,
-# which sets the batch and survivor chunk sizes.  A batch gets at least a
-# quarter of it, so the bound is max(SCAN_BYTES, tables + head table +
-# quarter).  The probe that picks a space's head runs before, within the
-# same bound.  It does not cover the witness heap (up to `max_witnesses`
-# masks) or the per-batch `passed` lists of the hits, which grow with the
-# hits.
+# which sets the batch, Gray block and survivor chunk sizes.  A Gray block
+# of 2^k masks holds its low table and heads, 16 h bytes per word of a
+# section per mask, and the popcounts and positions of its survivors,
+# beside one survivor chunk.  A batch or block gets at least a quarter of
+# it, so the bound is max(SCAN_BYTES, tables + head table + quarter).
+# The probe that picks a space's head runs before, within the same bound.
+# It does not cover the witness heap (up to `max_witnesses` masks) or the
+# per-batch `passed` lists of the hits, which grow with the hits.
 SCAN_BYTES = 1 << 19
 
 # Fewest combinations per worker that pay for starting a process pool;
@@ -238,20 +249,27 @@ class _Kernel:
     The kernel is staged on `head` = (pairs, share): its head table is the
     tables restricted to section 0 XOR section j, for each j of the h
     `pairs`, so `products` forms the head s_0 ^ s_j1, ..., s_0 ^ s_jh of
-    every mask of a batch, h sections wide, and only the masks whose h head
-    sections all have L/2 ones get full products, `full` at a time.  A
-    batch holds its heads and leaves room for one survivor chunk of a
-    quarter more than `share`, the probe's share of masks that pass every
-    pair of the head, so one chunk usually takes all its survivors.  A
-    walk's head is `SearchSpace._head`, whose pairs are picked greedily,
-    one more only while it cuts the share by more than 1/v.  At share 1, as
-    the probe builds it to form the full product of every mask, a chunk is
-    a batch.
+    every mask of a sampled batch, h sections wide.  A Gray walk reads the
+    head of each basis row out of the same table and forms the heads of a
+    block of `block` = 2^k masks as one low-table slice XOR the head of the
+    block's first Gray code (see `_gray_blocks`).  Either way `passing`
+    keeps the masks whose h head sections all have L/2 ones, and only they
+    get mask bytes and full products, `full` at a time.  A batch holds its
+    heads and leaves room for one survivor chunk of a quarter more than
+    `share`, the probe's share of masks that pass every pair of the head,
+    so one chunk usually takes all its survivors.  A block is the largest
+    power of two, at most 2^m, whose low-table rows, heads, popcounts and
+    survivor positions leave room for the full products of `share` of its
+    masks; it needs far fewer bytes per mask than a batch, which gathers a
+    table entry per digit.  `full` fits beside either.  A walk's head is
+    `SearchSpace._head`, whose pairs are picked greedily, one more only
+    while it cuts the share by more than 1/v.  At share 1, as the probe
+    builds it to form the full product of every mask, a chunk is a batch.
     """
 
     def __init__(self, space: SearchSpace, head: tuple[tuple[int, ...], float]):
         v, n = space.v, space.n
-        self.v, self.n = v, n
+        self.v, self.n, self.m = v, n, space.m
         self.length = v ** (n - 1)
         self.words = -(-self.length // WORD)
         self.width = width = v * self.words
@@ -291,7 +309,7 @@ class _Kernel:
         table ^= sections[:, :, :1]
         self.head = table.reshape(groups, 16, h * self.words)
         # tables past the budget (spans far beyond exhaustive reach) still
-        # leave a quarter of it to a batch
+        # leave a quarter of it to a batch or block
         room = max(SCAN_BYTES - self.tables.nbytes - self.head.nbytes,
                    SCAN_BYTES // 4)
         # a batch of full products holds its mask stream and digits, the
@@ -308,8 +326,17 @@ class _Kernel:
         survive = min(1.0, 1.25 * share + 0.01)
         self.batch = max(1, min(room // per_head,
                                 int(room // (per_held + survive * per_mask))))
-        room -= per_held * self.batch
-        # one survivor chunk: the full products of `full` masks at once
+        # a Gray block (see `_gray_blocks`) holds, per mask, a row of the
+        # low table, its head, the head's popcounts (and their sums over
+        # words) and two compares, and the position of a survivor; it is
+        # the largest power of two, at most 2^m, that leaves room for the
+        # full products of its share of survivors
+        per_row = 17 * h * self.words + (4 * h if self.words > 1 else 0) + 10
+        fit = int(room // (per_row + share * per_mask))
+        self.block = 1 << min(space.m, max(0, fit.bit_length() - 1))
+        room -= max(per_held * self.batch, per_row * self.block)
+        # one survivor chunk, of a batch or a block: the full products of
+        # `full` masks at once
         self.full = max(1, room // per_mask)
         # the survivor pass runs while the full products and their masks
         # are held; per survivor it holds the packed and unpacked product,
@@ -348,20 +375,30 @@ class _Kernel:
         prod ^= fixed
         return prod
 
-    def verdicts(self, raw: np.ndarray,
+    def passing(self, heads: np.ndarray) -> np.ndarray:
+        """Positions of the masks whose h head sections all have L/2 ones,
+        given their `heads`, one column per mask of the h sections' words:
+        one compare per section, chained."""
+        ones = np.bitwise_count(heads)
+        if self.words > 1:
+            ones = ones.reshape(self.h, self.words, -1).sum(axis=1, dtype=np.int32)
+        passed = ones[0] == self.half
+        for c in range(1, self.h):
+            passed &= ones[c] == self.half
+        return np.flatnonzero(passed)
+
+    def verdicts(self, heads: np.ndarray, masks,
                  predicates: tuple[str, ...]) -> dict[str, np.ndarray]:
-        """Batch positions of the masks, given as in `products`, whose
-        products pass each predicate: the heads of the batch, then the full
-        products only of the masks whose head sections all have L/2 ones,
-        `full` at a time."""
-        heads = self.products(raw, self.head).reshape(len(raw), self.h, self.words)
-        passed = self._ones(heads) == self.half
-        # a one-pair head's flat positions are its rows
-        alive = np.flatnonzero(passed.all(axis=1) if self.h > 1 else passed)
+        """Positions of the masks of a batch, given by their `heads` and by
+        `masks(positions)`, their rows of little-endian mask bytes, whose
+        products pass each predicate: the full products are formed only of
+        the positions whose h head sections all have L/2 ones, `full` at a
+        time."""
+        alive = self.passing(heads)
         found = {p: [alive[:0]] for p in predicates}
         for k in range(0, len(alive), self.full):
             part = alive[k:k + self.full]
-            hits = self.hits(self.products(raw[part], self.tables), predicates)
+            hits = self.hits(self.products(masks(part), self.tables), predicates)
             for p, where in hits.items():
                 found[p].append(part[where])
         return {p: np.concatenate(parts) for p, parts in found.items()}
@@ -529,12 +566,45 @@ class _WitnessHeap:
         return sorted((-m, p) for m, p in self._heap)
 
 
-def _gray_batches(start: int, stop: int, size: int):
-    """Reflected Gray codes of the indices [start, stop), in batches."""
-    for a in range(start, stop, size):
-        i = np.arange(a, min(a + size, stop), dtype=np.int64)
-        masks = i ^ (i >> 1)
-        yield masks.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+def _gray_blocks(start: int, stop: int, kernel: _Kernel):
+    """The heads of the reflected Gray codes g(i) = i ^ (i >> 1) of the
+    indices [start, stop), one block of `kernel.block` = 2^k indices at a
+    time, each with a function from positions in it to mask bytes.
+
+    For a block aligned to 2^k, a = 0 mod 2^k, g(a + t) = g(a) ^ g(t) for
+    every t < 2^k, and a head is linear in its mask: so the heads of a
+    block are the rows of one low table, the heads of g(0 .. 2^k - 1),
+    XOR the head of g(a), and no mask is formed before its head passes.
+    The low table is built by k reflections, g(2^b + t) = 2^b ^ g(2^b - 1
+    - t) for t < 2^b.  A block is cut to [start, stop) at the ends."""
+    size = kernel.block
+    bits = np.arange(kernel.m)
+    rows = kernel.head[bits // 4, 1 << bits % 4].T  # a column per row's head
+    low = np.zeros((len(rows), size), dtype=np.uint64)
+    for b in range(size.bit_length() - 1):
+        np.bitwise_xor(low[:, (1 << b) - 1::-1], rows[:, b:b + 1],
+                       out=low[:, 1 << b:2 << b])
+    for a in range(start - start % size, stop, size):
+        first = max(start, a)
+        base = np.bitwise_xor.reduce(rows[:, _set_bits(a ^ a >> 1)], axis=1)
+        yield (low[:, first - a:min(stop - a, size)] ^ base[:, None],
+               partial(_gray_bytes, first))
+
+
+def _gray_bytes(first: int, positions: np.ndarray) -> np.ndarray:
+    """Little-endian bytes of the Gray codes of the indices first +
+    positions."""
+    i = positions + first
+    i ^= i >> 1
+    return i.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+
+
+def _digit_heads(batches, kernel: _Kernel):
+    """The heads of each batch of `batches(kernel.batch)`, rows of mask
+    bytes, formed from the head table one 4-bit digit at a time, each with
+    its batch's row lookup."""
+    for raw in batches(kernel.batch):
+        yield kernel.products(raw, kernel.head).T, raw.__getitem__
 
 
 def _sampled_batches(rng: random.Random, m: int, count: int, size: int):
@@ -554,37 +624,50 @@ def _sampled_batches(rng: random.Random, m: int, count: int, size: int):
         yield rows.view(np.uint8)[:, :(m + 7) // 8]
 
 
+def _ints(raw: np.ndarray) -> list[int]:
+    """The masks of rows of little-endian mask bytes, as ints; rows of 8
+    bytes, as every Gray code is given, are read as one uint64 each."""
+    if raw.shape[1] == 8:
+        return raw.view("<u8").ravel().tolist()
+    return [int.from_bytes(row.tobytes(), "little") for row in raw]
+
+
 def _scan(space: SearchSpace, predicates: tuple[str, ...], stream, cap: int,
           quotient: _Quotient | None = None):
-    """Test the product of every mask of `stream(batch)`, an iterable of
-    batches of masks of rows of `space`, each an array of little-endian
-    mask bytes, one row per mask; returns the examined count, the hit
-    counts and the `cap` smallest distinct hit masks, decoding only the
-    hits to ints.  With a quotient, `space` is its complement and each
-    mask counts, and is offered as a witness, once per mask of its coset."""
+    """Test the product of every mask of `stream(kernel)`, an iterable of
+    (heads, masks) batches of masks of rows of `space`: the packed heads of
+    the batch, one column per mask, and a function from positions in the
+    batch to their masks' rows of little-endian bytes, asked only for
+    positions whose heads pass; returns the examined count, the hit counts
+    and the `cap` smallest distinct hit masks, decoding only the hits to
+    ints.  With a quotient, `space` is its complement and each mask counts,
+    and is offered as a witness, once per mask of its coset."""
     quotient = quotient or _Quotient(space, [])
     kernel = _Kernel(space, space._head)
     counts = dict.fromkeys(predicates, 0)
     heap = _WitnessHeap(cap)
     examined = 0
-    for raw in stream(kernel.batch):
-        examined += len(raw) << quotient.dim
+    for heads, masks in stream(kernel):
+        examined += heads.shape[1] << quotient.dim
         passed: dict[int, list[str]] = {}
-        for p, where in kernel.verdicts(raw, predicates).items():
+        for p, where in kernel.verdicts(heads, masks, predicates).items():
             counts[p] += len(where) << quotient.dim
             for k in where.tolist():
                 passed.setdefault(k, []).append(p)
-        for k, ps in passed.items():
-            mask = int.from_bytes(raw[k].tobytes(), "little")
+        if not passed:
+            continue
+        raw = masks(np.fromiter(passed, dtype=np.intp, count=len(passed)))
+        for mask, ps in zip(_ints(raw), passed.values()):
+            ps = tuple(ps)
             for original in quotient.expand(mask):
-                heap.offer(original, tuple(ps))
+                heap.offer(original, ps)
     return examined, counts, heap.items()
 
 
 def _scan_gray_range(args):
     quotient, predicates, start, stop, cap = args
     return _scan(quotient.space, predicates,
-                 partial(_gray_batches, start, stop), cap, quotient)
+                 partial(_gray_blocks, start, stop), cap, quotient)
 
 
 def enumerate_span(space: SearchSpace,
@@ -621,8 +704,8 @@ def enumerate_span(space: SearchSpace,
     dim = 0
     if sampled:
         head = space._head
-        stream = partial(_sampled_batches, random.Random(seed), space.m,
-                         sample_count)
+        stream = partial(_digit_heads, partial(
+            _sampled_batches, random.Random(seed), space.m, sample_count))
         results = [_scan(space, predicates, stream, max_witnesses)]
     else:
         total = 1 << space.m if limit is None else min(1 << space.m, limit)

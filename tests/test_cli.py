@@ -226,6 +226,26 @@ def test_oversized_model_refused(capsys, command):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("cohomology", ()), ("basis", ()), ("tensor", ("--combo", "r1")),
+    ("search", ("--test", "improper"))])
+def test_oversized_basis_refused_before_model(capsys, command, extra):
+    # g1:3 at degree 6 has a model of about 93 MB, within the budget, but a
+    # cocycle basis of 842 GB: refused, with the reduction's message,
+    # before the model is built
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, command, "--group", "g1:3", "--degree",
+                             "6", *extra)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert err == "error: degree-6 cocycle basis needs 842229686272 bytes " \
+        "at v = 12, over the 268435456-byte budget\n"
+    assert peak < 4 << 20
+
+
 @pytest.mark.parametrize("command", ["cohomology", "verify"])
 def test_bad_group_spec(capsys, command):
     code, _, err = run(capsys, command, "--group", "g9:1", "--degree", "2")

@@ -10,7 +10,8 @@ from cocyred.groups import (Family, FiniteGroup, GroupSpec, build_group,
                             parse_group_spec)
 import cocyred.reduction as reduction
 from cocyred.model import (CohModel, ModelSizeError, ModelUnavailableError,
-                           builtin_model, load_model, model_bytes, save_model)
+                           builtin_model, load_model, model_bytes,
+                           model_generators, save_model)
 from cocyred.reduction import basis_bytes, codifferential_words
 from cocyred.tensor import all_ones, back_negacyclic
 from cocyred.verify import run_verify
@@ -70,6 +71,17 @@ def test_oversized_model_refused_before_building(monkeypatch, spec, n, r):
         tracemalloc.stop()
     assert refused < v ** n  # not one byte per tuple
     assert model.dims[n] == r and built <= need
+
+
+def test_model_generators_count_the_models_generators():
+    # the CLI refuses an oversized basis from `model_generators` before any
+    # model is built, so its r must be the r of the model built
+    for fam in Family:
+        for t in (1, 2, 3):
+            spec = GroupSpec(fam, t)
+            for n in [2] if fam is Family.D4T else (2, 3, 4):
+                assert builtin_model(spec, n).dims[n] == \
+                    model_generators(spec, n), (fam, t, n)
 
 
 def test_model_guard_never_refuses_what_the_reduction_accepts():

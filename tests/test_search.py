@@ -132,33 +132,38 @@ def unpacked(prod, sections, length):
 
 
 def test_gray_state_equals_from_scratch_product(monkeypatch):
-    # record every batched head and product of the Gray walk and of a
-    # seeded sampled walk: the walk forms the head s_0 ^ s_j of every mask,
-    # for each pair (0, j) of the head, and the full product of exactly the
-    # masks whose head sections all have L/2 ones, each equal to the mask's
-    # from-scratch product
+    # record every head that the Gray walk and a seeded sampled walk test,
+    # in walk order, and every full product: each head is s_0 ^ s_j of the
+    # mask's from-scratch bits, for each pair (0, j) of the head, and the
+    # walk forms the full product of exactly the masks whose head sections
+    # all have L/2 ones, each equal to the mask's from-scratch product.  A
+    # Gray walk forms no head from digits but one per mask from its block's
+    # low table; at a small budget its blocks are a few masks each
     space = space_for(Family.CYCLIC, 1, 4)  # m = 6, dim K = 2
     snapshots = []
     heads = []
-    orig = search_mod._Kernel.products
+    orig_products = search_mod._Kernel.products
+    orig_passing = search_mod._Kernel.passing
 
-    def spy(self, raw, table):
-        prod = orig(self, raw, table)
-        masks = [int.from_bytes(r.tobytes(), "little") for r in raw]
+    def products(self, raw, table):
+        prod = orig_products(self, raw, table)
         if table is self.tables:
+            masks = [int.from_bytes(r.tobytes(), "little") for r in raw]
             snapshots.extend(zip(masks, self.bits(prod)))
-        else:
-            assert table is self.head
-            heads.extend(zip(masks, unpacked(prod, self.h, self.length)))
         return prod
+
+    def passing(self, block):
+        rows = np.ascontiguousarray(block.T)
+        heads.extend(unpacked(rows, self.h, self.length))
+        return orig_passing(self, block)
 
     def survivors(space, masks, js):
         """The masks whose head sections all have L/2 ones, after checking
-        that the walk formed the head of each of `masks` and the full
-        product of exactly those."""
-        assert [mask for mask, _ in heads] == masks
+        that the walk tested the head of each of `masks`, in order, and
+        formed the full product of exactly those."""
+        assert len(heads) == len(masks)
         alive = []
-        for mask, head in heads:
+        for mask, head in zip(masks, heads):
             cube = space.combo_bits(mask).reshape(space.v, -1)
             assert (head == cube[0] ^ cube[list(js)]).all()
             if (2 * head.sum(axis=1) == head.shape[1]).all():
@@ -179,27 +184,34 @@ def test_gray_state_equals_from_scratch_product(monkeypatch):
     # the probes that pick the heads run before the spy records
     assert [s._head[0] for s in [quotient.space] + [p[0] for p in plain]] \
         == [(1,), (1,), (3, 2)]
-    monkeypatch.setattr(search_mod._Kernel, "products", spy)
-    # modulo K the walk forms one head per coset, over the free rows: each
-    # product equals the product of its lifted original mask
-    assert len(quotient.free) == 4
-    enumerate_span(space, ("improper",))
-    alive = survivors(quotient.space, [i ^ (i >> 1) for i in range(16)], (1,))
-    assert len(alive) == 6
-    for mask in alive:
-        lifted = quotient.expand(mask)[0]
-        assert (quotient.space.combo_bits(mask) == space.combo_bits(lifted)).all()
-    # without K, every mask
+    monkeypatch.setattr(search_mod._Kernel, "products", products)
+    monkeypatch.setattr(search_mod._Kernel, "passing", passing)
+    for budget in (search_mod.SCAN_BYTES, 0):
+        monkeypatch.setattr(search_mod, "SCAN_BYTES", budget)
+        # modulo K the walk tests one head per coset, over the free rows:
+        # each product equals the product of its lifted original mask
+        assert len(quotient.free) == 4
+        enumerate_span(space, ("improper",))
+        alive = survivors(quotient.space, [i ^ (i >> 1) for i in range(16)],
+                          (1,))
+        assert len(alive) == 6
+        for mask in alive:
+            lifted = quotient.expand(mask)[0]
+            assert (quotient.space.combo_bits(mask)
+                    == space.combo_bits(lifted)).all()
+    # without K, every mask; a budget of 0 walks blocks of one mask
     monkeypatch.setattr(search_mod, "_separable_masks", lambda space: [])
-    for space, predicates, count, js in plain:
-        rng = random.Random(4)
-        for sample_count, masks in (
-                (None, [i ^ (i >> 1) for i in range(2 ** space.m)]),
-                (count, [rng.getrandbits(space.m) for _ in range(count)])):
-            report = enumerate_span(space, predicates,
-                                    sample_count=sample_count, seed=4)
-            assert report.head_pairs == js
-            assert 0 < len(survivors(space, masks, js)) < len(masks)
+    for budget in (search_mod.SCAN_BYTES, 8000, 0):
+        monkeypatch.setattr(search_mod, "SCAN_BYTES", budget)
+        for space, predicates, count, js in plain:
+            rng = random.Random(4)
+            for sample_count, masks in (
+                    (None, [i ^ (i >> 1) for i in range(2 ** space.m)]),
+                    (count, [rng.getrandbits(space.m) for _ in range(count)])):
+                report = enumerate_span(space, predicates,
+                                        sample_count=sample_count, seed=4)
+                assert report.head_pairs == js
+                assert 0 < len(survivors(space, masks, js)) < len(masks)
 
 
 def test_sampled_hits_match_referee():
@@ -638,7 +650,8 @@ def test_staged_verdicts_equal_referees(v, n, kind, heads, share, budget,
     # one batch through a kernel staged on a head of 1 to 3 drawn pairs
     # (0, j), against the tensor.py referees; in it no head section, every
     # head section or any share of them has L/2 ones.  A budget of 0 forms
-    # one full product at a time.
+    # one full product at a time.  The chained head test keeps the masks
+    # whose head sections all pass
     # v = 6 has no Hadamard matrix, and its planted tensor is random
     assume(heads != "all" or kind != "random" and v != 6)
     rng = np.random.default_rng(seed)
@@ -660,8 +673,11 @@ def test_staged_verdicts_equal_referees(v, n, kind, heads, share, budget,
         if budget is not None:
             mp.setattr(search_mod, "SCAN_BYTES", budget)
         kernel = search_mod._Kernel(space, (js, share))
-    head = kernel._ones(kernel.products(raw, kernel.head).reshape(
+    heads_of = kernel.products(raw, kernel.head)
+    head = kernel._ones(heads_of.reshape(
         len(masks), len(js), kernel.words)) == kernel.half
+    assert kernel.passing(heads_of.T).tolist() == \
+        np.flatnonzero(head.all(axis=1)).tolist()
     assert heads != "none" or not head.any()
     assert heads != "all" or head.all()
     # each head section by the tensor.py dot product s_0 . s_j = 0
@@ -670,7 +686,7 @@ def test_staged_verdicts_equal_referees(v, n, kind, heads, share, budget,
         s0 = section(ten, 0, 0).reshape(-1).astype(np.int64)
         assert head[k].tolist() == [s0 @ section(ten, 0, j).reshape(-1) == 0
                                     for j in js]
-    got = kernel.verdicts(raw, predicates)
+    got = kernel.verdicts(heads_of.T, raw.__getitem__, predicates)
     for p in predicates:
         expect = [k for k, mask in enumerate(masks)
                   if REFEREES[p](space.combo_tensor(mask))]
@@ -753,7 +769,7 @@ def test_walks_are_staged_from_order_8(v):
 
 @pytest.mark.parametrize("budget", [0, 20_000, None])
 def test_batch_edges_keep_counts_and_witnesses(monkeypatch, budget):
-    # limits around and between batch boundaries, at batches of 1, of a few
+    # limits around and between block boundaries, at blocks of 1, of a few
     # dozen and of the default budget
     space = space_for(Family.CYCLIC, 2, 3)
     predicates = ("improper", "proper")
@@ -761,8 +777,8 @@ def test_batch_edges_keep_counts_and_witnesses(monkeypatch, budget):
     assert len(full) == 32
     if budget is not None:
         monkeypatch.setattr(search_mod, "SCAN_BYTES", budget)
-    batch = search_mod._Kernel(space, space._head).batch
-    for limit in (1, batch - 1, batch + 1, 3 * batch + 7, None):
+    block = search_mod._Kernel(space, space._head).block
+    for limit in (1, block - 1, block + 1, 3 * block + 7, None):
         walked = 2 ** space.m if limit is None else min(limit, 2 ** space.m)
         masks = {i ^ (i >> 1) for i in range(walked)}
         expect = sorted((mask, p) for mask, p in full.items() if mask in masks)
@@ -809,11 +825,11 @@ def test_survivor_chunks_split_batches(monkeypatch):
 
 def test_worker_ranges_split_batches(monkeypatch):
     # two ranges, of the quotient walk and of 10000/10001 masks, none a
-    # multiple of the batch; without a pool the walk is one range
+    # multiple of the block; without a pool the walk is one range
     monkeypatch.setattr(search_mod, "POOL_MIN_COMBOS", 1)
     space = space_for(Family.G1, 1, 3)
-    batch = search_mod._Kernel(space, space._head).batch
-    assert 10000 % batch and 10001 % batch
+    block = search_mod._Kernel(space, space._head).block
+    assert 10000 % block and 10001 % block
     for limit in (None, 20001):
         r1 = enumerate_span(space, ("improper", "proper"), limit=limit)
         r2 = enumerate_span(space, ("improper", "proper"), limit=limit,
@@ -821,6 +837,41 @@ def test_worker_ranges_split_batches(monkeypatch):
         assert r1.examined == r2.examined == (limit or 2 ** 15)
         assert r1.hits == r2.hits and r1.hits["improper"] > 0
         assert [w.mask for w in r1.witnesses] == [w.mask for w in r2.witnesses]
+
+
+def test_unaligned_gray_ranges_equal_referees(monkeypatch):
+    # prefixes and worker ranges that start or stop inside a block of 2^k
+    # indices: their first and last blocks are cut, and every head is a
+    # row of the low table XOR the head of its block's first Gray code.
+    # The tensor.py referees judge every mask of each range
+    space = space_for(Family.CYCLIC, 2, 3)  # m = 13
+    predicates = ("improper", "proper")
+    monkeypatch.setattr(search_mod, "SCAN_BYTES", 40_000)
+    monkeypatch.setattr(search_mod, "POOL_MIN_COMBOS", 1)
+    size = search_mod._Kernel(space, space._head).block
+    assert 16 <= size and 3 * size + 7 < 2 ** space.m
+    passed = {}
+    for i in range(2 ** space.m):
+        ten = space.combo_tensor(i ^ (i >> 1))
+        ps = [p for p in predicates if REFEREES[p](ten)]
+        if ps:
+            passed[i ^ (i >> 1)] = ps
+    # two workers split 2(i - 1), for the first hit at an index i inside a
+    # block, just before it, and 2^m - 1 at 2^(m-1) - 1
+    inside = min(i for i in range(2 ** space.m)
+                 if i ^ (i >> 1) in passed and i % size > 1)
+    for limit, workers in [(1, 1), (size - 1, 1), (size + 1, 1),
+                           (3 * size + 7, 1), (2 * inside - 2, 2),
+                           (2 ** space.m - 1, 2)]:
+        masks = [i ^ (i >> 1) for i in range(limit)]
+        expect = sorted((mask, passed[mask]) for mask in masks if mask in passed)
+        assert expect or limit <= size + 1
+        report = enumerate_span(space, predicates, limit=limit,
+                                workers=workers)
+        assert report.examined == limit
+        assert report.hits == {p: sum(p in ps for _, ps in expect)
+                               for p in predicates}
+        assert [(w.mask, w.passed) for w in report.witnesses] == expect
 
 
 def test_empty_basis_sampled():
@@ -847,9 +898,11 @@ def with_row_0(stream):
     pytest.param(None, 16, 3, "survivors", id="axis0-survivors"),  # m = 31
     pytest.param(None, 16, 2, "survivors", id="axis0-survivors-deg2"),  # m = 16
     pytest.param(None, 16, 3, "with-t", id="first-pair-survivors"),  # m = 31
-    pytest.param(None, 16, 2, "every-head", id="every-head-pair-survivors")])
+    pytest.param(None, 16, 2, "every-head", id="every-head-pair-survivors"),
+    pytest.param(None, 16, 2, "every-head-gray",
+                 id="every-head-gray-block")])  # m = 16
 def test_scan_stays_within_byte_budget(family, t, degree, stream):
-    if stream in ("survivors", "with-t", "every-head"):
+    if stream in ("survivors", "with-t", "every-head", "every-head-gray"):
         # T(x0, x1, x2) = H16[x0, x1]: every mask with T, half of all
         # masks, passes axis 0 and fails axis 2; at degree 2, T = H16 and
         # every mask with it is Hadamard.  With T added to every mask,
@@ -858,9 +911,11 @@ def test_scan_stays_within_byte_budget(family, t, degree, stream):
         # section 0 orthogonal to every other, but no mask is a hit; on a
         # head of three pairs and a share of 6%, as degree-2 probes give,
         # every mask passes every pair of the head, 16 times the survivors
-        # that the batch was sized for
+        # that the batch or block was sized for.  With T the last of the m
+        # rows, the Gray codes of the indices 2^(m-1) on all hold it, and
+        # every mask of every block passes the head
         h = hadamard_matrix(16)
-        if stream == "every-head":
+        if stream.startswith("every-head"):
             h[5] = h[4]
         if degree == 2:
             space = with_indicator_rows(h)
@@ -872,17 +927,23 @@ def test_scan_stays_within_byte_budget(family, t, degree, stream):
                         space.m, 2048)
         if stream != "survivors":
             masks = with_row_0(masks)
-        if stream == "every-head":
+        masks = partial(search_mod._digit_heads, masks)
+        if stream == "every-head-gray":
+            space = SearchSpace(v=space.v, n=space.n, labels=space.labels[::-1],
+                                bits=space.bits[::-1])
+            top = 2 ** (space.m - 1)
+            masks = partial(search_mod._gray_blocks, top, top + 8192)
+        if stream.startswith("every-head"):
             space._head = ((1, 2, 3), 0.06)
     elif stream == "sampled":
         space = space_for(family, t, degree)
         predicates = ("improper", "proper")
-        masks = partial(search_mod._sampled_batches, random.Random(1),
-                        space.m, 4096)
+        masks = partial(search_mod._digit_heads, partial(
+            search_mod._sampled_batches, random.Random(1), space.m, 4096))
     else:
         space = space_for(family, t, degree)
         predicates = ("hadamard2d",) if degree == 2 else ("improper", "proper")
-        masks = partial(search_mod._gray_batches, 0, 8192)
+        masks = partial(search_mod._gray_blocks, 0, 8192)
     tracemalloc.start()
     try:
         examined, counts, _ = search_mod._scan(space, predicates, masks, 1024)
@@ -890,7 +951,7 @@ def test_scan_stays_within_byte_budget(family, t, degree, stream):
     finally:
         tracemalloc.stop()
     assert examined in (2048, 4096, 8192)
-    assert stream != "every-head" or counts == {"hadamard2d": 0}
+    assert not stream.startswith("every-head") or counts == {"hadamard2d": 0}
     assert peak < search_mod.SCAN_BYTES
 
 
