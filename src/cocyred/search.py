@@ -22,13 +22,16 @@ keeps every predicate: along axis a it flips whole sections, and along
 any other axis it multiplies two parallel sections by the same signs, so
 no dot product between them changes.  Every predicate is therefore
 constant on the cosets of K, the masks whose combination is separable (a
-sum over the axes of functions of one coordinate).  K is computed once
-per space, as a left kernel, in echelon form with exclusive pivots; the
-masks with zero pivot bits are a complement of K, one per coset.  The
-walk streams their Gray codes over the non-pivot rows, multiplies each
-count by 2^dim K, and offers every hit as the 2^dim K original masks of
-its coset, so the retained witnesses are still the smallest original
-hit masks.  A prefix is not a union of cosets and is walked mask by mask.
+sum over the axes of functions of one coordinate).  K is computed as a
+left kernel, in echelon form with exclusive pivots; the masks with zero
+pivot bits are a complement of K, one per coset.  The walk streams their
+Gray codes over the non-pivot rows, multiplies each count by 2^dim K,
+and offers every hit as the 2^dim K original masks of its coset, so the
+retained witnesses are still the smallest original hit masks.  A prefix
+is not a union of cosets and is walked mask by mask.  So a space has two
+walks, each a `_Walk` built on first use and kept: `_full_walk`, modulo
+K, and `_plain_walk`, for prefixes and samples.  Each owns one kernel,
+its tables, head and sizes built once; a process pool is sent the walk.
 
 One kernel, `_Kernel`, evaluates every predicate on a batch at once, with
 integer and bit operations only: packed popcount tests of every two
@@ -38,15 +41,16 @@ over one test list whose prefixes are the predicates (see `_Kernel`).
 Every walk is staged in two: it first forms only the head of each mask's
 product, the sections s_0 ^ s_j for the h pairs (0, j) of the head, and
 forms the full products, a survivor chunk at a time, only of the masks
-whose head sections all have L/2 ones, as every predicate requires.  A
-sampled batch forms its heads from a head table, one entry per 4-bit digit
-of each mask.  A Gray block forms them with no digit at all: for a block
-aligned to 2^k, g(a + t) = g(a) ^ g(t) for every t < 2^k, and a head is
-linear in its mask, so the block's heads are one low table, the heads of
-g(0 .. 2^k - 1) built once per walk, XOR the head of g(a).  2^k is the
-largest power of two, at most 2^m, whose rows leave room in `SCAN_BYTES`
-for the full products of the block's expected survivors.  The pairs are
-picked once per space, greedily on at most PROBE_MASKS seeded draws:
+whose head sections all have L/2 ones, as every predicate requires; they
+are tested on the other pairs only.  A sampled batch forms its heads from
+a head table, one entry per 4-bit digit of each mask.  A Gray block forms
+them with no digit at all: for a block aligned to 2^k, g(a + t) = g(a) ^
+g(t) for every t < 2^k, and a head is linear in its mask, so the block's
+heads are one low table, the heads of g(0 .. 2^k - 1) built once per
+range, XOR the head of g(a).  2^k is the largest power of two, at most
+2^m, whose rows leave room in `SCAN_BYTES` for the full products of the
+block's expected survivors.  The pairs are picked when the kernel is
+built, greedily on its own products of at most PROBE_MASKS seeded draws:
 each is the pair that the fewest draws surviving the pairs before it
 pass, and one is added only while it cuts the share that pass by more
 than 1/v, so that a head section more per mask spares more than it costs
@@ -75,16 +79,18 @@ from .tensor import SignTensor
 
 MAX_EXHAUSTIVE_BITS = 62
 
-# Bytes one `_scan` call may hold in its XOR tables and head table (h/v
-# of their size, for a head of h pairs) plus one batch's temporaries,
-# which sets the batch, Gray block and survivor chunk sizes.  A Gray block
-# of 2^k masks holds its low table and heads, 16 h bytes per word of a
-# section per mask, and the popcounts and positions of its survivors,
-# beside one survivor chunk.  A batch or block gets at least a quarter of
-# it, so the bound is max(SCAN_BYTES, tables + head table + quarter).
-# The probe that picks a space's head runs before, within the same bound.
-# It does not cover the witness heap (up to `max_witnesses` masks) or the
-# per-batch `passed` lists of the hits, which grow with the hits.
+# Bytes a walk's kernel may hold in its XOR tables and head table (h/v of
+# their size, for a head of h pairs) plus what one batch of a `_scan`
+# holds, which sets the batch, Gray block and survivor chunk sizes when
+# the kernel is built, on the walk's first use.  A Gray block of 2^k masks
+# holds its low table and heads, 16 h bytes per word of a section per
+# mask, and the popcounts and positions of its survivors, beside one
+# survivor chunk.  A batch or block gets at least a quarter of it, so the
+# bound is max(SCAN_BYTES, tables + head table + quarter).  The probe that
+# picks the kernel's head runs between its tables and its head table,
+# within the same bound.  It does not cover the witness heap (up to
+# `max_witnesses` masks) or the per-batch `passed` lists of the hits,
+# which grow with the hits.
 SCAN_BYTES = 1 << 19
 
 # Fewest combinations per worker that pay for starting a process pool;
@@ -112,8 +118,7 @@ class SearchSpace:
         self.bits = np.ascontiguousarray(self.bits, dtype=np.uint8)
         if self.bits.shape != (len(self.labels), self.v ** self.n):
             raise ValueError("bits shape does not match labels and (v, n)")
-        if len(self.labels) and \
-                np.unique(self.bits, axis=0).shape[0] != len(self.labels):
+        if len({row.tobytes() for row in self.bits}) != len(self.labels):
             raise ValueError("basis cochains must be pairwise distinct")
 
     @classmethod
@@ -146,36 +151,15 @@ class SearchSpace:
         return SignTensor(self.v, self.n, signs.reshape((self.v,) * self.n))
 
     @cached_property
-    def _quotient(self) -> "_Quotient":
-        """The walk of the full span modulo its separable combinations,
-        computed once per space."""
-        return _Quotient(self, _separable_masks(self))
+    def _full_walk(self) -> "_Walk":
+        """The walk of the full span modulo K, or the plain one if K = 0."""
+        rows = _separable_masks(self)
+        return _Walk(self, rows) if rows else self._plain_walk
 
     @cached_property
-    def _head(self) -> tuple[tuple[int, ...], float]:
-        """(pairs, share): the pairs (0, j) that a walk tests first and the
-        share of the draws of the probe, min(PROBE_MASKS, 2^m) draws of
-        random.Random(0), that pass all of them; computed once per space.
-        The first pair is the one that the fewest draws pass, and each next
-        one the one that the fewest of the draws surviving the pairs so far
-        pass, ties to the smallest j.  A pair is added only while it cuts
-        the pass share by more than 1/v: one more head section per mask
-        pays only if it spares a full product, v sections, for more than
-        one in v masks.  At v = 1, with no pair, s_0 ^ s_0 passes all."""
-        if self.v == 1:
-            return (0,), 1.0
-        draws = min(PROBE_MASKS, 1 << self.m)
-        alive = _Kernel(self, ((1,), 1.0)).pair_passes(partial(
-            _sampled_batches, random.Random(0), self.m, draws))
-        pairs, count = [], draws
-        while True:
-            passes = alive.sum(axis=0)
-            j = int(np.argmin(passes))
-            if pairs and (count - passes[j]) * self.v <= draws:
-                return tuple(pairs), count / draws
-            pairs.append(1 + j)
-            count = int(passes[j])
-            alive = alive[alive[:, j]]
+    def _plain_walk(self) -> "_Walk":
+        """The walk of every mask, for a prefix or sampled draws."""
+        return _Walk(self, [])
 
 
 @dataclass
@@ -223,7 +207,8 @@ def tensor_of_combination(space: SearchSpace, combo) -> SignTensor:
 
 
 class _Kernel:
-    """Bit-packed products of one span and the one predicate test list.
+    """Bit-packed products of the rows of one walk, the one predicate test
+    list, and the walk's head and sizes, built once.
 
     A product is the cochain's v sections along axis 0, each of `words` =
     ceil(v^(n-1)/64) uint64 words: section i holds, in row-major order and
@@ -231,57 +216,80 @@ class _Kernel:
     one four-Russians table entry per 4-bit digit of its mask.  Two ±1
     vectors of length L are orthogonal iff they differ in exactly L/2
     places, so axis 0 is tested entirely on packed words, with popcounts,
-    and one pair test serves three lists of pairs i < j.  Two stages test
-    section 0 against the others: section 1 on every product, then
-    sections 2..v-1 on the survivors.  At degree 2 on a normalized
-    cocyclic matrix this is the row-sum test of Horadam and de Launey,
-    and few products pass it.  Their survivors, `chunk` at a time, are
-    tested on the pairs (i >= 1, j); that completes the planar Hadamard
-    test, so a degree-2 walk never unpacks, whatever the predicate: a
-    square ±1 matrix with orthogonal rows has orthogonal columns, so at
-    n = 2 the improper and proper tests are the planar one.  At n >= 3,
-    only for the improper and proper tests are the products that pass
-    unpacked, for one pass over one test list: the sections along each
-    later axis, then the parallel rows of every pair of axes.  The three
-    predicates are prefixes of that list, so the numpy calls per batch do
-    not grow with v.
+    and one pair test serves every list of pairs i < j.
 
-    The kernel is staged on `head` = (pairs, share): its head table is the
-    tables restricted to section 0 XOR section j, for each j of the h
-    `pairs`, so `products` forms the head s_0 ^ s_j1, ..., s_0 ^ s_jh of
-    every mask of a sampled batch, h sections wide.  A Gray walk reads the
-    head of each basis row out of the same table and forms the heads of a
-    block of `block` = 2^k masks as one low-table slice XOR the head of the
-    block's first Gray code (see `_gray_blocks`).  Either way `passing`
-    keeps the masks whose h head sections all have L/2 ones, and only they
-    get mask bytes and full products, `full` at a time.  A batch holds its
-    heads and leaves room for one survivor chunk of a quarter more than
-    `share`, the probe's share of masks that pass every pair of the head,
-    so one chunk usually takes all its survivors.  A block is the largest
-    power of two, at most 2^m, whose low-table rows, heads, popcounts and
-    survivor positions leave room for the full products of `share` of its
-    masks; it needs far fewer bytes per mask than a batch, which gathers a
-    table entry per digit.  `full` fits beside either.  A walk's head is
-    `SearchSpace._head`, whose pairs are picked greedily, one more only
-    while it cuts the share by more than 1/v.  At share 1, as the probe
-    builds it to form the full product of every mask, a chunk is a batch.
+    The head is the h pairs (0, j) of `js`, which `_probe_head` picks from
+    the kernel's own products.  The head table is the tables restricted to
+    section 0 XOR section j, for each j of `js`, so `products` forms the
+    head s_0 ^ s_j1, ..., s_0 ^ s_jh of every mask of a sampled batch.  A
+    Gray walk reads the head of each row out of the same table and forms
+    the heads of a block of `block` = 2^k masks as one low-table slice XOR
+    the head of the block's first Gray code (see `_gray_blocks`).  Either
+    way `passing` keeps the masks whose h head sections all have L/2 ones,
+    and only they get mask bytes and full products, `full` at a time.  Two
+    packed stages test section 0 against the sections outside the head:
+    one on every full product, then the others on its survivors.  At
+    degree 2 on a normalized cocyclic matrix this is the row-sum test of
+    Horadam and de Launey, and few products pass it.  Their survivors,
+    `chunk` at a time, are tested on the pairs (i >= 1, j); that completes
+    the planar Hadamard test, so a degree-2 walk never unpacks, whatever
+    the predicate: a square ±1 matrix with orthogonal rows has orthogonal
+    columns, so at n = 2 the improper and proper tests are the planar one.
+    At n >= 3, only for the improper and proper tests are the products
+    that pass unpacked, for one pass over one test list: the sections
+    along each later axis, then the parallel rows of every pair of axes.
+    The three predicates are prefixes of that list, so the numpy calls per
+    batch do not grow with v.
+
+    A batch holds its heads and leaves room for one survivor chunk of a
+    quarter more than `share`, the probe's share of masks that pass the
+    head, so one chunk usually takes all its survivors.  A block is the
+    largest power of two, at most 2^m, whose low-table rows, heads,
+    popcounts and survivor positions leave room for the full products of
+    `share` of its masks; it needs far fewer bytes per mask than a batch,
+    which gathers a table entry per digit.  `full` fits beside either.
     """
 
-    def __init__(self, space: SearchSpace, head: tuple[tuple[int, ...], float]):
-        v, n = space.v, space.n
-        self.v, self.n, self.m = v, n, space.m
+    def __init__(self, v: int, n: int, rows: np.ndarray):
+        self.v, self.n, self.m = v, n, len(rows)
         self.length = v ** (n - 1)
         self.words = -(-self.length // WORD)
         self.width = width = v * self.words
         # ±1 vectors of odd length have odd dot products: no count is half;
         # at v = 1 the head s_0 ^ s_0 has 0 = L // 2 ones
         self.half = self.length // 2 if self.length % 2 == 0 or v == 1 else -1
+        groups = -(-self.m // 4)
+        packed = np.zeros((4 * groups, width), dtype=np.uint64)
+        packed[:self.m] = pack_rows(rows.reshape(
+            self.m * v, self.length)).reshape(self.m, width)
+        # four-Russians tables: entry d of group g is the XOR of the rows
+        # 4g + b over the set bits b of d
+        self.tables = np.zeros((groups, 16, width), dtype=np.uint64)
+        for b in range(4):
+            np.bitwise_xor(self.tables[:, :1 << b], packed[b::4, None],
+                           out=self.tables[:, 1 << b:2 << b])
+        # tables past the budget (spans far beyond exhaustive reach) still
+        # leave a quarter of it to the probe, a batch or a block
+        room = max(SCAN_BYTES - self.tables.nbytes, SCAN_BYTES // 4)
+        # a batch of full products holds its mask stream and digits, the
+        # product and one gathered table entry per mask, and one section
+        # row's XORs and popcounts
+        per_mask = 24 * width + (25 * self.words + 5) * v + 128
+        self.js, self.share = js, share = _probe_head(
+            self, max(1, room // per_mask))
+        self.h = h = len(js)
+        sections = self.tables.reshape(groups, 16, v, self.words)
+        table = sections.take(js, axis=2)
+        table ^= sections[:, :, :1]
+        self.head = table.reshape(groups, 16, h * self.words)
+        room = max(room - self.head.nbytes, SCAN_BYTES // 4)
         r = np.arange(v)
-        # every pair i < j, row-major, so the v - 1 pairs (0, j) come first;
-        # the packed tests take (0, 1), then (0, j >= 2), then (i >= 1, j)
+        # every pair i < j, row-major, so the pair (0, j) is at j - 1; past
+        # the head the packed tests take one pair (0, j) outside it, then
+        # the other pairs (0, j) outside it, then (i >= 1, j)
         self.pairs = x, y = np.nonzero(r[:, None] < r)
-        self.stages = [(x[:1], y[:1]), (x[1:v - 1], y[1:v - 1]),
-                       (x[v - 1:], y[v - 1:])]
+        out = [j - 1 for j in range(1, v) if j not in js]
+        self.stages = [(x[k], y[k]) for k in (out[:1], out[1:], slice(v - 1, None))]
         # the unpacked tests, (axes moved, to where, segments per row): the
         # sections along each later axis, then the rows of each pair of axes;
         # at n = 2 the packed pairs have decided all of them
@@ -292,36 +300,12 @@ class _Kernel:
         # each predicate is a prefix of the unpacked tests
         self.ends = {"hadamard2d": 0, "improper": min(n - 1, len(self.tests)),
                      "proper": len(self.tests)}
-        groups = -(-space.m // 4)
-        rows = np.zeros((4 * groups, width), dtype=np.uint64)
-        rows[:space.m] = pack_rows(space.bits.reshape(
-            space.m * v, self.length)).reshape(space.m, width)
-        # four-Russians tables: entry d of group g is the XOR of the rows
-        # 4g + b over the set bits b of d
-        self.tables = np.zeros((groups, 16, width), dtype=np.uint64)
-        for b in range(4):
-            np.bitwise_xor(self.tables[:, :1 << b], rows[b::4, None],
-                           out=self.tables[:, 1 << b:2 << b])
-        js, share = head
-        self.h = h = len(js)
-        sections = self.tables.reshape(groups, 16, v, self.words)
-        table = sections.take(js, axis=2)
-        table ^= sections[:, :, :1]
-        self.head = table.reshape(groups, 16, h * self.words)
-        # tables past the budget (spans far beyond exhaustive reach) still
-        # leave a quarter of it to a batch or block
-        room = max(SCAN_BYTES - self.tables.nbytes - self.head.nbytes,
-                   SCAN_BYTES // 4)
-        # a batch of full products holds its mask stream and digits, the
-        # product and one gathered table entry per mask, and one section
-        # row's XORs and popcounts
-        per_mask = 24 * width + (25 * self.words + 5) * v + 128
         # a batch of heads holds its mask stream and digits, the head and
         # one gathered entry per mask, and the head's popcounts; then, while
         # the survivors' full products are formed, the masks as drawn and
         # the survivor positions, beside one survivor chunk
-        rows = -(-space.m // 32)
-        per_head = 24 * h * self.words + 4 * -(-space.m // 8) + 8 * rows + 64
+        rows = -(-self.m // 32)
+        per_head = 24 * h * self.words + 4 * -(-self.m // 8) + 8 * rows + 64
         per_held = 8 * rows + 24
         survive = min(1.0, 1.25 * share + 0.01)
         self.batch = max(1, min(room // per_head,
@@ -333,7 +317,7 @@ class _Kernel:
         # full products of its share of survivors
         per_row = 17 * h * self.words + (4 * h if self.words > 1 else 0) + 10
         fit = int(room // (per_row + share * per_mask))
-        self.block = 1 << min(space.m, max(0, fit.bit_length() - 1))
+        self.block = 1 << min(self.m, max(0, fit.bit_length() - 1))
         room -= max(per_held * self.batch, per_row * self.block)
         # one survivor chunk, of a batch or a block: the full products of
         # `full` masks at once
@@ -403,16 +387,6 @@ class _Kernel:
                 found[p].append(part[where])
         return {p: np.concatenate(parts) for p, parts in found.items()}
 
-    def pair_passes(self, stream) -> np.ndarray:
-        """Whether sections 0 and j are orthogonal, for each mask of
-        `stream(self.full)` (rows) and j = 1..v-1 (columns)."""
-        passes = []
-        for raw in stream(self.full):
-            s = self.products(raw, self.tables).reshape(
-                len(raw), self.v, self.words)
-            passes.append(self._ones(s[:, :1] ^ s[:, 1:]) == self.half)
-        return np.concatenate(passes)
-
     def bits(self, prod: np.ndarray) -> np.ndarray:
         """Cochain bits of packed products."""
         unpacked = np.unpackbits(prod.view(np.uint8).reshape(
@@ -421,7 +395,8 @@ class _Kernel:
 
     def hits(self, prod: np.ndarray,
              predicates: tuple[str, ...]) -> dict[str, np.ndarray]:
-        """Batch positions of the products that pass each predicate."""
+        """Batch positions of the products that pass each predicate, given
+        products whose head sections all have L/2 ones."""
         alive = self._axis0(prod)
         depth = max((self.ends[p] for p in predicates), default=0)
         passes = [self._survivors(prod, alive[k:k + self.chunk], depth)
@@ -430,8 +405,9 @@ class _Kernel:
                 for p in predicates}
 
     def _axis0(self, prod: np.ndarray) -> np.ndarray:
-        """The positions whose section 0 is orthogonal to every other
-        section, by the two packed stages."""
+        """The positions whose section 0 is orthogonal to every section
+        outside the head, by the two packed stages; the head's pairs were
+        tested on the heads."""
         alive = np.flatnonzero(self._orthogonal(prod, self.stages[0]))
         return alive[self._orthogonal(prod[alive], self.stages[1])]
 
@@ -509,15 +485,46 @@ def _separable_masks(space: SearchSpace) -> list[int]:
     return list(rows.values())
 
 
-class _Quotient:
-    """The exhaustive walk of a span modulo K, given K's basis in echelon
-    form with exclusive pivots.
+def _probe_head(kernel: _Kernel, size: int) -> tuple[tuple[int, ...], float]:
+    """(pairs, share): the pairs (0, j) that the kernel's walk tests first
+    and the share of the draws of the probe, min(PROBE_MASKS, 2^m) draws of
+    random.Random(0), that pass all of them, from the kernel's full
+    products of those draws, `size` at a time.  The first pair is the one
+    that the fewest draws pass, and each next one the one that the fewest
+    of the draws surviving the pairs so far pass, ties to the smallest j.
+    A pair is added only while it cuts the pass share by more than 1/v:
+    one more head section per mask pays only if it spares a full product,
+    v sections, for more than one in v masks.  At v = 1, with no pair,
+    s_0 ^ s_0 passes all."""
+    v = kernel.v
+    if v == 1:
+        return (0,), 1.0
+    draws = min(PROBE_MASKS, 1 << kernel.m)
+    passes = []
+    for raw in _sampled_batches(random.Random(0), kernel.m, draws, size):
+        s = kernel.products(raw, kernel.tables).reshape(len(raw), v, kernel.words)
+        passes.append(kernel._ones(s[:, :1] ^ s[:, 1:]) == kernel.half)
+    alive = np.concatenate(passes)
+    pairs, count = [], draws
+    while True:
+        passed = alive.sum(axis=0)
+        j = int(np.argmin(passed))
+        if pairs and (count - passed[j]) * v <= draws:
+            return tuple(pairs), count / draws
+        pairs.append(1 + j)
+        count = int(passed[j])
+        alive = alive[alive[:, j]]
+
+
+class _Walk:
+    """A walk of a space's span and the one kernel that tests it, given a
+    basis of K in echelon form with exclusive pivots.
 
     Every mask is c ^ k for exactly one k in K and one c whose pivot bits
-    are zero, so the walk visits those c only: the Gray codes over the
-    `free` (non-pivot) rows, which `space` holds in order.  Each walked
-    mask stands for the 2^dim masks of its coset.  With no rows it is the
-    plain walk of the whole span.
+    are zero, so the walk visits those c only: the masks over the `free`
+    (non-pivot) rows, whose products `kernel` forms.  Each walked mask
+    stands for the 2^dim masks of its coset.  With no rows it is the plain
+    walk of every mask, of a prefix or of sampled draws.
     """
 
     def __init__(self, space: SearchSpace, kernel_rows: list[int]):
@@ -527,9 +534,8 @@ class _Quotient:
         self.coset = [0]  # the masks of K: walked mask c stands for c ^ K
         for x in kernel_rows:
             self.coset += [c ^ x for c in self.coset]
-        self.space = space if not self.dim else SearchSpace(
-            v=space.v, n=space.n, labels=[space.labels[i] for i in self.free],
-            bits=space.bits[self.free])
+        self.kernel = _Kernel(space.v, space.n,
+                              space.bits[self.free] if self.dim else space.bits)
 
     def expand(self, x: int) -> list[int]:
         """The original masks of walked mask x's coset."""
@@ -632,26 +638,24 @@ def _ints(raw: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in raw]
 
 
-def _scan(space: SearchSpace, predicates: tuple[str, ...], stream, cap: int,
-          quotient: _Quotient | None = None):
-    """Test the product of every mask of `stream(kernel)`, an iterable of
-    (heads, masks) batches of masks of rows of `space`: the packed heads of
-    the batch, one column per mask, and a function from positions in the
-    batch to their masks' rows of little-endian bytes, asked only for
+def _scan(walk: _Walk, predicates: tuple[str, ...], stream, cap: int):
+    """Test the product of every mask of `stream(walk.kernel)`, an iterable
+    of (heads, masks) batches of masks of the walk's rows: the packed heads
+    of the batch, one column per mask, and a function from positions in
+    the batch to their masks' rows of little-endian bytes, asked only for
     positions whose heads pass; returns the examined count, the hit counts
     and the `cap` smallest distinct hit masks, decoding only the hits to
-    ints.  With a quotient, `space` is its complement and each mask counts,
-    and is offered as a witness, once per mask of its coset."""
-    quotient = quotient or _Quotient(space, [])
-    kernel = _Kernel(space, space._head)
+    ints.  Each mask counts, and is offered as a witness, once per mask of
+    its coset."""
+    kernel = walk.kernel
     counts = dict.fromkeys(predicates, 0)
     heap = _WitnessHeap(cap)
     examined = 0
     for heads, masks in stream(kernel):
-        examined += heads.shape[1] << quotient.dim
+        examined += heads.shape[1] << walk.dim
         passed: dict[int, list[str]] = {}
         for p, where in kernel.verdicts(heads, masks, predicates).items():
-            counts[p] += len(where) << quotient.dim
+            counts[p] += len(where) << walk.dim
             for k in where.tolist():
                 passed.setdefault(k, []).append(p)
         if not passed:
@@ -659,15 +663,14 @@ def _scan(space: SearchSpace, predicates: tuple[str, ...], stream, cap: int,
         raw = masks(np.fromiter(passed, dtype=np.intp, count=len(passed)))
         for mask, ps in zip(_ints(raw), passed.values()):
             ps = tuple(ps)
-            for original in quotient.expand(mask):
+            for original in walk.expand(mask):
                 heap.offer(original, ps)
     return examined, counts, heap.items()
 
 
 def _scan_gray_range(args):
-    quotient, predicates, start, stop, cap = args
-    return _scan(quotient.space, predicates,
-                 partial(_gray_blocks, start, stop), cap, quotient)
+    walk, predicates, start, stop, cap = args
+    return _scan(walk, predicates, partial(_gray_blocks, start, stop), cap)
 
 
 def enumerate_span(space: SearchSpace,
@@ -701,12 +704,11 @@ def enumerate_span(space: SearchSpace,
     t0 = time.perf_counter()
 
     sampled = sample_count is not None
-    dim = 0
     if sampled:
-        head = space._head
+        walk = space._plain_walk
         stream = partial(_digit_heads, partial(
             _sampled_batches, random.Random(seed), space.m, sample_count))
-        results = [_scan(space, predicates, stream, max_witnesses)]
+        results = [_scan(walk, predicates, stream, max_witnesses)]
     else:
         total = 1 << space.m if limit is None else min(1 << space.m, limit)
         if total > 1 << MAX_EXHAUSTIVE_BITS:
@@ -715,12 +717,8 @@ def enumerate_span(space: SearchSpace,
                 f"use sampling (--sample)")
         # a prefix is not a union of cosets of K: only a full walk is
         # taken modulo K
-        quotient = space._quotient if total == 1 << space.m \
-            else _Quotient(space, [])
-        dim = quotient.dim
-        # computed here, so that every worker receives it with the space
-        head = quotient.space._head
-        total >>= dim
+        walk = space._full_walk if total == 1 << space.m else space._plain_walk
+        total >>= walk.dim
         nworkers = max(1, int(workers))
         # the power of two at or above nworkers, or one range if no pool
         nranges = 1 << (nworkers - 1).bit_length()
@@ -728,7 +726,7 @@ def enumerate_span(space: SearchSpace,
             nranges = 1
         bounds = [(total * k // nranges, total * (k + 1) // nranges)
                   for k in range(nranges)]
-        args = [(quotient, predicates, a, b, max_witnesses)
+        args = [(walk, predicates, a, b, max_witnesses)
                 for a, b in bounds if b > a]
         if nranges == 1:
             results = [_scan_gray_range(a) for a in args]
@@ -748,8 +746,8 @@ def enumerate_span(space: SearchSpace,
                         witnesses=witnesses,
                         duration=time.perf_counter() - t0,
                         mode="sampled" if sampled else "exhaustive",
-                        seed=seed if sampled else None, quotient_dim=dim,
-                        head_pairs=head[0])
+                        seed=seed if sampled else None, quotient_dim=walk.dim,
+                        head_pairs=walk.kernel.js)
 
 
 def default_workers() -> int:

@@ -138,8 +138,10 @@ def test_gray_state_equals_from_scratch_product(monkeypatch):
     # walk forms the full product of exactly the masks whose head sections
     # all have L/2 ones, each equal to the mask's from-scratch product.  A
     # Gray walk forms no head from digits but one per mask from its block's
-    # low table; at a small budget its blocks are a few masks each
-    space = space_for(Family.CYCLIC, 1, 4)  # m = 6, dim K = 2
+    # low table; at a small budget its blocks are a few masks each.  Each
+    # space is built after its budget is patched, and its walk's kernel,
+    # with the probe that picks the head, before the spies record
+    default = search_mod.SCAN_BYTES
     snapshots = []
     heads = []
     orig_products = search_mod._Kernel.products
@@ -156,6 +158,13 @@ def test_gray_state_equals_from_scratch_product(monkeypatch):
         rows = np.ascontiguousarray(block.T)
         heads.extend(unpacked(rows, self.h, self.length))
         return orig_passing(self, block)
+
+    def spied(space, *args, **kwargs):
+        """`enumerate_span` with the spies recording."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search_mod._Kernel, "products", products)
+            mp.setattr(search_mod._Kernel, "passing", passing)
+            return enumerate_span(space, *args, **kwargs)
 
     def survivors(space, masks, js):
         """The masks whose head sections all have L/2 ones, after checking
@@ -175,41 +184,43 @@ def test_gray_state_equals_from_scratch_product(monkeypatch):
         heads.clear()
         return alive
 
-    quotient = space._quotient
-    # walked without K: at v = 2 on the pair (0, 1) and at v = 8 on the
-    # head (0, 3), (0, 2)
-    plain = [(space_for(Family.CYCLIC, 1, 4), ("improper",), 40, (1,)),
-             (space_for(Family.G1, 2, 2, mode="normalized"), ("hadamard2d",),
-              300, (3, 2))]
-    # the probes that pick the heads run before the spy records
-    assert [s._head[0] for s in [quotient.space] + [p[0] for p in plain]] \
-        == [(1,), (1,), (3, 2)]
-    monkeypatch.setattr(search_mod._Kernel, "products", products)
-    monkeypatch.setattr(search_mod._Kernel, "passing", passing)
-    for budget in (search_mod.SCAN_BYTES, 0):
+    for budget, block in ((default, 16), (0, 1)):
         monkeypatch.setattr(search_mod, "SCAN_BYTES", budget)
-        # modulo K the walk tests one head per coset, over the free rows:
-        # each product equals the product of its lifted original mask
+        space = space_for(Family.CYCLIC, 1, 4)  # m = 6, dim K = 2
+        quotient = space._full_walk
+        # modulo K the walk tests one head, on the pair (0, 1), per coset,
+        # over the free rows: each product equals the product of its lifted
+        # original mask
         assert len(quotient.free) == 4
-        enumerate_span(space, ("improper",))
-        alive = survivors(quotient.space, [i ^ (i >> 1) for i in range(16)],
-                          (1,))
+        assert (quotient.kernel.js, quotient.kernel.block) == ((1,), block)
+        free = SearchSpace(v=space.v, n=space.n,
+                           labels=[space.labels[i] for i in quotient.free],
+                           bits=space.bits[quotient.free])
+        spied(space, ("improper",))
+        alive = survivors(free, [i ^ (i >> 1) for i in range(16)], (1,))
         assert len(alive) == 6
         for mask in alive:
             lifted = quotient.expand(mask)[0]
-            assert (quotient.space.combo_bits(mask)
-                    == space.combo_bits(lifted)).all()
+            assert (free.combo_bits(mask) == space.combo_bits(lifted)).all()
     # without K, every mask; a budget of 0 walks blocks of one mask
     monkeypatch.setattr(search_mod, "_separable_masks", lambda space: [])
-    for budget in (search_mod.SCAN_BYTES, 8000, 0):
+    for budget, blocks in ((default, (64, 256)), (8000, (32, 16)), (0, (1, 1))):
         monkeypatch.setattr(search_mod, "SCAN_BYTES", budget)
-        for space, predicates, count, js in plain:
+        # walked at v = 2 on the pair (0, 1) and at v = 8 on the head
+        # (0, 3), (0, 2)
+        plain = [(space_for(Family.CYCLIC, 1, 4), ("improper",), 40, (1,)),
+                 (space_for(Family.G1, 2, 2, mode="normalized"),
+                  ("hadamard2d",), 300, (3, 2))]
+        for (space, predicates, count, js), block in zip(plain, blocks):
+            kernel = space._plain_walk.kernel
+            assert space._full_walk is space._plain_walk
+            assert (kernel.js, kernel.block) == (js, block)
             rng = random.Random(4)
             for sample_count, masks in (
                     (None, [i ^ (i >> 1) for i in range(2 ** space.m)]),
                     (count, [rng.getrandbits(space.m) for _ in range(count)])):
-                report = enumerate_span(space, predicates,
-                                        sample_count=sample_count, seed=4)
+                report = spied(space, predicates, sample_count=sample_count,
+                               seed=4)
                 assert report.head_pairs == js
                 assert 0 < len(survivors(space, masks, js)) < len(masks)
 
@@ -359,6 +370,23 @@ def test_duplicate_label_raises():
         tensor_of_combination(space, ["cob:4", "cob:4"])
 
 
+def test_space_rejects_equal_rows_and_bad_shapes():
+    rows = np.eye(4, 8, dtype=np.uint8)
+    equal = np.vstack([rows[:3], rows[1:2]])
+    for bits in (equal, np.asfortranarray(equal)):
+        with pytest.raises(ValueError,
+                           match="^basis cochains must be pairwise distinct$"):
+            SearchSpace(v=2, n=3, labels=list("abcd"), bits=bits)
+    for v, n, labels in ((2, 3, "abc"), (2, 2, "abcd"), (3, 2, "abcd")):
+        with pytest.raises(ValueError, match=r"^bits shape does not match "
+                                             r"labels and \(v, n\)$"):
+            SearchSpace(v=v, n=n, labels=list(labels), bits=rows)
+    # distinct rows that share every byte but one pass
+    rows[3] = rows[2]
+    rows[3, 7] = 1
+    assert SearchSpace(v=2, n=3, labels=list("abcd"), bits=rows).m == 4
+
+
 def test_combo_decoding():
     space = space_for(Family.CYCLIC, 2, 3)
     mask = 0b1000000000101
@@ -491,7 +519,7 @@ def test_packed_sections_give_exact_dot_products(v, n):
     pm = rng.choice(np.array([-1, 1]), size=(v,) * n)
     bits = ((1 - pm) // 2).reshape(1, -1).astype(np.uint8)
     space = SearchSpace(v=v, n=n, labels=["t"], bits=bits)
-    kernel = search_mod._Kernel(space, space._head)
+    kernel = space._plain_walk.kernel
     prod = kernel.products(np.array([[1]], dtype=np.uint8), kernel.tables)
     assert (kernel.bits(prod) == bits).all()
     # axis 0 from the packed product, the later axes from the unpacked
@@ -584,7 +612,7 @@ def test_equal_sections_fail_in_the_survivor_pass(v, n, i, j):
             np.random.default_rng(n).integers(0, 2, size=v ** n)]
     space = SearchSpace(v=v, n=n, labels=["t", "s", "r"],
                         bits=np.array(rows, dtype=np.uint8))
-    kernel = search_mod._Kernel(space, space._head)
+    kernel = space._plain_walk.kernel
     planted = kernel.products(np.array([[1]], dtype=np.uint8), kernel.tables)
     assert kernel._axis0(planted).tolist() == [0]
     ten = space.combo_tensor(1)
@@ -648,10 +676,11 @@ def test_unpacked_products_have_orthogonal_axis0_sections(monkeypatch):
 def test_staged_verdicts_equal_referees(v, n, kind, heads, share, budget,
                                         seed, data):
     # one batch through a kernel staged on a head of 1 to 3 drawn pairs
-    # (0, j), against the tensor.py referees; in it no head section, every
-    # head section or any share of them has L/2 ones.  A budget of 0 forms
-    # one full product at a time.  The chained head test keeps the masks
-    # whose head sections all pass
+    # (0, j), forced in place of the probe's, against the tensor.py
+    # referees; in it no head section, every head section or any share of
+    # them has L/2 ones.  A budget of 0 forms one full product at a time,
+    # and no budget gives more full products at once than it holds.  The
+    # chained head test keeps the masks whose head sections all pass
     # v = 6 has no Hadamard matrix, and its planted tensor is random
     assume(heads != "all" or kind != "random" and v != 6)
     rng = np.random.default_rng(seed)
@@ -672,7 +701,11 @@ def test_staged_verdicts_equal_referees(v, n, kind, heads, share, budget,
     with pytest.MonkeyPatch.context() as mp:
         if budget is not None:
             mp.setattr(search_mod, "SCAN_BYTES", budget)
-        kernel = search_mod._Kernel(space, (js, share))
+        mp.setattr(search_mod, "_probe_head", lambda kernel, size: (js, share))
+        kernel = search_mod._Kernel(space.v, space.n, space.bits)
+    assert kernel.js == js and kernel.share == share
+    assert budget is None or kernel.full == 1 \
+        or kernel.full * 24 * kernel.width <= budget
     heads_of = kernel.products(raw, kernel.head)
     head = kernel._ones(heads_of.reshape(
         len(masks), len(js), kernel.words)) == kernel.half
@@ -738,13 +771,14 @@ def test_head_is_the_greedy_probe_choice(family, t, degree, head):
         alive &= passes[:, j - 1]
     # the next pair would not cut enough
     assert (alive.sum() - passes[alive].sum(axis=0).min()) * v <= draws
-    assert space._head == (head, alive.sum() / draws)
+    kernel = space._plain_walk.kernel
+    assert (kernel.js, kernel.share) == (head, alive.sum() / draws)
 
 
 def test_walk_staged_on_a_later_pair_equals_referees():
     # g1:3 at degree 2 is staged on the head (0, 5), (0, 4), (0, 1)
     space = space_for(Family.G1, 3, 2, mode="normalized")
-    assert space._head[0] == (5, 4, 1)
+    assert space._plain_walk.kernel.js == (5, 4, 1)
     expect = assert_walk_matches_referees(space, ("hadamard2d", "improper"))
     assert len(expect) == 24
     assert enumerate_span(space, ("hadamard2d",)).head_pairs == (5, 4, 1)
@@ -757,11 +791,51 @@ def test_walks_are_staged_from_order_8(v):
     space = SearchSpace(v=v, n=2, labels=[f"e{k}" for k in range(v * v)],
                         bits=np.eye(v * v, dtype=np.uint8))
     report = enumerate_span(space, ("hadamard2d",), sample_count=64)
-    js, _ = space._head
+    kernel = space._plain_walk.kernel
+    js = kernel.js
     assert report.head_pairs == js
     assert len(set(js)) == len(js) and all(1 <= j < v for j in js)
-    kernel = search_mod._Kernel(space, space._head)
     assert kernel.head.shape == (len(kernel.tables), 16, len(js) * kernel.words)
+
+
+def stage_pairs(kernel):
+    """The pairs (i, j) of the kernel's packed stages, in test order."""
+    return [(int(i), int(j)) for x, y in kernel.stages for i, j in zip(x, y)]
+
+
+@pytest.mark.parametrize("v,js", [(2, (1,)), (4, (2,)), (4, (3, 1, 2)),
+                                  (8, (6, 2, 4)), (16, (4, 2, 3)),
+                                  (16, tuple(range(15, 0, -1)))])
+def test_stages_test_only_the_pairs_outside_the_head(monkeypatch, v, js):
+    # the head's pairs (0, j), tested on the heads, and the pairs of the
+    # packed stages, tested on full products, are disjoint and together
+    # every pair i < j; the first stage holds one pair (0, j) outside the
+    # head, or none when the head covers every (0, j)
+    monkeypatch.setattr(search_mod, "_probe_head", lambda kernel, size: (js, 0.5))
+    bits = np.random.default_rng(v).integers(0, 2, size=(3, v * v),
+                                             dtype=np.uint8)
+    kernel = search_mod._Kernel(v, 2, bits)
+    staged, head = stage_pairs(kernel), [(0, j) for j in js]
+    assert len(kernel.stages[0][1]) == min(1, v - 1 - len(js))
+    assert not set(staged) & set(head) and len(set(staged)) == len(staged)
+    assert sorted(staged + head) == [(i, j) for i in range(v)
+                                     for j in range(i + 1, v)]
+
+
+@pytest.mark.parametrize("v,n,kind", [(4, 3, "proper"), (4, 3, "improper"),
+                                      (4, 2, "random"), (8, 2, "proper")])
+def test_head_of_every_first_pair_equals_referees(monkeypatch, v, n, kind):
+    # a head of every pair (0, j) leaves both (0, j) stages empty: they pass
+    # every full product, and the pairs (i >= 1, j) decide the rest
+    monkeypatch.setattr(search_mod, "_probe_head",
+                        lambda kernel, size: (tuple(range(1, v)), 0.5))
+    space = with_indicator_rows(
+        planted_tensor(v, n, kind, np.random.default_rng(v + n)))
+    assert not len(space._plain_walk.kernel.stages[0][1])
+    assert stage_pairs(space._plain_walk.kernel) == [
+        (i, j) for i in range(1, v) for j in range(i + 1, v)]
+    expect = assert_walk_matches_referees(space, ("improper", "proper"))
+    assert kind == "random" or expect
 
 
 # -- batch edges -------------------------------------------------------------
@@ -769,15 +843,20 @@ def test_walks_are_staged_from_order_8(v):
 
 @pytest.mark.parametrize("budget", [0, 20_000, None])
 def test_batch_edges_keep_counts_and_witnesses(monkeypatch, budget):
-    # limits around and between block boundaries, at blocks of 1, of a few
-    # dozen and of the default budget
-    space = space_for(Family.CYCLIC, 2, 3)
+    # limits around and between block boundaries, at blocks of 1, of about
+    # a hundred and of the default budget; the space is built after the
+    # patch, so that its walks are sized at that budget
     predicates = ("improper", "proper")
-    full = {w.mask: w.passed for w in enumerate_span(space, predicates).witnesses}
+    full = {w.mask: w.passed for w in enumerate_span(
+        space_for(Family.CYCLIC, 2, 3), predicates).witnesses}
     assert len(full) == 32
     if budget is not None:
         monkeypatch.setattr(search_mod, "SCAN_BYTES", budget)
-    block = search_mod._Kernel(space, space._head).block
+    space = space_for(Family.CYCLIC, 2, 3)
+    # the blocks of the prefix walk and of the walk modulo K
+    block, full_block = {0: (1, 1), 20_000: (128, 128), None: (4096, 2048)}[budget]
+    assert space._plain_walk.kernel.block == block
+    assert space._full_walk.kernel.block == full_block
     for limit in (1, block - 1, block + 1, 3 * block + 7, None):
         walked = 2 ** space.m if limit is None else min(limit, 2 ** space.m)
         masks = {i ^ (i >> 1) for i in range(walked)}
@@ -808,7 +887,7 @@ def test_survivor_chunks_split_batches(monkeypatch):
         planted_tensor(4, 3, "proper", np.random.default_rng(4)))
     monkeypatch.setattr(search_mod, "SCAN_BYTES", 6000)
     predicates = ("improper", "proper")
-    kernel = search_mod._Kernel(space, space._head)
+    kernel = space._plain_walk.kernel
     assert 2 < 2 * kernel.chunk < kernel.full
     # a prefix is walked mask by mask, not modulo the separable rows
     walked = 2 ** space.m - 1
@@ -828,7 +907,7 @@ def test_worker_ranges_split_batches(monkeypatch):
     # multiple of the block; without a pool the walk is one range
     monkeypatch.setattr(search_mod, "POOL_MIN_COMBOS", 1)
     space = space_for(Family.G1, 1, 3)
-    block = search_mod._Kernel(space, space._head).block
+    block = space._plain_walk.kernel.block
     assert 10000 % block and 10001 % block
     for limit in (None, 20001):
         r1 = enumerate_span(space, ("improper", "proper"), limit=limit)
@@ -844,12 +923,12 @@ def test_unaligned_gray_ranges_equal_referees(monkeypatch):
     # indices: their first and last blocks are cut, and every head is a
     # row of the low table XOR the head of its block's first Gray code.
     # The tensor.py referees judge every mask of each range
-    space = space_for(Family.CYCLIC, 2, 3)  # m = 13
     predicates = ("improper", "proper")
     monkeypatch.setattr(search_mod, "SCAN_BYTES", 40_000)
     monkeypatch.setattr(search_mod, "POOL_MIN_COMBOS", 1)
-    size = search_mod._Kernel(space, space._head).block
-    assert 16 <= size and 3 * size + 7 < 2 ** space.m
+    space = space_for(Family.CYCLIC, 2, 3)  # m = 13
+    size = space._plain_walk.kernel.block
+    assert size == 256 and 3 * size + 7 < 2 ** space.m
     passed = {}
     for i in range(2 ** space.m):
         ten = space.combo_tensor(i ^ (i >> 1))
@@ -901,7 +980,7 @@ def with_row_0(stream):
     pytest.param(None, 16, 2, "every-head", id="every-head-pair-survivors"),
     pytest.param(None, 16, 2, "every-head-gray",
                  id="every-head-gray-block")])  # m = 16
-def test_scan_stays_within_byte_budget(family, t, degree, stream):
+def test_scan_stays_within_byte_budget(monkeypatch, family, t, degree, stream):
     if stream in ("survivors", "with-t", "every-head", "every-head-gray"):
         # T(x0, x1, x2) = H16[x0, x1]: every mask with T, half of all
         # masks, passes axis 0 and fails axis 2; at degree 2, T = H16 and
@@ -913,7 +992,8 @@ def test_scan_stays_within_byte_budget(family, t, degree, stream):
         # every mask passes every pair of the head, 16 times the survivors
         # that the batch or block was sized for.  With T the last of the m
         # rows, the Gray codes of the indices 2^(m-1) on all hold it, and
-        # every mask of every block passes the head
+        # every mask of every block passes the head.  The walk, and so its
+        # probe or the forced head, is built inside the traced window
         h = hadamard_matrix(16)
         if stream.startswith("every-head"):
             h[5] = h[4]
@@ -934,7 +1014,8 @@ def test_scan_stays_within_byte_budget(family, t, degree, stream):
             top = 2 ** (space.m - 1)
             masks = partial(search_mod._gray_blocks, top, top + 8192)
         if stream.startswith("every-head"):
-            space._head = ((1, 2, 3), 0.06)
+            monkeypatch.setattr(search_mod, "_probe_head",
+                                lambda kernel, size: ((1, 2, 3), 0.06))
     elif stream == "sampled":
         space = space_for(family, t, degree)
         predicates = ("improper", "proper")
@@ -946,7 +1027,8 @@ def test_scan_stays_within_byte_budget(family, t, degree, stream):
         masks = partial(search_mod._gray_blocks, 0, 8192)
     tracemalloc.start()
     try:
-        examined, counts, _ = search_mod._scan(space, predicates, masks, 1024)
+        examined, counts, _ = search_mod._scan(space._plain_walk, predicates,
+                                               masks, 1024)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1080,6 +1162,44 @@ def test_quotient_walk_equals_plain_walk(monkeypatch, family, t, degree, mode,
     assert got[-1].hits[predicates[0]] > 0 or space.v == 2  # cyclic:1 has none
 
 
+def test_each_walk_kind_builds_one_kernel(monkeypatch):
+    # repeated full, prefix and sampled walks of one space build two
+    # kernels, the walk modulo K over the free rows and the plain walk, and
+    # probe each once; a two-worker walk sends its workers the kernel that
+    # the parent holds and builds none there
+    kernels, probes, started = [], [], []
+    init, probe = search_mod._Kernel.__init__, search_mod._probe_head
+
+    def spy_init(self, v, n, rows):
+        kernels.append(len(rows))
+        init(self, v, n, rows)
+
+    def spy_probe(kernel, size):
+        probes.append(kernel.m)
+        return probe(kernel, size)
+
+    class Pool(search_mod.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(search_mod._Kernel, "__init__", spy_init)
+    monkeypatch.setattr(search_mod, "_probe_head", spy_probe)
+    monkeypatch.setattr(search_mod, "ProcessPoolExecutor", Pool)
+    space = space_for(Family.G1, 1, 3)  # m = 15, dim K = 4
+    predicates = ("improper", "proper")
+    walks = [{}, {"limit": 20001}, {"sample_count": 500, "seed": 3}]
+    inline = [[fingerprint(enumerate_span(space, predicates, **kw))
+               for kw in walks] for _ in range(2)]
+    assert inline[0] == inline[1]
+    assert kernels == probes == [11, 15]
+    monkeypatch.setattr(search_mod, "POOL_MIN_COMBOS", 1)
+    pooled = [fingerprint(enumerate_span(space, predicates, workers=2, **kw))
+              for kw in walks[:2]]
+    assert started == [2, 2] and kernels == [11, 15]
+    assert pooled == inline[0][:2]
+
+
 def separable_row(v, n, rng):
     """sum over the axes a of f_a(x_a), for random f_a: (Z_v) -> GF(2)."""
     coords = np.indices((v,) * n)
@@ -1114,7 +1234,7 @@ def test_quotient_walk_equals_referee(v, n, kind, separable, extra, seed):
     assume(len(np.unique(bits, axis=0)) == m and bits.any(axis=1).all())
     space = SearchSpace(v=v, n=n, labels=[f"r{i}" for i in range(m)],
                         bits=bits)
-    assert space._quotient.dim >= 1
+    assert space._full_walk.dim >= 1
     predicates = ("improper", "proper")
     expect = []
     for mask in range(2 ** m):
@@ -1124,7 +1244,7 @@ def test_quotient_walk_equals_referee(v, n, kind, separable, extra, seed):
             expect.append((mask, passed))
     for cap in (2 ** m, 2):
         report = enumerate_span(space, predicates, max_witnesses=cap)
-        assert report.quotient_dim == space._quotient.dim
+        assert report.quotient_dim == space._full_walk.dim
         assert report.examined == 2 ** m
         assert [(w.mask, w.passed) for w in report.witnesses] == expect[:cap]
         assert report.hits == {p: sum(p in ps for _, ps in expect)
@@ -1151,10 +1271,10 @@ def test_separable_masks_span_k(family, t, degree, mode, dim):
     assert len(set(pivots)) == len(rows)
     for x in rows:
         assert [p for p in pivots if x >> p & 1] == [x.bit_length() - 1]
-    coset = space._quotient.coset
+    coset = space._full_walk.coset
     assert len(set(coset)) == 2 ** len(rows)
     for mask in coset:
         assert is_separable(space.combo_bits(mask), v, n)
     # a separable row alone would be in K, with its own index as pivot
-    for i in space._quotient.free:
+    for i in space._full_walk.free:
         assert not is_separable(space.bits[i], v, n)
