@@ -10,9 +10,9 @@ streams seeded `getrandbits(m)` draws, a batch from one `getrandbits`
 call.  The exhaustive index space may be partitioned across workers by
 its leading bits, walked in a process pool when each worker gets at
 least `POOL_MIN_COMBOS` of them; otherwise it is walked inline as one
-range.  Counts and retained witnesses are
-independent of the partitioning because retention keeps the numerically
-smallest distinct combination masks.  `limit` caps the walk before the
+range.  Counts and retained witnesses are independent of the
+partitioning because retention keeps the numerically smallest distinct
+combination masks.  `limit` caps the walk before the
 size refusal, so a limited prefix of a span with more than 2^62
 combinations may be walked.
 
@@ -26,7 +26,7 @@ sum over the axes of functions of one coordinate).  K is computed as a
 left kernel, in echelon form with exclusive pivots; the masks with zero
 pivot bits are a complement of K, one per coset.  The walk streams their
 Gray codes over the non-pivot rows, multiplies each count by 2^dim K,
-and offers every hit as the 2^dim K original masks of its coset, so the
+and keeps every hit as the 2^dim K original masks of its coset, so the
 retained witnesses are still the smallest original hit masks.  A prefix
 is not a union of cosets and is walked mask by mask.  So a space has two
 walks, each a `_Walk` built on first use and kept: `_full_walk`, modulo
@@ -38,6 +38,8 @@ integer and bit operations only: packed popcount tests of every two
 sections along axis 0, then, for the improper and proper tests at degree
 n >= 3 only, one pass over the unpacked bits of the products that pass,
 over one test list whose prefixes are the predicates (see `_Kernel`).
+So a verdict is the depth a product reached in that list, and `_scan`
+tallies depths and keeps its witnesses in one trimmed dict.
 Every walk is staged in two: it first forms only the head of each mask's
 product, the sections s_0 ^ s_j for the h pairs (0, j) of the head, and
 forms the full products, a survivor chunk at a time, only of the masks
@@ -63,7 +65,6 @@ rows.
 
 from __future__ import annotations
 
-import heapq
 import os
 import random
 import time
@@ -88,9 +89,9 @@ MAX_EXHAUSTIVE_BITS = 62
 # survivor chunk.  A batch or block gets at least a quarter of it, so the
 # bound is max(SCAN_BYTES, tables + head table + quarter).  The probe that
 # picks the kernel's head runs between its tables and its head table,
-# within the same bound.  It does not cover the witness heap (up to
-# `max_witnesses` masks) or the per-batch `passed` lists of the hits,
-# which grow with the hits.
+# within the same bound.  It does not cover the witness dict, which holds
+# at most 2 `max_witnesses` masks plus the hits of one batch, each with
+# its coset.
 SCAN_BYTES = 1 << 19
 
 # Fewest combinations per worker that pay for starting a process pool;
@@ -238,8 +239,11 @@ class _Kernel:
     At n >= 3, only for the improper and proper tests are the products
     that pass unpacked, for one pass over one test list: the sections
     along each later axis, then the parallel rows of every pair of axes.
-    The three predicates are prefixes of that list, so the numpy calls per
-    batch do not grow with v.
+    The three predicates are prefixes of that list, ending at `ends`, so
+    the numpy calls per batch do not grow with v, and a verdict is a
+    depth: `verdicts` gives each product whose axis-0 sections are
+    pairwise orthogonal the number of tests it passed, and predicate p
+    holds iff that is at least ends[p].
 
     A batch holds its heads and leaves room for one survivor chunk of a
     quarter more than `share`, the probe's share of masks that pass the
@@ -372,44 +376,34 @@ class _Kernel:
         return np.flatnonzero(passed)
 
     def verdicts(self, heads: np.ndarray, masks,
-                 predicates: tuple[str, ...]) -> dict[str, np.ndarray]:
-        """Positions of the masks of a batch, given by their `heads` and by
-        `masks(positions)`, their rows of little-endian mask bytes, whose
-        products pass each predicate: the full products are formed only of
-        the positions whose h head sections all have L/2 ones, `full` at a
-        time."""
+                 depth: int) -> tuple[np.ndarray, np.ndarray]:
+        """(positions, reached) for the masks of a batch, given by their
+        `heads` and by `masks(positions)`, their rows of little-endian mask
+        bytes: the positions, ascending, whose axis-0 sections are pairwise
+        orthogonal, and how many of the first `depth` unpacked tests each
+        passed (int8), so that predicate p holds iff reached >= ends[p].
+        Full products are formed only of the positions whose h head
+        sections all have L/2 ones, `full` at a time, and tested on the two
+        packed stages outside the head, then `chunk` at a time in the
+        survivor pass."""
         alive = self.passing(heads)
-        found = {p: [alive[:0]] for p in predicates}
+        found, reached = [alive[:0]], [np.zeros(0, dtype=np.int8)]
         for k in range(0, len(alive), self.full):
             part = alive[k:k + self.full]
-            hits = self.hits(self.products(masks(part), self.tables), predicates)
-            for p, where in hits.items():
-                found[p].append(part[where])
-        return {p: np.concatenate(parts) for p, parts in found.items()}
+            prod = self.products(masks(part), self.tables)
+            keep = np.flatnonzero(self._orthogonal(prod, self.stages[0]))
+            keep = keep[self._orthogonal(prod[keep], self.stages[1])]
+            for c in range(0, len(keep), self.chunk):
+                where, depths = self._survivors(prod, keep[c:c + self.chunk], depth)
+                found.append(part[where])
+                reached.append(depths)
+        return np.concatenate(found), np.concatenate(reached)
 
     def bits(self, prod: np.ndarray) -> np.ndarray:
         """Cochain bits of packed products."""
         unpacked = np.unpackbits(prod.view(np.uint8).reshape(
             len(prod), self.v, -1), axis=2, bitorder="little")
         return unpacked[:, :, :self.length].reshape(len(prod), -1)
-
-    def hits(self, prod: np.ndarray,
-             predicates: tuple[str, ...]) -> dict[str, np.ndarray]:
-        """Batch positions of the products that pass each predicate, given
-        products whose head sections all have L/2 ones."""
-        alive = self._axis0(prod)
-        depth = max((self.ends[p] for p in predicates), default=0)
-        passes = [self._survivors(prod, alive[k:k + self.chunk], depth)
-                  for k in range(0, len(alive), self.chunk)]
-        return {p: np.concatenate([r[self.ends[p]] for r in passes] + [alive[:0]])
-                for p in predicates}
-
-    def _axis0(self, prod: np.ndarray) -> np.ndarray:
-        """The positions whose section 0 is orthogonal to every section
-        outside the head, by the two packed stages; the head's pairs were
-        tested on the heads."""
-        alive = np.flatnonzero(self._orthogonal(prod, self.stages[0]))
-        return alive[self._orthogonal(prod[alive], self.stages[1])]
 
     def _orthogonal(self, prod: np.ndarray, pairs) -> np.ndarray:
         """Whether sections x and y of each packed product are orthogonal
@@ -425,10 +419,11 @@ class _Kernel:
         return ones[..., 0] if self.words == 1 else ones.sum(axis=-1, dtype=np.int32)
 
     def _survivors(self, prod: np.ndarray, alive: np.ndarray,
-                   depth: int) -> list[np.ndarray]:
-        """The positions among `alive` whose axis-0 sections are pairwise
-        orthogonal and that pass the first t unpacked tests, for t =
-        0..depth; the pass ends at the first test that leaves none.
+                   depth: int) -> tuple[np.ndarray, np.ndarray]:
+        """(positions, reached): the positions among `alive` whose axis-0
+        sections are pairwise orthogonal, and how many of the first `depth`
+        unpacked tests each passed; each test runs on the survivors of the
+        one before, and the pass ends at the first test that leaves none.
 
         The pairs (i >= 1, j) of axis 0 are tested on the packed sections,
         and only the products that pass them are unpacked, when depth > 0.
@@ -442,22 +437,23 @@ class _Kernel:
         positions of j are then orthogonal as well.
         """
         alive = alive[self._orthogonal(prod[alive], self.stages[2])]
-        found = [alive]
+        reached = np.zeros(len(alive), dtype=np.int8)
         if depth and len(alive):
             x, y = self.pairs
             cube = self.bits(prod[alive]).reshape((len(alive),) + (self.v,) * self.n)
+            left = np.arange(len(alive))
             for src, dst, segments in self.tests[:depth]:
                 rows = np.moveaxis(cube, src, dst).reshape(
-                    len(alive), self.v, segments, self.length // segments)
+                    len(left), self.v, segments, self.length // segments)
                 differ = rows[:, x]
                 differ ^= rows[:, y]
                 ones = differ.sum(axis=3, dtype=np.int32)
                 keep = (ones == self.length // segments // 2).all(axis=(1, 2))
-                alive, cube = alive[keep], cube[keep]
-                found.append(alive)
-                if not len(alive):
+                left, cube = left[keep], cube[keep]
+                reached[left] += 1
+                if not len(left):
                     break
-        return found + [alive] * (depth + 1 - len(found))
+        return alive, reached
 
 
 def _separable_masks(space: SearchSpace) -> list[int]:
@@ -547,31 +543,6 @@ class _Walk:
         return [base ^ k for k in self.coset]
 
 
-class _WitnessHeap:
-    """Keeps the `cap` numerically smallest distinct masks (deterministic
-    retention); a mask it already holds is not offered twice."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self._heap: list[tuple[int, tuple[str, ...]]] = []  # max-heap via negation
-        self._held: set[int] = set()
-
-    def offer(self, mask: int, passed: tuple[str, ...]):
-        if self.cap <= 0 or mask in self._held:
-            return
-        item = (-mask, passed)
-        if len(self._heap) < self.cap:
-            heapq.heappush(self._heap, item)
-        elif item > self._heap[0]:
-            self._held.discard(-heapq.heapreplace(self._heap, item)[0])
-        else:
-            return
-        self._held.add(mask)
-
-    def items(self) -> list[tuple[int, tuple[str, ...]]]:
-        return sorted((-m, p) for m, p in self._heap)
-
-
 def _gray_blocks(start: int, stop: int, kernel: _Kernel):
     """The heads of the reflected Gray codes g(i) = i ^ (i >> 1) of the
     indices [start, stop), one block of `kernel.block` = 2^k indices at a
@@ -644,28 +615,42 @@ def _scan(walk: _Walk, predicates: tuple[str, ...], stream, cap: int):
     of the batch, one column per mask, and a function from positions in
     the batch to their masks' rows of little-endian bytes, asked only for
     positions whose heads pass; returns the examined count, the hit counts
-    and the `cap` smallest distinct hit masks, decoding only the hits to
-    ints.  Each mask counts, and is offered as a witness, once per mask of
-    its coset."""
+    and the `cap` smallest distinct hit masks with the predicates each
+    passed, decoding only the hits to ints.  Each mask counts, and is kept
+    as a witness, once per mask of its coset.
+
+    A verdict is the depth a mask reached in the kernel's test list, so
+    the counts are one tally per depth, and `passed[t]` names the
+    predicates of depth t.  The witnesses are one dict, mask -> passed,
+    cut to its `cap` smallest keys once it holds more than 2 cap; after a
+    cut, a mask above the largest key kept cannot be among the `cap`
+    smallest and is not stored."""
     kernel = walk.kernel
-    counts = dict.fromkeys(predicates, 0)
-    heap = _WitnessHeap(cap)
+    ends = [kernel.ends[p] for p in predicates]
+    depth = max(ends, default=0)
+    passed = [tuple(p for p, e in zip(predicates, ends) if t >= e)
+              for t in range(depth + 1)]
+    least = min(ends, default=depth + 1)
+    tally = np.zeros(depth + 1, dtype=np.int64)
+    kept: dict[int, tuple[str, ...]] = {}
+    bound = None
     examined = 0
     for heads, masks in stream(kernel):
         examined += heads.shape[1] << walk.dim
-        passed: dict[int, list[str]] = {}
-        for p, where in kernel.verdicts(heads, masks, predicates).items():
-            counts[p] += len(where) << walk.dim
-            for k in where.tolist():
-                passed.setdefault(k, []).append(p)
-        if not passed:
+        where, reached = kernel.verdicts(heads, masks, depth)
+        tally += np.bincount(reached, minlength=depth + 1)
+        hit = reached >= least
+        if not cap or not hit.any():
             continue
-        raw = masks(np.fromiter(passed, dtype=np.intp, count=len(passed)))
-        for mask, ps in zip(_ints(raw), passed.values()):
-            ps = tuple(ps)
+        for mask, t in zip(_ints(masks(where[hit])), reached[hit].tolist()):
             for original in walk.expand(mask):
-                heap.offer(original, ps)
-    return examined, counts, heap.items()
+                if bound is None or original <= bound:
+                    kept[original] = passed[t]
+        if len(kept) > 2 * cap:
+            smallest = sorted(kept)[:cap]
+            kept, bound = {x: kept[x] for x in smallest}, smallest[-1]
+    counts = {p: int(tally[e:].sum()) << walk.dim for p, e in zip(predicates, ends)}
+    return examined, counts, sorted(kept.items())[:cap]
 
 
 def _scan_gray_range(args):
@@ -692,9 +677,11 @@ def enumerate_span(space: SearchSpace,
     and witnesses are independent of the worker count.
     """
     predicates = tuple(predicates)
-    for p in predicates:
+    for k, p in enumerate(predicates):
         if p not in PREDICATES:
             raise ValueError(f"unknown predicate {p!r}")
+        if p in predicates[:k]:
+            raise ValueError(f"predicate {p!r} appears more than once")
     if "hadamard2d" in predicates and space.n != 2:
         raise ValueError("hadamard2d applies only to 2-dimensional spans")
     for name, count in (("sample_count", sample_count), ("limit", limit),
@@ -731,7 +718,10 @@ def enumerate_span(space: SearchSpace,
         if nranges == 1:
             results = [_scan_gray_range(a) for a in args]
         else:
-            with ProcessPoolExecutor(max_workers=nworkers) as pool:
+            # the pool starts all its processes at once: no more than the
+            # ranges or the CPUs
+            procs = min(nworkers, len(args), os.cpu_count() or 1)
+            with ProcessPoolExecutor(max_workers=procs) as pool:
                 results = list(pool.map(_scan_gray_range, args))
 
     counts = dict.fromkeys(predicates, 0)

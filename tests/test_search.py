@@ -259,6 +259,8 @@ def test_pool_runs_at_threshold(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(search_mod, "ProcessPoolExecutor", Pool)
+    # two CPUs on any host, so that the pool starts one process per range
+    monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 2)
     space = space_for(Family.G2, 4, 2, mode="normalized")
     assert 2 ** space.m // 2 == search_mod.POOL_MIN_COMBOS
     r1 = enumerate_span(space, ("hadamard2d",), workers=1)
@@ -613,8 +615,14 @@ def test_equal_sections_fail_in_the_survivor_pass(v, n, i, j):
     space = SearchSpace(v=v, n=n, labels=["t", "s", "r"],
                         bits=np.array(rows, dtype=np.uint8))
     kernel = space._plain_walk.kernel
-    planted = kernel.products(np.array([[1]], dtype=np.uint8), kernel.tables)
-    assert kernel._axis0(planted).tolist() == [0]
+    raw = np.array([[1]], dtype=np.uint8)
+    planted = kernel.products(raw, kernel.tables)
+    assert kernel._orthogonal(planted, kernel.stages[0]).tolist() == [True]
+    assert kernel._orthogonal(planted, kernel.stages[1]).tolist() == [True]
+    heads = kernel.products(raw, kernel.head).T
+    assert kernel.passing(heads).tolist() == [0]
+    where, reached = kernel.verdicts(heads, raw.__getitem__, len(kernel.tests))
+    assert not len(where) and not len(reached)
     ten = space.combo_tensor(1)
     assert not is_improper_hadamard(ten)
     assert n != 2 or not is_hadamard_2d(ten)
@@ -719,13 +727,27 @@ def test_staged_verdicts_equal_referees(v, n, kind, heads, share, budget,
         s0 = section(ten, 0, 0).reshape(-1).astype(np.int64)
         assert head[k].tolist() == [s0 @ section(ten, 0, j).reshape(-1) == 0
                                     for j in js]
-    got = kernel.verdicts(heads_of.T, raw.__getitem__, predicates)
+    # a verdict is the depth reached in the one test list: the positions
+    # are the masks whose axis-0 sections are pairwise orthogonal, by the
+    # tensor.py Gram, and predicate p holds iff reached >= ends[p]
+    depth = max(kernel.ends[p] for p in predicates)
+    where, reached = kernel.verdicts(heads_of.T, raw.__getitem__, depth)
+    assert reached.dtype == np.int8 and len(reached) == len(where)
+    assert ((0 <= reached) & (reached <= depth)).all()
+    length = v ** (n - 1)
+    orthogonal = []
+    for k, mask in enumerate(masks):
+        s = np.array([section(space.combo_tensor(mask), 0, i).reshape(-1)
+                      for i in range(v)], dtype=np.int64)
+        if (s @ s.T == length * np.eye(v, dtype=np.int64)).all():
+            orthogonal.append(k)
+    assert where.tolist() == orthogonal
     for p in predicates:
         expect = [k for k, mask in enumerate(masks)
                   if REFEREES[p](space.combo_tensor(mask))]
-        assert got[p].tolist() == expect
+        assert where[reached >= kernel.ends[p]].tolist() == expect
     if heads == "all" and kind == "proper":
-        assert all(len(got[p]) == len(masks) for p in predicates)
+        assert len(where) == len(masks) and (reached == depth).all()
 
 
 def probe_passes(space):
@@ -1094,11 +1116,96 @@ def test_sampled_witnesses_above_bit_63():
             [(x, ["improper"]) for x in sorted(set(hits))[:cap]]
 
 
-def test_witness_heap_ignores_held_masks():
-    heap = search_mod._WitnessHeap(2)
-    for mask in (5, 3, 5, 9, 3, 1, 5):
-        heap.offer(mask, ("improper",))
-    assert heap.items() == [(1, ("improper",)), (3, ("improper",))]
+def test_scan_keeps_the_smallest_distinct_hits():
+    # a hand-made stream over a span in which a mask is a hit iff it holds
+    # row 0.  The first batch holds 20 hits 4 apart, largest first, the
+    # largest twice, and a miss: at caps below 11 the dict is cut after it.
+    # The second offers cut masks again, above the bound, a miss and hits
+    # below the bound, 57 among the masks kept at cap 6; the third 10 hits
+    # about the bounds and the two smallest, each twice.  The first batch
+    # alone ends on the masks a cut keeps
+    space = with_indicator_rows(
+        planted_tensor(4, 3, "proper", np.random.default_rng(4)))
+    predicates = ("improper", "proper")
+    passed = {x: tuple(p for p in predicates
+                       if REFEREES[p](space.combo_tensor(x)))
+              for x in range(2 ** space.m)}
+    hits = [x for x, ps in passed.items() if ps]
+    assert hits == list(range(1, 2 ** space.m, 2))
+    assert all(passed[x] == predicates for x in hits)
+    batches = [hits[63:23:-2] + [127, 126],
+               [127, 123, 2, 57, 81, 11],
+               hits[40:30:-1] + hits[:2] + hits[:2]]
+    for walked in (batches[:1], batches):
+        drawn = [x for b in walked for x in b if passed[x]]
+        stream = partial(search_mod._digit_heads, lambda size: (
+            np.array(b, dtype=np.uint8)[:, None] for b in walked))
+        for cap in (0, 1, 2, 3, 6, 9, 100):
+            examined, counts, kept = search_mod._scan(
+                space._plain_walk, predicates, stream, cap)
+            assert examined == sum(map(len, walked))
+            assert counts == dict.fromkeys(predicates, len(drawn))
+            assert kept == [(x, predicates) for x in sorted(set(drawn))[:cap]]
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"limit": 1000},
+                                    {"sample_count": 300, "seed": 2}])
+def test_no_predicates_walks_and_finds_nothing(kwargs):
+    # an empty predicate list walks the span, or the prefix or the draws,
+    # and counts and keeps nothing
+    space = space_for(Family.G1, 1, 3)
+    report = enumerate_span(space, (), **kwargs)
+    assert report.examined == kwargs.get("limit", kwargs.get("sample_count",
+                                                             2 ** space.m))
+    assert report.hits == {} and report.witnesses == []
+
+
+@pytest.mark.parametrize("predicates", [("improper", "improper"),
+                                        ("hadamard2d", "improper", "hadamard2d")])
+def test_repeated_predicate_raises(predicates):
+    # a repeated name would count its hits twice
+    space = space_for(Family.G1, 1, len(predicates))
+    with pytest.raises(ValueError, match="more than once"):
+        enumerate_span(space, predicates)
+
+
+@pytest.mark.parametrize("workers,cpus,procs", [(10000, 4096, 127),
+                                                (10000, 3, 3), (10000, None, 1),
+                                                (5, 4096, 5)])
+def test_pool_starts_at_most_ranges_and_cpus(monkeypatch, workers, cpus, procs):
+    # a pool forks all its processes at its first task, so it starts no more
+    # than the ranges, the CPUs or the workers asked for.  A fake pool maps
+    # the ranges inline; no process is started.  The ranges stay as the
+    # worker count makes them, so the results equal those of one worker
+    space = with_indicator_rows(
+        planted_tensor(4, 3, "proper", np.random.default_rng(4)))
+    limit = 2 ** space.m - 1
+    want = fingerprint(enumerate_span(space, ("improper",), limit=limit,
+                                      max_witnesses=5))
+    started, ranges = [], []
+
+    class Pool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            ranges.append(len(args))
+            return [fn(a) for a in args]
+
+    monkeypatch.setattr(search_mod, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(search_mod, "POOL_MIN_COMBOS", 0)
+    monkeypatch.setattr(search_mod.os, "cpu_count", lambda: cpus)
+    got = enumerate_span(space, ("improper",), limit=limit, max_witnesses=5,
+                         workers=workers)
+    assert started == [procs]
+    assert ranges == [min(limit, 1 << (workers - 1).bit_length())]
+    assert fingerprint(got) == want
 
 
 # -- the walk modulo separable sign changes ----------------------------------
@@ -1152,6 +1259,8 @@ def test_quotient_walk_equals_plain_walk(monkeypatch, family, t, degree, mode,
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(search_mod, "ProcessPoolExecutor", Pool)
+    # two CPUs on any host, so that the pool starts one process per range
+    monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(search_mod, "POOL_MIN_COMBOS", 1)
     runs = quotient_runs(space.m)
     got = [enumerate_span(space, predicates, workers=workers, limit=limit,
@@ -1186,6 +1295,8 @@ def test_each_walk_kind_builds_one_kernel(monkeypatch):
     monkeypatch.setattr(search_mod._Kernel, "__init__", spy_init)
     monkeypatch.setattr(search_mod, "_probe_head", spy_probe)
     monkeypatch.setattr(search_mod, "ProcessPoolExecutor", Pool)
+    # two CPUs on any host, so that the pool starts one process per range
+    monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 2)
     space = space_for(Family.G1, 1, 3)  # m = 15, dim K = 4
     predicates = ("improper", "proper")
     walks = [{}, {"limit": 20001}, {"sample_count": 500, "seed": 3}]
