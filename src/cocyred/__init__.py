@@ -6,7 +6,7 @@ from .gf2 import (SnfResult, gf2_rank, greedy_independent_rows, in_row_space,
 from .groups import (Family, FiniteGroup, GroupSpec, build_group,
                      parse_group_spec)
 from .model import (CohModel, ModelSizeError, ModelUnavailableError,
-                    builtin_model, load_model, save_model)
+                    builtin_model)
 from .reduction import (BruteForceResult, Cochain, CochainBasis,
                         OracleSizeError, ReductionOutput, bar_codifferential,
                         brute_force_cohomology, coboundary_basis,

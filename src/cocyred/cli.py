@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: cohomology, basis, tensor, search, verify.  Exit codes:
-0 success, 1 usage error (including unsupported family/degree pairs),
-2 verification failure, 3 exhaustive search refused for size.
+0 success, 1 usage error (including unsupported family/degree pairs and
+output paths that cannot be written), 2 verification failure, 3
+exhaustive search refused for size.
 
 Output is stable `key: value` lines; timings go to stderr so stdout is
 byte-deterministic for fixed inputs and seed.
@@ -105,29 +106,30 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         spec = parse_group_spec(args.group)
-        if args.command == "verify":
-            return _cmd_verify(spec, args)
+        n = args.degree
         # refuse a model whose basis `full_cocycle_basis` would refuse
         # before it is built
-        check_basis_size(spec.order, args.degree,
-                         model_generators(spec, args.degree))
-        model = builtin_model(spec, args.degree)
+        check_basis_size(spec.order, n, model_generators(spec, n))
+        if args.command == "verify":
+            return _cmd_verify(spec, args)
+        mode = getattr(args, "mode", None) or default_mode(n)
+        out = full_cocycle_basis(builtin_model(spec, n), n, mode=mode)
         if args.command == "cohomology":
-            return _cmd_cohomology(spec, model, args)
+            return _cmd_cohomology(spec, out, args)
         if args.command == "basis":
-            return _cmd_basis(spec, model, args)
+            return _cmd_basis(spec, mode, out, args)
         if args.command == "tensor":
-            return _cmd_tensor(spec, model, args)
-        return _cmd_search(spec, model, args)
-    except (ValueError, KeyError) as exc:
+            return _cmd_tensor(out, args)
+        return _cmd_search(spec, out, args)
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
 
-def _cmd_cohomology(spec, model, args) -> int:
+def _cmd_cohomology(spec, out, args) -> int:
     n = args.degree
-    out = full_cocycle_basis(model, n)
-    q, r, s = model.dims[n - 1], model.dims[n], model.dims[n + 1]
+    # the Smith forms keep the shapes of d^(n-1) (q x r) and d^n (r x s)
+    (q, r), s = out.snf_lower.D.shape, out.snf_upper.D.shape[1]
     print(f"group: {spec}")
     print(f"degree: {n}")
     print(f"q: {q}")
@@ -139,13 +141,10 @@ def _cmd_cohomology(spec, model, args) -> int:
     return 0
 
 
-def _cmd_basis(spec, model, args) -> int:
-    n = args.degree
-    mode = args.mode or default_mode(n)
-    out = full_cocycle_basis(model, n, mode=mode)
+def _cmd_basis(spec, mode, out, args) -> int:
     entries = out.basis.entries
     if args.format == "json":
-        doc = {"group": str(spec), "degree": n, "mode": mode,
+        doc = {"group": str(spec), "degree": args.degree, "mode": mode,
                "entries": [{"label": lab, "bits": [int(b) for b in c.bits]}
                            for lab, c in entries]}
         _emit(json.dumps(doc) + "\n", args.out)
@@ -156,10 +155,7 @@ def _cmd_basis(spec, model, args) -> int:
     return 0
 
 
-def _cmd_tensor(spec, model, args) -> int:
-    n = args.degree
-    mode = args.mode or default_mode(n)
-    out = full_cocycle_basis(model, n, mode=mode)
+def _cmd_tensor(out, args) -> int:
     space = SearchSpace.from_reduction(out)
     labels = _parse_combo(args.combo)
     ten = tensor_of_combination(space, labels)
@@ -170,10 +166,8 @@ def _cmd_tensor(spec, model, args) -> int:
     return 0
 
 
-def _cmd_search(spec, model, args) -> int:
+def _cmd_search(spec, out, args) -> int:
     n = args.degree
-    mode = args.mode or default_mode(n)
-    out = full_cocycle_basis(model, n, mode=mode)
     space = SearchSpace.from_reduction(out)
     if args.test == "improper":
         predicates = ("improper", "proper")

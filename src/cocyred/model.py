@@ -13,23 +13,17 @@ factors Z_N in `GroupSpec.radices` (Künneth / Eilenberg-Zilber), spelled
 out by `_product_diff` and `_product_lift`.  d4t, which is not abelian,
 keeps one hand-written model at degree 2.  `PRINTED` holds the paper's
 (l, k, hdim) for its six (family, degree) pairs.
-
-Models can also be loaded from JSON files carrying an explicit lift table;
-see `save_model` / `load_model`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
-from .gf2 import left_kernel
-from .groups import (Family, FiniteGroup, GroupSpec, build_group,
-                     group_axioms_hold, parse_group_spec)
+from .groups import Family, FiniteGroup, GroupSpec, build_group
 
 
 class ModelUnavailableError(ValueError):
@@ -184,119 +178,3 @@ def builtin_model(spec: GroupSpec, degree: int) -> CohModel:
                     diff=diff, lift_table=lift,
                     tabulated=None if printed is None else printed[spec.t % 2])
 
-
-# -- model files ---------------------------------------------------------
-
-
-#: The top-level keys that `save_model` writes; `load_model` requires them
-#: all and rejects any other.
-MODEL_KEYS = ("group", "degree", "dims", "diff", "lift")
-
-
-def save_model(model: CohModel, path) -> None:
-    """Write a model as JSON; its lift table is the (v^n, r) 0/1 matrix
-    whose rows are the n-tuples in row-major order, as in cochain bits."""
-    g, n = model.group, model.degree
-    doc = {
-        "group": str(g.spec) if g.spec is not None else (g.mul + 1).tolist(),
-        "degree": n,
-        "dims": [model.dims[n - 1], model.dims[n], model.dims[n + 1]],
-        "diff": [model.diff[n - 1].tolist(), model.diff[n].tolist()],
-        "lift": model.lift_table.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def _is_int(x) -> bool:
-    """True for a JSON integer: an int that is not a bool."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _object(pairs) -> dict:
-    """A JSON object as a dict; a key given twice is an error, not the
-    silent overwrite of `json.load`."""
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise ValueError(f"key {key!r} given twice in one object")
-        doc[key] = value
-    return doc
-
-
-def _matrix(x, rows: int, cols: int) -> np.ndarray:
-    """A rows x cols matrix given as nested lists of the JSON integers 0
-    and 1 (a matrix with no rows is []), as a uint8 array."""
-    if not (isinstance(x, list) and len(x) == rows
-            and all(isinstance(row, list) and len(row) == cols for row in x)):
-        raise ValueError(f"expected a {rows} x {cols} matrix as nested lists")
-    for row in x:
-        for b in row:
-            if not (_is_int(b) and 0 <= b <= 1):
-                raise ValueError(f"{b!r} is not a bit, the integer 0 or 1")
-    return np.array(x, dtype=np.uint8).reshape(rows, cols)
-
-
-def load_model(path) -> CohModel:
-    """Load a JSON model file; validates its keys, the shapes that `dims`
-    gives, entries that are the integers 0 and 1, d∘d = 0, the group axioms
-    of an explicit table, and that every row of Ker d^n lifts to a
-    cocycle."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh, object_pairs_hook=_object)
-        except ValueError as exc:
-            raise ValueError(f"{path}: not a JSON model file ({exc})") from None
-    try:
-        n, dims = doc["degree"], doc["dims"]
-        grp, diff_raw, lift_raw = doc["group"], doc["diff"], doc["lift"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed model file ({exc})") from None
-    extra = sorted(doc.keys() - MODEL_KEYS)
-    if extra:
-        raise ValueError(f"{path}: unknown keys {extra}, not in {MODEL_KEYS}")
-    if not _is_int(n) or n < 2:
-        raise ValueError(f"{path}: degree must be an integer >= 2, got {n!r}")
-    if not (isinstance(dims, list) and len(dims) == 3
-            and all(_is_int(x) and x >= 0 for x in dims)):
-        raise ValueError(f"{path}: dims must be three integers >= 0, got {dims!r}")
-    if isinstance(grp, str):
-        try:
-            group = build_group(parse_group_spec(grp))
-        except ValueError as exc:
-            raise ValueError(f"{path}: bad group spec {grp!r} ({exc})") from None
-    else:
-        try:
-            mul = np.asarray(grp, dtype=np.int64) - 1  # explicit tables are 1-based
-            group = FiniteGroup(None, mul)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: bad group table ({exc})") from None
-        if not group_axioms_hold(group):
-            raise ValueError(f"{path}: group table is not a group (fails "
-                             f"associativity, identity, inverse or Latin-square)")
-    q, r, s = dims
-    try:
-        if not (isinstance(diff_raw, list) and len(diff_raw) == 2):
-            raise ValueError("expected a list of two matrices")
-        d_lo = _matrix(diff_raw[0], q, r)
-        d_hi = _matrix(diff_raw[1], r, s)
-    except ValueError as exc:
-        raise ValueError(f"{path}: bad codifferential data ({exc})") from None
-    try:
-        table = _matrix(lift_raw, group.order ** n, r)
-    except ValueError as exc:
-        raise ValueError(f"{path}: bad lift table ({exc})") from None
-    try:
-        model = CohModel(group=group, degree=n,
-                         dims={n - 1: q, n: r, n + 1: s},
-                         diff={n - 1: d_lo, n: d_hi},
-                         lift_table=table, tabulated=None)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    from .reduction import count_non_cocycles  # reduction imports this module
-    _, kernel = left_kernel(d_hi)
-    bad = count_non_cocycles(group, n, model.lift(kernel))
-    if bad:
-        raise ValueError(f"{path}: {bad} of the {len(kernel)} rows of Ker d^{n} "
-                         f"lift to cochains that are not cocycles")
-    return model

@@ -75,7 +75,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .gf2 import WORD, Basis, int_rows, left_kernel, pack_rows
-from .reduction import CochainBasis, ReductionOutput
+from .reduction import ReductionOutput
 from .tensor import SignTensor
 
 MAX_EXHAUSTIVE_BITS = 62
@@ -123,14 +123,11 @@ class SearchSpace:
             raise ValueError("basis cochains must be pairwise distinct")
 
     @classmethod
-    def from_basis(cls, basis: CochainBasis) -> "SearchSpace":
+    def from_reduction(cls, out: ReductionOutput) -> "SearchSpace":
+        basis = out.basis
         if not len(basis):
             raise ValueError("empty basis has no search space; pass v and n explicitly")
         return cls(v=basis.v, n=basis.n, labels=basis.labels(), bits=basis.matrix())
-
-    @classmethod
-    def from_reduction(cls, out: ReductionOutput) -> "SearchSpace":
-        return cls.from_basis(out.basis)
 
     @property
     def m(self) -> int:

@@ -228,7 +228,7 @@ def test_oversized_model_refused(capsys, command):
 
 @pytest.mark.parametrize("command,extra", [
     ("cohomology", ()), ("basis", ()), ("tensor", ("--combo", "r1")),
-    ("search", ("--test", "improper"))])
+    ("search", ("--test", "improper")), ("verify", ())])
 def test_oversized_basis_refused_before_model(capsys, command, extra):
     # g1:3 at degree 6 has a model of about 93 MB, within the budget, but a
     # cocycle basis of 842 GB: refused, with the reduction's message,
@@ -244,6 +244,18 @@ def test_oversized_basis_refused_before_model(capsys, command, extra):
     assert err == "error: degree-6 cocycle basis needs 842229686272 bytes " \
         "at v = 12, over the 268435456-byte budget\n"
     assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("basis", ("--out",)), ("tensor", ("--combo", "r1", "--out")),
+    ("search", ("--test", "improper", "--dump"))])
+def test_unwritable_output_is_usage_error(capsys, tmp_path, command, extra):
+    path = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, command, "--group", "g1:1", "--degree", "2",
+                         *extra, str(path))
+    assert code == 1
+    assert err.endswith(f"error: [Errno 2] No such file or directory: "
+                        f"'{path}'\n")
 
 
 @pytest.mark.parametrize("command", ["cohomology", "verify"])

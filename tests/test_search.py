@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -1389,3 +1390,11 @@ def test_separable_masks_span_k(family, t, degree, mode, dim):
     # a separable row alone would be in K, with its own index as pivot
     for i in space._full_walk.free:
         assert not is_separable(space.bits[i], v, n)
+
+
+def test_empty_reduction_has_no_search_space():
+    out = full_cocycle_basis(builtin_model(GroupSpec(Family.G1, 1), 2), 2)
+    empty = dataclasses.replace(out, basis=out.basis[:0], hdim=0)
+    with pytest.raises(ValueError, match="^empty basis has no search space; "
+                                         "pass v and n explicitly$"):
+        SearchSpace.from_reduction(empty)
