@@ -1,9 +1,12 @@
 """Cross-check the model-based dimensions against the raw bar complex.
 
 The reduction method only ever touches the tiny model matrices (at most
-10 x 15).  As an independent check we also build the full coboundary
-matrices on v^(n-1)- and v^n-tuples, rank them over GF(2), and compare:
-dim H^n, dim Ker d^n and dim Im d^(n-1) must all agree.
+10 x 15).  As an independent check we also build the coboundary matrices
+on v^(n-1)- and v^n-tuples, rank them over GF(2), and compare: dim H^n,
+dim Ker d^n and dim Im d^(n-1) must all agree.  The oracle ranks each
+matrix on the columns whose first coordinate lies in a generating suffix
+a, ..., v-1 of the group; since d∘d = 0, a coboundary that vanishes there
+vanishes everywhere, so these columns have the same rank as all of them.
 """
 
 import time

@@ -167,6 +167,16 @@ def _cmd_tensor(out, args) -> int:
 
 
 def _cmd_search(spec, out, args) -> int:
+    # open the dump first, so that an unwritable path is refused before
+    # the walk and before any result line; in append mode, so that a
+    # refused walk leaves an existing file as it was
+    if not args.dump:
+        return _search(spec, out, args, None)
+    with open(args.dump, "a") as dump:
+        return _search(spec, out, args, dump)
+
+
+def _search(spec, out, args, dump) -> int:
     n = args.degree
     space = SearchSpace.from_reduction(out)
     if args.test == "improper":
@@ -199,7 +209,7 @@ def _cmd_search(spec, out, args) -> int:
     print(f"quotient_dim: {report.quotient_dim}", file=sys.stderr)
     print("head_pairs:", *report.head_pairs, file=sys.stderr)
     print(f"duration_s: {report.duration:.3f}", file=sys.stderr)
-    if args.dump:
+    if dump:
         doc = {"group": str(spec), "degree": n, "test": args.test,
                "mode": report.mode, "seed": report.seed,
                "examined": report.examined, "hits": report.hits,
@@ -207,8 +217,8 @@ def _cmd_search(spec, out, args) -> int:
                               "labels": space.combo_labels(w.mask),
                               "passed": w.passed}
                              for w in report.witnesses]}
-        with open(args.dump, "w") as fh:
-            json.dump(doc, fh, indent=1)
+        dump.truncate(0)
+        json.dump(doc, dump, indent=1)
     return 0
 
 

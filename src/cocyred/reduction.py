@@ -110,18 +110,24 @@ def _face_terms(g: FiniteGroup, n: int, x: np.ndarray):
         yield np.take(blocks, g.mul, axis=1).reshape((v ** (n + 1),) + tail)
 
 
-def _codifferential_rows(g: FiniteGroup, n: int):
+def _codifferential_rows(g: FiniteGroup, n: int, low: int = 0):
     """Rows of d on degree-n cochains (v**n rows, v**(n+1) columns) as
-    ints, bit c being column c, built ORACLE_CHUNK_BYTES at a time.
+    ints, bit c - low being column c >= low, built ORACLE_CHUNK_BYTES at a
+    time.  Columns below `low` land in one dump byte per row, first.
 
     Each term of the formula reads every n-tuple at exactly v columns, so
     the argsort of its index term, reshaped (v**n, v), lists in row r the
     columns where that term reads row r.
     """
-    nrows, width = g.order ** n, -(-g.order ** (n + 1) // 8)
+    nrows, dump = g.order ** n, 8 if low else 0
+    width = -(-(g.order ** (n + 1) - low + dump) // 8)
     index = np.arange(nrows, dtype=np.int32)
     tables = [np.argsort(term, kind="stable").astype(np.int32).reshape(nrows, -1)
               for term in _face_terms(g, n, index)]
+    if low:
+        # column c >= low goes to bit c - low + 8, past the dump byte, and
+        # every lower column into the dump byte
+        tables = [np.maximum(table - (low - dump), 0) for table in tables]
     step = max(1, min(nrows, ORACLE_CHUNK_BYTES // width))
     buf = np.empty(step * width, dtype=np.uint8)
     for r0 in range(0, nrows, step):
@@ -133,7 +139,7 @@ def _codifferential_rows(g: FiniteGroup, n: int):
             cols = table[r0:r1]
             np.bitwise_xor.at(chunk, at + (cols >> 3),
                               np.left_shift(1, cols & 7).astype(np.uint8))
-        yield from int_rows(chunk.reshape(r1 - r0, width))
+        yield from int_rows(chunk.reshape(r1 - r0, width)[:, dump // 8:])
 
 
 def bar_codifferential(g: FiniteGroup, n: int, f: Cochain) -> Cochain:
@@ -324,7 +330,9 @@ def oracle_bytes(v: int, n: int) -> int:
     """Upper bound on the bytes `brute_force_cohomology` holds at degree n
     and order v, while it ranks d^n (v**n rows of v**(n+1) bits): a basis of
     at most v**n ints, one row chunk, and the column tables of the n+2
-    terms."""
+    terms.  The bound is for the full width; the oracle ranks the slice of
+    a generating suffix a, ..., v-1, and its basis and chunk hold
+    (v - a)/v of that."""
     rows, cols = v ** n, v ** (n + 1)
     digits = -(-cols // sys.int_info.bits_per_digit)
     basis = rows * digits * sys.int_info.sizeof_digit
@@ -336,9 +344,29 @@ def oracle_bytes(v: int, n: int) -> int:
     return basis + chunk + select
 
 
-def _codifferential_rank(g: FiniteGroup, n: int) -> int:
+def _generating_suffix(g: FiniteGroup) -> int:
+    """The largest a such that the elements a, ..., v-1 generate G."""
+    mul, v = g.mul.tolist(), g.order
+    span: set[int] = set()
+    for a in range(v - 1, 0, -1):
+        if a in span:
+            continue  # adding a does not enlarge the subgroup
+        gens = range(a, v)
+        span, todo = set(gens), list(gens)
+        while todo:
+            x = mul[todo.pop()]
+            for s in gens:
+                if x[s] not in span:
+                    span.add(x[s])
+                    todo.append(x[s])
+        if len(span) == v:
+            return a
+    return 0
+
+
+def _codifferential_rank(g: FiniteGroup, n: int, low: int) -> int:
     basis = Basis()
-    for row in _codifferential_rows(g, n):
+    for row in _codifferential_rows(g, n, low):
         basis.add(row)
     return len(basis)
 
@@ -349,7 +377,16 @@ def brute_force_cohomology(g: FiniteGroup, n: int) -> BruteForceResult:
     Independent of the model path: ranks the actual coboundary matrices on
     v**(n-1) and v**n tuples by feeding their rows, a chunk at a time, to
     the GF(2) basis engine.  Refuses before allocating when
-    `oracle_bytes(v, n)` exceeds ORACLE_BYTES.
+    `oracle_bytes(v, n)`, a bound for the full width, exceeds
+    ORACLE_BYTES.
+
+    Each matrix is ranked on its columns whose first coordinate lies in
+    the generating suffix a, ..., v-1 (`_generating_suffix`), the top
+    (v - a) / v of its width.  The rank is the same: for y = dx, the set
+    S of a with y(a, ...) = 0 is closed under products, since d(y) = 0 at
+    (a, b, h) reads y(b, h) + y(ab, h) plus terms whose first argument is
+    a; so S is a subgroup, and it is G as soon as it holds the suffix.
+    Hence x @ d = 0 iff x @ d vanishes on the slice.
     """
     if n < 2:
         raise ValueError("oracle supports degree >= 2")
@@ -359,7 +396,8 @@ def brute_force_cohomology(g: FiniteGroup, n: int) -> BruteForceResult:
         raise OracleSizeError(
             f"packed d^{n} needs {need} bytes at v = {v}, over the "
             f"{ORACLE_BYTES}-byte oracle budget")
-    im_rank = _codifferential_rank(g, n - 1)
-    ker_dim = v ** n - _codifferential_rank(g, n)
+    a = _generating_suffix(g)
+    im_rank = _codifferential_rank(g, n - 1, a * v ** (n - 1))
+    ker_dim = v ** n - _codifferential_rank(g, n, a * v ** n)
     return BruteForceResult(hdim=ker_dim - im_rank, ker_dim=ker_dim,
                             im_rank=im_rank)

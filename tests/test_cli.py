@@ -258,6 +258,31 @@ def test_unwritable_output_is_usage_error(capsys, tmp_path, command, extra):
                         f"'{path}'\n")
 
 
+def test_unwritable_dump_refused_before_the_walk(capsys, tmp_path, monkeypatch):
+    def walk(*args, **kwargs):
+        raise AssertionError("the span was walked")
+
+    monkeypatch.setattr(cli, "enumerate_span", walk)
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "search", "--group", "g1:1", "--degree", "3",
+                         "--test", "improper", "--dump", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+
+def test_refused_search_keeps_an_existing_dump(capsys, tmp_path):
+    dump = tmp_path / "w.json"
+    dump.write_text("kept\n")
+    code, out, _ = run(capsys, "search", "--group", "cyclic:5", "--degree",
+                       "3", "--test", "improper", "--dump", str(dump))
+    assert (code, out) == (3, "")
+    assert dump.read_text() == "kept\n"
+    # a search that runs replaces it
+    code, _, _ = run(capsys, "search", "--group", "g1:1", "--degree", "3",
+                     "--test", "improper", "--dump", str(dump))
+    assert code == 0 and json.loads(dump.read_text())["hits"]["improper"] == 64
+
+
 @pytest.mark.parametrize("command", ["cohomology", "verify"])
 def test_bad_group_spec(capsys, command):
     code, _, err = run(capsys, command, "--group", "g9:1", "--degree", "2")

@@ -4,11 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocyred import reduction, verify
-from cocyred.gf2 import (gf2_rank, greedy_independent_rows, in_row_space,
-                         pack_rows, smith_normal_form_gf2)
-from cocyred.groups import Family, GroupSpec, build_group
+from cocyred.gf2 import (Basis, gf2_rank, greedy_independent_rows,
+                         in_row_space, pack_rows, smith_normal_form_gf2)
+from cocyred.groups import Family, FiniteGroup, GroupSpec, build_group
 from cocyred.model import builtin_model
 from cocyred.reduction import (ORACLE_BYTES, Cochain, OracleSizeError,
                                bar_codifferential, brute_force_cohomology,
@@ -174,6 +176,27 @@ def test_coboundary_matrix_rows_are_generators(monkeypatch, rows_per_chunk):
                 for row, T in zip(rows, labels):
                     assert (row == coboundary_generator(g, n, T).bits).all(), \
                         (spec, n, mode, T)
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 3])
+def test_sliced_rows_are_full_rows_shifted(monkeypatch, rows_per_chunk):
+    # with low > 0 each row is the full row shifted right by low, with
+    # chunks of one row and of three rows of the slice (the last chunk is
+    # then ragged: 4, 8, 16, 64 and 512 rows are not multiples of 3)
+    cases = [(build_group(spec), n)
+             for spec in (GroupSpec(Family.G1, 1), GroupSpec(Family.D4T, 2),
+                          GroupSpec(Family.G1, 2))
+             for n in (1, 2, 3)]
+    full = [list(reduction._codifferential_rows(g, n)) for g, n in cases]
+    for (g, n), rows in zip(cases, full):
+        v = g.order
+        cols = v ** (n + 1)
+        for low in sorted({1, 7, 8, 13, cols // 2, (v - 1) * v ** n, cols - 1}):
+            width = 1 + -(-(cols - low) // 8)  # the dump byte and the slice
+            monkeypatch.setattr(reduction, "ORACLE_CHUNK_BYTES",
+                                rows_per_chunk * width)
+            got = list(reduction._codifferential_rows(g, n, low))
+            assert got == [row >> low for row in rows], (g, n, low)
 
 
 def test_run_verify_retains_nothing():
@@ -342,6 +365,95 @@ def test_oracle_peak_within_its_estimate():
         tracemalloc.stop()
     assert bf.hdim == 4
     assert peak < oracle_bytes(16, 3)
+
+
+def _full_rank(g, n):
+    """Rank of d^n over all its columns: the slow referee of the slice."""
+    basis = Basis()
+    for row in reduction._codifferential_rows(g, n):
+        basis.add(row)
+    return len(basis)
+
+
+def _closure(mul, gens):
+    """The subgroup generated by `gens`, as a boolean mask: the set times
+    itself until it stops growing."""
+    held = np.zeros(len(mul), dtype=bool)
+    held[list(gens)] = True
+    while True:
+        idx = np.flatnonzero(held)
+        grown = held.copy()
+        grown[mul[np.ix_(idx, idx)].ravel()] = True
+        if (grown == held).all():
+            return held
+        held = grown
+
+
+def _permutation_group(k):
+    """S_k as FiniteGroup(None, table), in lexicographic order: the
+    identity comes first."""
+    perms = list(itertools.permutations(range(k)))
+    index = {p: i for i, p in enumerate(perms)}
+    return FiniteGroup(None, np.array([[index[tuple(x[i] for i in y)]
+                                        for y in perms] for x in perms]))
+
+
+def _relabelled(g, perm):
+    """g with element i renamed p[i], p = [0] + perm (identity kept at 0)."""
+    p = np.array([0] + list(perm))
+    mul = np.empty_like(g.mul)
+    mul[np.ix_(p, p)] = p[g.mul]
+    return FiniteGroup(None, mul)
+
+
+def test_generating_suffix_is_the_largest():
+    groups = [build_group(GroupSpec(f, t)) for f in Family for t in range(1, 10)]
+    groups += [_permutation_group(3), _permutation_group(4),
+               _relabelled(build_group(GroupSpec(Family.D4T, 3)),
+                           range(11, 0, -1)),
+               FiniteGroup(None, np.zeros((1, 1), dtype=int))]
+    for g in groups:
+        v = g.order
+        want = max(a for a in range(v) if _closure(g.mul, range(a, v)).all())
+        assert reduction._generating_suffix(g) == want, g
+
+
+@pytest.mark.parametrize("spec", [GroupSpec(f, t) for f in Family
+                                  for t in (1, 2, 3)])
+def test_generating_suffix_slice_keeps_the_rank(spec):
+    # the columns of d^n whose first coordinate lies in a generating set
+    # have the left kernel of all of d^n, so the same rank
+    g = build_group(spec)
+    v, a = g.order, reduction._generating_suffix(g)
+    for n in (1, 2, 3):
+        assert reduction._codifferential_rank(g, n, a * v ** n) == \
+            _full_rank(g, n), (spec, n)
+
+
+def test_slice_outside_a_generating_set_loses_rank():
+    # the top two elements of g2:2 (Z_2^3) generate a subgroup of order 4:
+    # their two column blocks of d^3 rank 396, not 449
+    g = build_group(GroupSpec(Family.G2, 2))
+    assert reduction._generating_suffix(g) == 5
+    assert _full_rank(g, 3) == 449
+    assert reduction._codifferential_rank(g, 3, 6 * 8 ** 3) == 396
+    assert reduction._codifferential_rank(g, 3, 5 * 8 ** 3) == 449
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_slice_rank_on_relabelled_tables(data):
+    spec = data.draw(st.sampled_from([GroupSpec(Family.D4T, 3),
+                                      GroupSpec(Family.G2, 2)]))
+    g = build_group(spec)
+    h = _relabelled(g, data.draw(st.permutations(range(1, g.order))))
+    v, a = h.order, reduction._generating_suffix(h)
+    assert _closure(h.mul, range(a, v)).all()
+    for n in (1, 2, 3):
+        assert reduction._codifferential_rank(h, n, a * v ** n) == \
+            _full_rank(h, n), (spec, n)
+    for n in (2, 3):
+        assert brute_force_cohomology(h, n) == brute_force_cohomology(g, n)
 
 
 def test_snf_ranks_match_tabulated_g2_odd():
