@@ -27,7 +27,7 @@ def show(spec_text: str):
           f"ranks l = {out.snf_lower.rank}, k = {out.snf_upper.rank}; "
           f"dim H^2 = {out.hdim}")
     print(f"coboundary basis ({len(out.cobs)} generators): "
-          f"{', '.join(out.cobs.labels())}")
+          f"{', '.join(out.cobs.labels)}")
     for label, cochain in out.reps.entries:
         mat = tensor_from_cochain(cochain).entries
         print(f"{label}:")

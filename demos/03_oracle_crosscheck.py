@@ -31,7 +31,7 @@ for text in CASES:
     # has dim Ker d^n elements, so it spans Ker d^n
     assert all(not bar_codifferential(model.group, degree, c).bits.any()
                for _, c in out.basis.entries)
-    assert gf2_rank(out.basis.matrix()) == bf.ker_dim == len(out.basis)
+    assert gf2_rank(out.basis.bits) == bf.ker_dim == len(out.basis)
     assert len(out.cobs) == bf.im_rank
     assert bf.hdim == out.hdim
     print(f"{text:>9} {degree:>3} {out.hdim:>6} {bf.hdim:>6} "

@@ -18,8 +18,7 @@ from .tensor import (SignTensor, all_ones, alternating_back_negacyclic,
                      back_negacyclic, forward_negacyclic,
                      half_ones_half_alternating, is_hadamard_2d,
                      is_improper_hadamard, is_proper_hadamard, kronecker,
-                     pointwise_product, section, tensor_from_cochain,
-                     tensor_from_json, tensor_from_text, tensor_to_json,
+                     section, tensor_from_cochain, tensor_to_json,
                      tensor_to_text)
 from .verify import CheckResult, run_verify
 

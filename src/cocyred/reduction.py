@@ -51,27 +51,21 @@ class Cochain:
 @dataclass
 class CochainBasis:
     """Labeled degree-n cochains, the rows of one (k, v**n) 0/1 matrix."""
-    names: list[str]
+    labels: list[str]
     v: int
     n: int
-    bits: np.ndarray  # (len(names), v**n) uint8
+    bits: np.ndarray  # (len(labels), v**n) uint8
 
     @property
     def entries(self) -> list[tuple[str, Cochain]]:
         return [(lab, Cochain(self.v, self.n, row))
-                for lab, row in zip(self.names, self.bits)]
-
-    def labels(self) -> list[str]:
-        return list(self.names)
-
-    def matrix(self) -> np.ndarray:
-        return self.bits
+                for lab, row in zip(self.labels, self.bits)]
 
     def __len__(self) -> int:
-        return len(self.names)
+        return len(self.labels)
 
     def __getitem__(self, rows: slice) -> "CochainBasis":
-        return CochainBasis(self.names[rows], self.v, self.n, self.bits[rows])
+        return CochainBasis(self.labels[rows], self.v, self.n, self.bits[rows])
 
 
 @dataclass
@@ -231,10 +225,10 @@ def _greedy_coboundaries(g: FiniteGroup, n: int, mode: str,
     basis = Basis()
     chosen = [(T, row) for T, row in enumerate(_codifferential_rows(g, n - 1))
               if scan[T] and basis.add(row)]
-    tail = int_rows(pack_rows(head.matrix()))
+    tail = int_rows(pack_rows(head.bits))
     if sum(1 for row in tail if basis.add(row)) != len(head):
         raise AssertionError("representatives and coboundaries are not independent")
-    return CochainBasis(head.labels() + [f"cob:{T + 1}" for T, _ in chosen],
+    return CochainBasis(head.labels + [f"cob:{T + 1}" for T, _ in chosen],
                         g.order, n,
                         bit_rows(tail + [row for _, row in chosen], g.order ** n))
 
@@ -309,9 +303,9 @@ def full_cocycle_basis(model: CohModel, n: int,
 
 # Budget for what the oracle holds at its largest (`oracle_bytes`): the
 # basis of d^n, one chunk of its rows and the arrays that pick the chunk.
-# v=20 at degree 3 (about 183 MB) fits, v=32 at degree 3 (about 4.7 GB)
-# does not.  `full_cocycle_basis` and `builtin_model` refuse past the same
-# budget.
+# g1:7 at degree 3 (v=28, a two-element generating suffix, about 152 MB)
+# fits, g1:8 (v=32, about 325 MB) does not.  `full_cocycle_basis` and
+# `builtin_model` refuse past the same budget.
 ORACLE_BYTES = 2 ** 28
 
 
@@ -326,17 +320,18 @@ class BruteForceResult:
     im_rank: int  # rank d^{n-1} = dim Im d^{n-1}
 
 
-def oracle_bytes(v: int, n: int) -> int:
+def oracle_bytes(v: int, n: int, a: int = 0) -> int:
     """Upper bound on the bytes `brute_force_cohomology` holds at degree n
-    and order v, while it ranks d^n (v**n rows of v**(n+1) bits): a basis of
-    at most v**n ints, one row chunk, and the column tables of the n+2
-    terms.  The bound is for the full width; the oracle ranks the slice of
-    a generating suffix a, ..., v-1, and its basis and chunk hold
-    (v - a)/v of that."""
+    and order v, while it ranks d^n (v**n rows of v**(n+1) bits) on the
+    columns of the generating suffix a, ..., v-1: a basis of at most v**n
+    ints and one row chunk, both at the slice width (v - a)*v**n bits plus
+    the dump byte, and the column tables of the n+2 terms, which index all
+    v**(n+1) columns.  At a = 0 the slice is the full width."""
     rows, cols = v ** n, v ** (n + 1)
-    digits = -(-cols // sys.int_info.bits_per_digit)
+    width = (v - a) * rows + (8 if a else 0)
+    digits = -(-width // sys.int_info.bits_per_digit)
     basis = rows * digits * sys.int_info.sizeof_digit
-    chunk = max(ORACLE_CHUNK_BYTES, -(-cols // 8))
+    chunk = max(ORACLE_CHUNK_BYTES, -(-width // 8))
     # n+2 int32 column tables; while one is built, its int32 index term,
     # the int64 argsort and its int32 cast, and while a chunk is filled, an
     # int64 position and two int32 bit arrays per column it takes
@@ -377,7 +372,7 @@ def brute_force_cohomology(g: FiniteGroup, n: int) -> BruteForceResult:
     Independent of the model path: ranks the actual coboundary matrices on
     v**(n-1) and v**n tuples by feeding their rows, a chunk at a time, to
     the GF(2) basis engine.  Refuses before allocating when
-    `oracle_bytes(v, n)`, a bound for the full width, exceeds
+    `oracle_bytes(v, n, a)`, the bound at the slice ranked, exceeds
     ORACLE_BYTES.
 
     Each matrix is ranked on its columns whose first coordinate lies in
@@ -390,13 +385,12 @@ def brute_force_cohomology(g: FiniteGroup, n: int) -> BruteForceResult:
     """
     if n < 2:
         raise ValueError("oracle supports degree >= 2")
-    v = g.order
-    need = oracle_bytes(v, n)
+    v, a = g.order, _generating_suffix(g)
+    need = oracle_bytes(v, n, a)
     if need > ORACLE_BYTES:
         raise OracleSizeError(
             f"packed d^{n} needs {need} bytes at v = {v}, over the "
             f"{ORACLE_BYTES}-byte oracle budget")
-    a = _generating_suffix(g)
     im_rank = _codifferential_rank(g, n - 1, a * v ** (n - 1))
     ker_dim = v ** n - _codifferential_rank(g, n, a * v ** n)
     return BruteForceResult(hdim=ker_dim - im_rank, ker_dim=ker_dim,

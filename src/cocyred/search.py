@@ -22,8 +22,8 @@ keeps every predicate: along axis a it flips whole sections, and along
 any other axis it multiplies two parallel sections by the same signs, so
 no dot product between them changes.  Every predicate is therefore
 constant on the cosets of K, the masks whose combination is separable (a
-sum over the axes of functions of one coordinate).  K is computed as a
-left kernel, in echelon form with exclusive pivots; the masks with zero
+sum over the axes of functions of one coordinate).  K is computed in a
+tagged pass, in echelon form with exclusive pivots; the masks with zero
 pivot bits are a complement of K, one per coset.  The walk streams their
 Gray codes over the non-pivot rows, multiplies each count by 2^dim K,
 and keeps every hit as the 2^dim K original masks of its coset, so the
@@ -74,7 +74,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .gf2 import WORD, Basis, int_rows, left_kernel, pack_rows
+from .gf2 import WORD, Basis, int_rows, pack_rows
 from .reduction import ReductionOutput
 from .tensor import SignTensor
 
@@ -127,7 +127,7 @@ class SearchSpace:
         basis = out.basis
         if not len(basis):
             raise ValueError("empty basis has no search space; pass v and n explicitly")
-        return cls(v=basis.v, n=basis.n, labels=basis.labels(), bits=basis.matrix())
+        return cls(v=basis.v, n=basis.n, labels=basis.labels, bits=basis.bits)
 
     @property
     def m(self) -> int:
@@ -458,23 +458,27 @@ def _separable_masks(space: SearchSpace) -> list[int]:
     the axes of functions of one coordinate), in highest-bit echelon form
     with exclusive pivots: no row has another row's highest bit set.
 
-    x is in K iff x @ bits = y @ S for some y, S being the n*v single-axis
-    indicator rows (bit set where x_a = i): the first m coordinates of the
-    left kernel of [bits; S].
+    x is in K iff x @ bits lies in the span of S, the n*v single-axis
+    indicator rows (bit set where x_a = i).  So the rows of S, shifted past
+    bit m, seed a `Basis`, and row i of bits enters it tagged, as
+    (row << m) | (1 << i).  A remainder with no bit at or above m is a
+    vector of K whose top bit is i; XORing out the earlier pivots it holds
+    makes the pivots exclusive.
     """
     v, n, m = space.v, space.n, space.m
     coords = np.indices((v,) * n).reshape(n, 1, -1)
     single = (coords == np.arange(v)[:, None]).reshape(n * v, -1)
-    _, kernel = left_kernel(np.vstack([space.bits, single.astype(np.uint8)]))
     basis = Basis()
-    for x in int_rows(np.packbits(kernel[:, :m], axis=1, bitorder="little")):
-        basis.add(x)
+    for x in int_rows(pack_rows(single)):
+        basis.add(x << m)
     rows: dict[int, int] = {}
-    for x in sorted(basis.rows.values()):
-        for pivot, row in rows.items():
-            if x >> pivot & 1:
-                x ^= row
-        rows[x.bit_length() - 1] = x
+    for i, x in enumerate(int_rows(pack_rows(space.bits))):
+        x = basis.add((x << m) | (1 << i))
+        if not x >> m:
+            for pivot, row in rows.items():
+                if x >> pivot & 1:
+                    x ^= row
+            rows[i] = x
     return list(rows.values())
 
 
@@ -603,7 +607,7 @@ def _ints(raw: np.ndarray) -> list[int]:
     bytes, as every Gray code is given, are read as one uint64 each."""
     if raw.shape[1] == 8:
         return raw.view("<u8").ravel().tolist()
-    return [int.from_bytes(row.tobytes(), "little") for row in raw]
+    return int_rows(raw)
 
 
 def _scan(walk: _Walk, predicates: tuple[str, ...], stream, cap: int):

@@ -28,11 +28,6 @@ class SignTensor:
         if not np.isin(self.entries, (-1, 1)).all():
             raise ValueError("entries must be ±1")
 
-    @classmethod
-    def from_array(cls, a) -> "SignTensor":
-        a = np.asarray(a)
-        return cls(v=a.shape[0], n=a.ndim, entries=a.astype(np.int8))
-
     def flat(self) -> np.ndarray:
         return self.entries.reshape(-1)
 
@@ -96,12 +91,6 @@ def alternating_forward_block(n: int) -> np.ndarray:
     a = np.arange(n)
     bits = ((a[:, None] >= a[None, :]).astype(int) + a[:, None]) % 2
     return np.where(bits == 1, -1, 1).astype(np.int8)
-
-
-def pointwise_product(a, b):
-    if isinstance(a, SignTensor):
-        return SignTensor(a.v, a.n, a.entries * b.entries)
-    return np.asarray(a) * np.asarray(b)
 
 
 def section(t: SignTensor, axis: int, idx: int) -> np.ndarray:
@@ -174,36 +163,6 @@ def tensor_to_text(t: SignTensor) -> str:
     return "\n".join(out).rstrip("\n") + "\n"
 
 
-def tensor_from_text(text: str, n: int | None = None) -> SignTensor:
-    blocks = [b for b in text.strip().split("\n\n") if b.strip()]
-    rows = []
-    for b in blocks:
-        for line in b.strip().splitlines():
-            rows.append([int(x) for x in line.split()])
-    arr = np.asarray(rows, dtype=np.int8)
-    v = arr.shape[1]
-    total = arr.size
-    arity = 2
-    while v ** arity < total:
-        arity += 1
-    if n is not None:
-        arity = n
-    if v ** arity != total:
-        raise ValueError("text does not contain v**n entries")
-    if arity == 2:
-        return SignTensor(v, 2, arr)
-    stacked = arr.reshape((v,) * (arity - 2) + (v, v))
-    entries = np.moveaxis(stacked, range(arity - 2), range(2, arity))
-    return SignTensor(v, arity, entries)
-
-
 def tensor_to_json(t: SignTensor) -> str:
     return json.dumps({"v": t.v, "n": t.n,
                        "entries": [int(x) for x in t.flat()]})
-
-
-def tensor_from_json(text: str) -> SignTensor:
-    doc = json.loads(text)
-    v, n = int(doc["v"]), int(doc["n"])
-    entries = np.asarray(doc["entries"], dtype=np.int8).reshape((v,) * n)
-    return SignTensor(v, n, entries)

@@ -261,16 +261,16 @@ def run_verify(spec: GroupSpec, degree: int) -> list[CheckResult]:
     ok("rep-count", len(out.reps) == r - k - l,
        f"{len(out.reps)} representatives = r-k-l = {r - k - l}")
 
-    joint_rank = gf2_rank(out.basis.matrix())
+    joint_rank = gf2_rank(out.basis.bits)
     ok("joint-independence", joint_rank == len(out.basis),
        f"reps ∪ cobs has full rank {joint_rank}")
 
-    emitted_bad = count_non_cocycles(g, n, out.basis.matrix())
+    emitted_bad = count_non_cocycles(g, n, out.basis.bits)
     ok("emitted-cocycles", emitted_bad == 0,
        f"all {len(out.basis)} emitted basis elements pass the cocycle condition")
 
     ok("reps-independent-mod-cobs",
-       joint_rank == len(out.reps) + gf2_rank(out.cobs.matrix()),
+       joint_rank == len(out.reps) + gf2_rank(out.cobs.bits),
        "no representative lies in the span of the others plus coboundaries")
 
     mode = default_mode(n)
@@ -280,7 +280,7 @@ def run_verify(spec: GroupSpec, degree: int) -> list[CheckResult]:
            f"{len(out.cobs)} generators in mode {mode}, documented {want}")
     printed = expected_coboundary_indices(spec, n, mode)
     if printed is not None:
-        got = [int(lab.split(":")[1]) for lab in out.cobs.labels()]
+        got = [int(lab.split(":")[1]) for lab in out.cobs.labels]
         agree = got == printed
         checks.append(CheckResult(
             "INFO", "coboundary-indices",
@@ -324,7 +324,7 @@ def run_verify(spec: GroupSpec, degree: int) -> list[CheckResult]:
         all_cobs, all_bad, all_rank = out.cobs, emitted_bad, joint_rank
     else:
         all_cobs = coboundary_basis(g, n, mode="all")
-        all_matrix = np.vstack([out.reps.matrix(), all_cobs.matrix()])
+        all_matrix = np.vstack([out.reps.bits, all_cobs.bits])
         all_bad = count_non_cocycles(g, n, all_matrix)
         all_rank = gf2_rank(all_matrix)
     size = len(out.reps) + len(all_cobs)
@@ -332,10 +332,10 @@ def run_verify(spec: GroupSpec, degree: int) -> list[CheckResult]:
     ok("oracle-span", independent and size == bf.ker_dim and all_bad == 0,
        f"span(reps ∪ cobs(all)) = Ker d^{n} (dimension {bf.ker_dim})")
     # each cob:T must be d(δ_T), the δ_T being the columns of `deltas`
-    tuples = [int(lab.split(":")[1]) - 1 for lab in all_cobs.labels()]
+    tuples = [int(lab.split(":")[1]) - 1 for lab in all_cobs.labels]
     deltas = np.eye(v ** (n - 1), dtype=np.uint8)[:, tuples]
     gathered = codifferential_words(g, n - 1, pack_rows(deltas))
-    generators = bool((gathered == pack_rows(all_cobs.matrix().T)).all())
+    generators = bool((gathered == pack_rows(all_cobs.bits.T)).all())
     ok("oracle-coboundary-span",
        independent and generators and len(all_cobs) == bf.im_rank,
        f"span(cobs(all)) = Im d^{n - 1} (dimension {bf.im_rank})")

@@ -104,10 +104,10 @@ def test_criterion_3_coboundary_cardinalities():
             for lab, c in out.cobs.entries:
                 T = int(lab.split(":")[1])
                 assert (c.bits == coboundary_generator(g, deg, T).bits).all()
-            assert gf2_rank(out.cobs.matrix()) == len(out.cobs) == bf.im_rank
+            assert gf2_rank(out.cobs.bits) == len(out.cobs) == bf.im_rank
         printed = expected_coboundary_indices(spec, deg, mode)
         if printed is not None:
-            got = [int(lab.split(":")[1]) for lab in out.cobs.labels()]
+            got = [int(lab.split(":")[1]) for lab in out.cobs.labels]
             index_matches += got == printed
     report(3, True, f"{len(cases)} cardinalities exact; span equality vs "
                     f"brute-force image in mode all; informative: "
@@ -138,14 +138,14 @@ def test_criterion_4_oracle_equivalence():
         bf = brute_force_cohomology(g, n)
         assert bf.hdim == out.hdim, (fam, t, n)
         # cocycles (above), independent, as many as dim Ker d^n: span = Ker
-        joint_rank = gf2_rank(out.basis.matrix())
+        joint_rank = gf2_rank(out.basis.bits)
         assert joint_rank == len(out.basis) == bf.ker_dim, (fam, t, n)
         # the cobs are generators d(δ_T) numbering rank d^{n-1}, so they span
         # Im d^{n-1}, and the reps are independent modulo that image
         for lab, c in out.cobs.entries:
             T = int(lab.split(":")[1])
             assert (c.bits == coboundary_generator(g, n, T).bits).all()
-        cob_rank = gf2_rank(out.cobs.matrix())
+        cob_rank = gf2_rank(out.cobs.bits)
         assert cob_rank == len(out.cobs) == bf.im_rank, (fam, t, n)
         assert joint_rank == len(out.reps) + cob_rank, (fam, t, n)
         ran += 1

@@ -64,14 +64,14 @@ def test_count_non_cocycles_matches_referee(spec, n):
     g = build_group(spec)
     basis = full_cocycle_basis(builtin_model(spec, n), n, mode="all").basis
     rng = np.random.default_rng(7)
-    rows = np.vstack([basis.matrix(),
+    rows = np.vstack([basis.bits,
                       rng.integers(0, 2, (70, g.order ** n), dtype=np.uint8)])
     rows = rows[rng.permutation(len(rows))]
     want = sum(bool(bar_codifferential(g, n, Cochain(g.order, n, r)).bits.any())
                for r in rows)
     assert 0 < want < len(rows) and len(rows) > 64
     assert count_non_cocycles(g, n, rows) == want
-    assert count_non_cocycles(g, n, basis.matrix()) == 0
+    assert count_non_cocycles(g, n, basis.bits) == 0
     assert count_non_cocycles(g, n, rows[:0]) == 0
     # the batched d, unpacked, is the referee's d of every row
     words = codifferential_words(g, n, pack_rows(rows.T))
@@ -113,7 +113,7 @@ def test_d_equals_tuple_formula(spec, n):
 
 def test_count_non_cocycles_peak_within_four_terms():
     spec, n = GroupSpec(Family.G1, 5), 3
-    rows = full_cocycle_basis(builtin_model(spec, n), n).basis.matrix()[:64]
+    rows = full_cocycle_basis(builtin_model(spec, n), n).basis.bits[:64]
     g = build_group(spec)  # fresh: a per-group cache would count in the peak
     tracemalloc.start()
     try:
@@ -215,7 +215,7 @@ def test_run_verify_retains_nothing():
 def test_normalized_basis_g1_t1():
     g = build_group(GroupSpec(Family.G1, 1))
     basis = coboundary_basis(g, 2, mode="normalized")
-    assert basis.labels() == ["cob:2"]
+    assert basis.labels == ["cob:2"]
 
 
 def test_all_basis_counts():
@@ -225,7 +225,7 @@ def test_all_basis_counts():
 
 def test_g1_t1_degree3_basis_indices():
     g = build_group(GroupSpec(Family.G1, 1))
-    labels = coboundary_basis(g, 3, mode="all").labels()
+    labels = coboundary_basis(g, 3, mode="all").labels
     assert labels == [f"cob:{T}" for T in list(range(1, 11)) + [13]]
 
 
@@ -242,7 +242,7 @@ def test_all_mode_spans_full_coboundary_image(spec, n):
     for lab, c in basis.entries:
         T = int(lab.split(":")[1])
         assert (c.bits == coboundary_generator(g, n, T).bits).all()
-    assert gf2_rank(basis.matrix()) == len(basis) == bf.im_rank
+    assert gf2_rank(basis.bits) == len(basis) == bf.im_rank
 
 
 @pytest.mark.parametrize("fam,t,deg", [
@@ -285,7 +285,7 @@ def test_full_basis_spans_kernel():
         bf = brute_force_cohomology(model.group, n)
         for _, c in out.basis.entries:
             assert not bar_codifferential(model.group, n, c).bits.any()
-        assert gf2_rank(out.basis.matrix()) == len(out.basis) == bf.ker_dim
+        assert gf2_rank(out.basis.bits) == len(out.basis) == bf.ker_dim
 
 
 def test_every_emitted_element_is_a_cocycle():
@@ -301,7 +301,7 @@ def test_every_emitted_element_is_a_cocycle():
 def test_reps_outside_coboundary_span():
     model = builtin_model(GroupSpec(Family.G2, 3), 2)
     out = full_cocycle_basis(model, 2, mode="all")
-    cobs = out.cobs.matrix()
+    cobs = out.cobs.bits
     for _, c in out.reps.entries:
         assert not in_row_space(cobs, c.bits)
 
@@ -313,8 +313,8 @@ def test_brute_force_known_dimensions():
 
 
 def test_brute_force_guard():
-    # packed d^3 would be 20 GB at v=40 and 4 GiB at v=32: both are refused
-    # before anything of that size is allocated
+    # the sliced d^3 needs about 640 MB at v=40 and 325 MB at v=32: both
+    # are refused before anything of that size is allocated
     for spec in (GroupSpec(Family.CYCLIC, 20), GroupSpec(Family.G1, 8)):
         g = build_group(spec)
         tracemalloc.start()
@@ -349,10 +349,16 @@ def test_oracle_ranks_equal_snf_ranks(spec, n):
 
 
 def test_oracle_guard_admits_v20_degree3():
-    # the largest admitted cases: g1:5 and g2:5 at degree 3 (v=20); v=32
-    # and v=40 at degree 3 are refused
+    # at the full width v=20 at degree 3 fits and v=32 does not; at the
+    # slice of a generating suffix, g1:6 (v=24, a=22) is admitted and g1:8
+    # (v=32, a=30) is refused
     assert oracle_bytes(20, 3) <= ORACLE_BYTES < oracle_bytes(32, 3)
     assert oracle_bytes(32, 3) < oracle_bytes(40, 3)
+    g6, g8 = (build_group(GroupSpec(Family.G1, t)) for t in (6, 8))
+    assert reduction._generating_suffix(g6) == 22
+    assert reduction._generating_suffix(g8) == 30
+    assert oracle_bytes(24, 3, 22) <= ORACLE_BYTES < oracle_bytes(32, 3, 30)
+    assert oracle_bytes(24, 3, 22) < oracle_bytes(24, 3)
 
 
 def test_oracle_peak_within_its_estimate():
@@ -364,7 +370,7 @@ def test_oracle_peak_within_its_estimate():
     finally:
         tracemalloc.stop()
     assert bf.hdim == 4
-    assert peak < oracle_bytes(16, 3)
+    assert peak < oracle_bytes(16, 3, reduction._generating_suffix(g))
 
 
 def _full_rank(g, n):
@@ -466,9 +472,9 @@ def test_snf_ranks_match_tabulated_g2_odd():
 def test_reduction_stores_its_basis_once():
     spec = GroupSpec(Family.G1, 2)
     out = full_cocycle_basis(builtin_model(spec, 3), 3)
-    joint = out.basis.matrix()
+    joint = out.basis.bits
     assert len(out.reps) == out.hdim and len(out.reps) + len(out.cobs) == len(joint)
-    for view in (out.reps.matrix(), out.cobs.matrix(),
+    for view in (out.reps.bits, out.cobs.bits,
                  SearchSpace.from_reduction(out).bits):
         assert np.shares_memory(view, joint)
     assert np.shares_memory(out.reps.entries[0][1].bits, joint)
@@ -514,7 +520,7 @@ def test_oracle_coboundary_span_fails_on_a_flipped_cob_bit(monkeypatch):
 
     def flipped(model, n, mode=None):
         out = full_cocycle_basis(model, n, mode)
-        out.cobs.matrix()[2, 5] ^= 1
+        out.cobs.bits[2, 5] ^= 1
         return out
 
     monkeypatch.setattr(verify, "full_cocycle_basis", flipped)

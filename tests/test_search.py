@@ -1364,7 +1364,8 @@ def test_quotient_walk_equals_referee(v, n, kind, separable, extra, seed):
 
 
 @pytest.mark.parametrize("family,t,degree,mode,dim", QUOTIENT_CASES + [
-    (Family.D4T, 4, 2, "normalized", 0), (Family.G2, 2, 3, "all", 6)])
+    (Family.D4T, 4, 2, "normalized", 0), (Family.G2, 2, 3, "all", 6),
+    (Family.G1, 4, 3, "all", 4), (Family.CYCLIC, 1, 6, "all", 3)])
 def test_separable_masks_span_k(family, t, degree, mode, dim):
     # d = dim(span(B) ∩ span(S)) for independent basis rows B and the
     # single-axis indicator rows S, and every mask of K is separable
