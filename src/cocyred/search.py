@@ -50,8 +50,8 @@ them with no digit at all: for a block aligned to 2^k, g(a + t) = g(a) ^
 g(t) for every t < 2^k, and a head is linear in its mask, so the block's
 heads are one low table, the heads of g(0 .. 2^k - 1) built once per
 range, XOR the head of g(a).  2^k is the largest power of two, at most
-2^m, whose rows leave room in `SCAN_BYTES` for the full products of the
-block's expected survivors.  The pairs are picked when the kernel is
+2^m, whose rows leave room in `SCAN_BYTES` (2 MiB) for the full products
+of the block's expected survivors.  The pairs are picked when the kernel is
 built, greedily on its own products of at most PROBE_MASKS seeded draws:
 each is the pair that the fewest draws surviving the pairs before it
 pass, and one is added only while it cuts the share that pass by more
@@ -91,8 +91,12 @@ MAX_EXHAUSTIVE_BITS = 62
 # picks the kernel's head runs between its tables and its head table,
 # within the same bound.  It does not cover the witness dict, which holds
 # at most 2 `max_witnesses` masks plus the hits of one batch, each with
-# its coset.
-SCAN_BYTES = 1 << 19
+# its coset.  2 MiB is one core's L2 cache on common x86 hosts.  It is
+# fixed, not read from the machine, so that the sizes, and the memory a
+# walk holds, do not depend on the host.  A batch or block costs about a
+# hundred numpy calls whatever its size, so larger ones spread that cost
+# over more masks.
+SCAN_BYTES = 1 << 21
 
 # Fewest combinations per worker that pay for starting a process pool;
 # below it the walk is one range, walked inline.

@@ -868,26 +868,36 @@ def test_head_of_every_first_pair_equals_referees(monkeypatch, v, n, kind):
 def test_batch_edges_keep_counts_and_witnesses(monkeypatch, budget):
     # limits around and between block boundaries, at blocks of 1, of about
     # a hundred and of the default budget; the space is built after the
-    # patch, so that its walks are sized at that budget
-    predicates = ("improper", "proper")
+    # patch, so that its walks are sized at that budget.  At the default
+    # budget one block holds the whole prefix walk of cyclic:2, so that
+    # case walks the 2^16 masks of d4t:4 (K = 0).  Each case: the span,
+    # its mode, predicates and hits, and the blocks of the prefix walk and
+    # of the walk modulo K
+    case, mode, predicates, hits, (block, full_block) = {
+        0: ((Family.CYCLIC, 2, 3), "all", ("improper", "proper"), 32, (1, 1)),
+        20_000: ((Family.CYCLIC, 2, 3), "all", ("improper", "proper"), 32,
+                 (128, 128)),
+        None: ((Family.D4T, 4, 2), "normalized", ("hadamard2d",), 768,
+               (16384, 16384))}[budget]
     full = {w.mask: w.passed for w in enumerate_span(
-        space_for(Family.CYCLIC, 2, 3), predicates).witnesses}
-    assert len(full) == 32
+        space_for(*case, mode=mode), predicates).witnesses}
+    assert len(full) == hits
     if budget is not None:
         monkeypatch.setattr(search_mod, "SCAN_BYTES", budget)
-    space = space_for(Family.CYCLIC, 2, 3)
-    # the blocks of the prefix walk and of the walk modulo K
-    block, full_block = {0: (1, 1), 20_000: (128, 128), None: (4096, 2048)}[budget]
+    space = space_for(*case, mode=mode)
     assert space._plain_walk.kernel.block == block
     assert space._full_walk.kernel.block == full_block
+    assert 3 * block + 7 < 2 ** space.m
     for limit in (1, block - 1, block + 1, 3 * block + 7, None):
-        walked = 2 ** space.m if limit is None else min(limit, 2 ** space.m)
+        walked = 2 ** space.m if limit is None else limit
         masks = {i ^ (i >> 1) for i in range(walked)}
         expect = sorted((mask, p) for mask, p in full.items() if mask in masks)
         report = enumerate_span(space, predicates, limit=limit)
         assert report.examined == walked
-        assert report.hits == {"improper": len(expect), "proper": 0}
+        assert report.hits == {p: sum(p in ps for _, ps in expect)
+                               for p in predicates}
         assert [(w.mask, w.passed) for w in report.witnesses] == expect
+    assert "proper" not in predicates or not report.hits["proper"]
 
 
 def with_indicator_rows(pm):
@@ -995,6 +1005,7 @@ def with_row_0(stream):
 
 @pytest.mark.parametrize("family,t,degree,stream", [
     (Family.CYCLIC, 5, 3, "sampled"),  # m = 91, v = 10
+    (Family.G1, 4, 3, "sampled"),      # m = 243, v = 16
     (Family.D4T, 4, 2, "gray"),        # m = 16, v = 16
     (Family.G1, 1, 3, "gray"),         # m = 15, v = 4
     pytest.param(None, 16, 3, "survivors", id="axis0-survivors"),  # m = 31
