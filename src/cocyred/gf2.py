@@ -187,19 +187,29 @@ def smith_normal_form_gf2(m) -> SnfResult:
     return SnfResult(D=d, P=p, Q=q, rank=rank)
 
 
-def left_kernel(m) -> tuple[int, np.ndarray]:
-    """Rank of M and a basis for {x : x @ M = 0}, as rows.
+def tagged_kernel(rows: list[int], seed=()) -> list[int]:
+    """Kernel vectors of one tagged pass over int rows.  After the `seed`
+    rows (already shifted past bit k = len(rows)), row i enters one `Basis`
+    as (rows[i] << k) | (1 << i), and a remainder with no bit at or above
+    k is kept.  Its bits name rows, row i the highest, whose XOR the seed
+    spans (is 0, with no seed).  Kept row i is stored under its top bit i,
+    which no later remainder reaches (each keeps its own higher tag bit),
+    so no other row ever takes bit i: the kept vectors, in order of their
+    top bits, have exclusive pivots, none holding another's top bit."""
+    k = len(rows)
+    basis = Basis()
+    for x in seed:
+        basis.add(x)
+    return [r for i, x in enumerate(rows)
+            if not (r := basis.add((x << k) | (1 << i))) >> k]
 
-    Row i enters the engine as (row_i << rows) | (1 << i): M in the high
-    bits, the identity in the low bits.  Its remainder keeps bit i, and a
-    remainder whose M part is zero is a kernel vector; bit i is its top
-    bit, so the kernel rows are independent.
-    """
+
+def left_kernel(m) -> tuple[int, np.ndarray]:
+    """Rank of M and a basis for {x : x @ M = 0}, as rows, from one
+    `tagged_kernel` pass over the rows of M."""
     m = as_bits(m)
     rows = m.shape[0]
     if rows == 0:
         return 0, np.zeros((0, 0), dtype=np.uint8)
-    basis = Basis()
-    kernel = [r for i, x in enumerate(int_rows(pack_rows(m)))
-              if not (r := basis.add((x << rows) | (1 << i))) >> rows]
+    kernel = tagged_kernel(int_rows(pack_rows(m)))
     return rows - len(kernel), bit_rows(kernel, rows)

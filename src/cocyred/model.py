@@ -1,11 +1,11 @@
 """Cohomological model data for the built-in families.
 
-A model for target degree n carries three basis dimensions (degrees n-1,
-n, n+1), the two codifferential matrices over Z2 in those bases (row m =
-coordinates of d applied to the m-th basis element), and the lift map: the
-coefficient vector, in the degree-n basis, of the model projection applied
-to a bar tuple [g_1|...|g_n].  Lifting a coordinate row c therefore gives
-the cochain  tuple |-> <c, lift(tuple)> mod 2.
+A model for target degree n carries the two codifferential matrices over
+Z2 (row m = coordinates of d applied to the m-th basis element), whose
+shapes give the basis dimensions of degrees n-1, n and n+1, and the lift
+map: the coefficient vector, in the degree-n basis, of the model
+projection applied to a bar tuple [g_1|...|g_n].  Lifting a coordinate
+row c therefore gives the cochain  tuple |-> <c, lift(tuple)> mod 2.
 
 The abelian families (g1, g2, cyclic) get their model at every degree
 n >= 2 from one rule, the tensor product of the models of the cyclic
@@ -38,20 +38,25 @@ class ModelSizeError(ValueError):
 class CohModel:
     group: FiniteGroup
     degree: int
-    dims: dict[int, int]
     diff: dict[int, np.ndarray]
     lift_table: np.ndarray = field(repr=False)  # (v**degree, dims[degree]) uint8
-    tabulated: tuple[int, int, int] | None = None
 
     def __post_init__(self):
         n = self.degree
-        q, r, s = self.dims[n - 1], self.dims[n], self.dims[n + 1]
-        if self.diff[n - 1].shape != (q, r) or self.diff[n].shape != (r, s):
-            raise ValueError("codifferential shapes do not match dims")
+        if self.diff[n - 1].shape[1] != self.diff[n].shape[0]:
+            raise ValueError("d^(n-1) and d^n do not compose")
         if ((self.diff[n - 1].astype(int) @ self.diff[n].astype(int)) % 2).any():
             raise ValueError("d∘d != 0")
-        if self.lift_table.shape != (self.group.order ** n, r):
+        if self.lift_table.shape != (self.group.order ** n, self.dims[n]):
             raise ValueError("lift table has wrong shape")
+
+    @property
+    def dims(self) -> dict[int, int]:
+        """The basis dimensions (q, r, s) of degrees n-1, n and n+1, read
+        off the shapes of d^(n-1) and d^n."""
+        n = self.degree
+        (q, r), s = self.diff[n - 1].shape, self.diff[n].shape[1]
+        return {n - 1: q, n: r, n + 1: s}
 
     def lift(self, coords) -> np.ndarray:
         """The cochains of (k, r) coordinate rows, as a (k, v**n) uint8
@@ -172,9 +177,5 @@ def builtin_model(spec: GroupSpec, degree: int) -> CohModel:
     else:
         diff = {d: _product_diff(spec.radices, d) for d in (n - 1, n)}
         lift = _product_lift(g, n)
-    q, (r, s) = len(diff[n - 1]), diff[n].shape
-    printed = PRINTED.get((spec.family, n))
-    return CohModel(group=g, degree=n, dims={n - 1: q, n: r, n + 1: s},
-                    diff=diff, lift_table=lift,
-                    tabulated=None if printed is None else printed[spec.t % 2])
+    return CohModel(group=g, degree=n, diff=diff, lift_table=lift)
 

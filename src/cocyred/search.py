@@ -30,14 +30,15 @@ and keeps every hit as the 2^dim K original masks of its coset, so the
 retained witnesses are still the smallest original hit masks.  A prefix
 is not a union of cosets and is walked mask by mask.  So a space has two
 walks, each a `_Walk` built on first use and kept: `_full_walk`, modulo
-K, and `_plain_walk`, for prefixes and samples.  Each owns one kernel,
-its tables, head and sizes built once; a process pool is sent the walk.
+K, and `_plain_walk`, for prefixes and samples.  A walk owns its coset,
+tables, head, test stages and sizes, built once; a process pool is sent
+the walk as built.
 
-One kernel, `_Kernel`, evaluates every predicate on a batch at once, with
-integer and bit operations only: packed popcount tests of every two
-sections along axis 0, then, for the improper and proper tests at degree
-n >= 3 only, one pass over the unpacked bits of the products that pass,
-over one test list whose prefixes are the predicates (see `_Kernel`).
+A walk evaluates every predicate on a batch at once, with integer and
+bit operations only: packed popcount tests of every two sections along
+axis 0, then, for the improper and proper tests at degree n >= 3 only,
+one pass over the unpacked bits of the products that pass, over one test
+list whose prefixes are the predicates (see `_Walk`).
 So a verdict is the depth a product reached in that list, and `_scan`
 tallies depths and keeps its witnesses in one trimmed dict.
 Every walk is staged in two: it first forms only the head of each mask's
@@ -51,15 +52,15 @@ g(t) for every t < 2^k, and a head is linear in its mask, so the block's
 heads are one low table, the heads of g(0 .. 2^k - 1) built once per
 range, XOR the head of g(a).  2^k is the largest power of two, at most
 2^m, whose rows leave room in `SCAN_BYTES` (2 MiB) for the full products
-of the block's expected survivors.  The pairs are picked when the kernel is
+of the block's expected survivors.  The pairs are picked when the walk is
 built, greedily on its own products of at most PROBE_MASKS seeded draws:
 each is the pair that the fewest draws surviving the pairs before it
 pass, and one is added only while it cuts the share that pass by more
 than 1/v, so that a head section more per mask spares more than it costs
 in full products.  At degree 3 a single pair passes so few draws that the
 head stays one pair; at degree 2 it takes two or three.  The
-predicates of `tensor.py` are the slow referee that the tests judge this
-kernel by.  Witnesses are masks; `SearchSpace.combo_labels` names their
+predicates of `tensor.py` are the slow referee that the tests judge the
+walk by.  Witnesses are masks; `SearchSpace.combo_labels` names their
 rows.
 """
 
@@ -74,21 +75,21 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .gf2 import WORD, Basis, int_rows, pack_rows
+from .gf2 import WORD, int_rows, pack_rows, tagged_kernel
 from .reduction import ReductionOutput
 from .tensor import SignTensor
 
 MAX_EXHAUSTIVE_BITS = 62
 
-# Bytes a walk's kernel may hold in its XOR tables and head table (h/v of
-# their size, for a head of h pairs) plus what one batch of a `_scan`
-# holds, which sets the batch, Gray block and survivor chunk sizes when
-# the kernel is built, on the walk's first use.  A Gray block of 2^k masks
+# Bytes a walk may hold in its XOR tables and head table (h/v of their
+# size, for a head of h pairs) plus what one batch of a `_scan` holds,
+# which sets the batch, Gray block and survivor chunk sizes when the walk
+# is built, on its space's first use of it.  A Gray block of 2^k masks
 # holds its low table and heads, 16 h bytes per word of a section per
 # mask, and the popcounts and positions of its survivors, beside one
 # survivor chunk.  A batch or block gets at least a quarter of it, so the
 # bound is max(SCAN_BYTES, tables + head table + quarter).  The probe that
-# picks the kernel's head runs between its tables and its head table,
+# picks the walk's head runs between its tables and its head table,
 # within the same bound.  It does not cover the witness dict, which holds
 # at most 2 `max_witnesses` masks plus the hits of one batch, each with
 # its coset.  2 MiB is one core's L2 cache on common x86 hosts.  It is
@@ -156,12 +157,12 @@ class SearchSpace:
     def _full_walk(self) -> "_Walk":
         """The walk of the full span modulo K, or the plain one if K = 0."""
         rows = _separable_masks(self)
-        return _Walk(self, rows) if rows else self._plain_walk
+        return _Walk(self.v, self.n, self.bits, rows) if rows else self._plain_walk
 
     @cached_property
     def _plain_walk(self) -> "_Walk":
         """The walk of every mask, for a prefix or sampled draws."""
-        return _Walk(self, [])
+        return _Walk(self.v, self.n, self.bits, [])
 
 
 @dataclass
@@ -208,9 +209,17 @@ def tensor_of_combination(space: SearchSpace, combo) -> SignTensor:
     return space.combo_tensor(mask)
 
 
-class _Kernel:
-    """Bit-packed products of the rows of one walk, the one predicate test
-    list, and the walk's head and sizes, built once.
+class _Walk:
+    """One walk of a space's span, given a basis of K in echelon form with
+    exclusive pivots (none for the plain walk of every mask, of a prefix
+    or of sampled draws): the coset of K, the bit-packed products of the
+    walked rows, the one predicate test list, and the head and sizes, all
+    built once.
+
+    Every mask is c ^ k for exactly one k in K and one c whose pivot bits
+    are zero, so the walk visits those c only: the masks over the `free`
+    (non-pivot) rows, the walk's m rows.  Each walked mask stands for the
+    2^dim masks of its `coset`, which `expand` lists.
 
     A product is the cochain's v sections along axis 0, each of `words` =
     ceil(v^(n-1)/64) uint64 words: section i holds, in row-major order and
@@ -221,7 +230,7 @@ class _Kernel:
     and one pair test serves every list of pairs i < j.
 
     The head is the h pairs (0, j) of `js`, which `_probe_head` picks from
-    the kernel's own products.  The head table is the tables restricted to
+    the walk's own products.  The head table is the tables restricted to
     section 0 XOR section j, for each j of `js`, so `products` forms the
     head s_0 ^ s_j1, ..., s_0 ^ s_jh of every mask of a sampled batch.  A
     Gray walk reads the head of each row out of the same table and forms
@@ -255,7 +264,14 @@ class _Kernel:
     which gathers a table entry per digit.  `full` fits beside either.
     """
 
-    def __init__(self, v: int, n: int, rows: np.ndarray):
+    def __init__(self, v: int, n: int, bits: np.ndarray, kernel_rows: list[int]):
+        self.dim = len(kernel_rows)
+        pivots = {x.bit_length() - 1 for x in kernel_rows}
+        self.free = [i for i in range(len(bits)) if i not in pivots]
+        self.coset = [0]  # the masks of K: walked mask c stands for c ^ K
+        for x in kernel_rows:
+            self.coset += [c ^ x for c in self.coset]
+        rows = bits[self.free] if self.dim else bits
         self.v, self.n, self.m = v, n, len(rows)
         self.length = v ** (n - 1)
         self.words = -(-self.length // WORD)
@@ -336,6 +352,15 @@ class _Kernel:
         per_survivor = 72 * width + 3 * v ** n \
             + (2 * v + 5) * (v - 1) * self.length // 2
         self.chunk = max(1, (room - held) // per_survivor)
+
+    def expand(self, x: int) -> list[int]:
+        """The original masks of walked mask x's coset."""
+        if not self.dim:
+            return [x]
+        base = 0
+        for j in _set_bits(x):
+            base |= 1 << self.free[j]
+        return [base ^ k for k in self.coset]
 
     def products(self, raw: np.ndarray, table: np.ndarray) -> np.ndarray:
         """Packed products of a batch of masks, given as rows of
@@ -463,48 +488,36 @@ def _separable_masks(space: SearchSpace) -> list[int]:
     with exclusive pivots: no row has another row's highest bit set.
 
     x is in K iff x @ bits lies in the span of S, the n*v single-axis
-    indicator rows (bit set where x_a = i).  So the rows of S, shifted past
-    bit m, seed a `Basis`, and row i of bits enters it tagged, as
-    (row << m) | (1 << i).  A remainder with no bit at or above m is a
-    vector of K whose top bit is i; XORing out the earlier pivots it holds
-    makes the pivots exclusive.
+    indicator rows (bit set where x_a = i).  So it is one `tagged_kernel`
+    pass over the rows of bits, seeded with the rows of S shifted past bit
+    m, whose vectors already have exclusive pivots.
     """
     v, n, m = space.v, space.n, space.m
     coords = np.indices((v,) * n).reshape(n, 1, -1)
     single = (coords == np.arange(v)[:, None]).reshape(n * v, -1)
-    basis = Basis()
-    for x in int_rows(pack_rows(single)):
-        basis.add(x << m)
-    rows: dict[int, int] = {}
-    for i, x in enumerate(int_rows(pack_rows(space.bits))):
-        x = basis.add((x << m) | (1 << i))
-        if not x >> m:
-            for pivot, row in rows.items():
-                if x >> pivot & 1:
-                    x ^= row
-            rows[i] = x
-    return list(rows.values())
+    return tagged_kernel(int_rows(pack_rows(space.bits)),
+                         [x << m for x in int_rows(pack_rows(single))])
 
 
-def _probe_head(kernel: _Kernel, size: int) -> tuple[tuple[int, ...], float]:
-    """(pairs, share): the pairs (0, j) that the kernel's walk tests first
-    and the share of the draws of the probe, min(PROBE_MASKS, 2^m) draws of
-    random.Random(0), that pass all of them, from the kernel's full
-    products of those draws, `size` at a time.  The first pair is the one
-    that the fewest draws pass, and each next one the one that the fewest
-    of the draws surviving the pairs so far pass, ties to the smallest j.
+def _probe_head(walk: _Walk, size: int) -> tuple[tuple[int, ...], float]:
+    """(pairs, share): the pairs (0, j) that the walk tests first and the
+    share of the draws of the probe, min(PROBE_MASKS, 2^m) draws of
+    random.Random(0), that pass all of them, from the walk's full products
+    of those draws, `size` at a time.  The first pair is the one that the
+    fewest draws pass, and each next one the one that the fewest of the
+    draws surviving the pairs so far pass, ties to the smallest j.
     A pair is added only while it cuts the pass share by more than 1/v:
     one more head section per mask pays only if it spares a full product,
     v sections, for more than one in v masks.  At v = 1, with no pair,
     s_0 ^ s_0 passes all."""
-    v = kernel.v
+    v = walk.v
     if v == 1:
         return (0,), 1.0
-    draws = min(PROBE_MASKS, 1 << kernel.m)
+    draws = min(PROBE_MASKS, 1 << walk.m)
     passes = []
-    for raw in _sampled_batches(random.Random(0), kernel.m, draws, size):
-        s = kernel.products(raw, kernel.tables).reshape(len(raw), v, kernel.words)
-        passes.append(kernel._ones(s[:, :1] ^ s[:, 1:]) == kernel.half)
+    for raw in _sampled_batches(random.Random(0), walk.m, draws, size):
+        s = walk.products(raw, walk.tables).reshape(len(raw), v, walk.words)
+        passes.append(walk._ones(s[:, :1] ^ s[:, 1:]) == walk.half)
     alive = np.concatenate(passes)
     pairs, count = [], draws
     while True:
@@ -517,40 +530,9 @@ def _probe_head(kernel: _Kernel, size: int) -> tuple[tuple[int, ...], float]:
         alive = alive[alive[:, j]]
 
 
-class _Walk:
-    """A walk of a space's span and the one kernel that tests it, given a
-    basis of K in echelon form with exclusive pivots.
-
-    Every mask is c ^ k for exactly one k in K and one c whose pivot bits
-    are zero, so the walk visits those c only: the masks over the `free`
-    (non-pivot) rows, whose products `kernel` forms.  Each walked mask
-    stands for the 2^dim masks of its coset.  With no rows it is the plain
-    walk of every mask, of a prefix or of sampled draws.
-    """
-
-    def __init__(self, space: SearchSpace, kernel_rows: list[int]):
-        self.dim = len(kernel_rows)
-        pivots = {x.bit_length() - 1 for x in kernel_rows}
-        self.free = [i for i in range(space.m) if i not in pivots]
-        self.coset = [0]  # the masks of K: walked mask c stands for c ^ K
-        for x in kernel_rows:
-            self.coset += [c ^ x for c in self.coset]
-        self.kernel = _Kernel(space.v, space.n,
-                              space.bits[self.free] if self.dim else space.bits)
-
-    def expand(self, x: int) -> list[int]:
-        """The original masks of walked mask x's coset."""
-        if not self.dim:
-            return [x]
-        base = 0
-        for j in _set_bits(x):
-            base |= 1 << self.free[j]
-        return [base ^ k for k in self.coset]
-
-
-def _gray_blocks(start: int, stop: int, kernel: _Kernel):
+def _gray_blocks(start: int, stop: int, walk: _Walk):
     """The heads of the reflected Gray codes g(i) = i ^ (i >> 1) of the
-    indices [start, stop), one block of `kernel.block` = 2^k indices at a
+    indices [start, stop), one block of `walk.block` = 2^k indices at a
     time, each with a function from positions in it to mask bytes.
 
     For a block aligned to 2^k, a = 0 mod 2^k, g(a + t) = g(a) ^ g(t) for
@@ -559,9 +541,9 @@ def _gray_blocks(start: int, stop: int, kernel: _Kernel):
     XOR the head of g(a), and no mask is formed before its head passes.
     The low table is built by k reflections, g(2^b + t) = 2^b ^ g(2^b - 1
     - t) for t < 2^b.  A block is cut to [start, stop) at the ends."""
-    size = kernel.block
-    bits = np.arange(kernel.m)
-    rows = kernel.head[bits // 4, 1 << bits % 4].T  # a column per row's head
+    size = walk.block
+    bits = np.arange(walk.m)
+    rows = walk.head[bits // 4, 1 << bits % 4].T  # a column per row's head
     low = np.zeros((len(rows), size), dtype=np.uint64)
     for b in range(size.bit_length() - 1):
         np.bitwise_xor(low[:, (1 << b) - 1::-1], rows[:, b:b + 1],
@@ -581,12 +563,12 @@ def _gray_bytes(first: int, positions: np.ndarray) -> np.ndarray:
     return i.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
 
 
-def _digit_heads(batches, kernel: _Kernel):
-    """The heads of each batch of `batches(kernel.batch)`, rows of mask
+def _digit_heads(batches, walk: _Walk):
+    """The heads of each batch of `batches(walk.batch)`, rows of mask
     bytes, formed from the head table one 4-bit digit at a time, each with
     its batch's row lookup."""
-    for raw in batches(kernel.batch):
-        yield kernel.products(raw, kernel.head).T, raw.__getitem__
+    for raw in batches(walk.batch):
+        yield walk.products(raw, walk.head).T, raw.__getitem__
 
 
 def _sampled_batches(rng: random.Random, m: int, count: int, size: int):
@@ -615,7 +597,7 @@ def _ints(raw: np.ndarray) -> list[int]:
 
 
 def _scan(walk: _Walk, predicates: tuple[str, ...], stream, cap: int):
-    """Test the product of every mask of `stream(walk.kernel)`, an iterable
+    """Test the product of every mask of `stream(walk)`, an iterable
     of (heads, masks) batches of masks of the walk's rows: the packed heads
     of the batch, one column per mask, and a function from positions in
     the batch to their masks' rows of little-endian bytes, asked only for
@@ -624,14 +606,13 @@ def _scan(walk: _Walk, predicates: tuple[str, ...], stream, cap: int):
     passed, decoding only the hits to ints.  Each mask counts, and is kept
     as a witness, once per mask of its coset.
 
-    A verdict is the depth a mask reached in the kernel's test list, so
+    A verdict is the depth a mask reached in the walk's test list, so
     the counts are one tally per depth, and `passed[t]` names the
     predicates of depth t.  The witnesses are one dict, mask -> passed,
     cut to its `cap` smallest keys once it holds more than 2 cap; after a
     cut, a mask above the largest key kept cannot be among the `cap`
     smallest and is not stored."""
-    kernel = walk.kernel
-    ends = [kernel.ends[p] for p in predicates]
+    ends = [walk.ends[p] for p in predicates]
     depth = max(ends, default=0)
     passed = [tuple(p for p, e in zip(predicates, ends) if t >= e)
               for t in range(depth + 1)]
@@ -640,9 +621,9 @@ def _scan(walk: _Walk, predicates: tuple[str, ...], stream, cap: int):
     kept: dict[int, tuple[str, ...]] = {}
     bound = None
     examined = 0
-    for heads, masks in stream(kernel):
+    for heads, masks in stream(walk):
         examined += heads.shape[1] << walk.dim
-        where, reached = kernel.verdicts(heads, masks, depth)
+        where, reached = walk.verdicts(heads, masks, depth)
         tally += np.bincount(reached, minlength=depth + 1)
         hit = reached >= least
         if not cap or not hit.any():
@@ -742,7 +723,7 @@ def enumerate_span(space: SearchSpace,
                         duration=time.perf_counter() - t0,
                         mode="sampled" if sampled else "exhaustive",
                         seed=seed if sampled else None, quotient_dim=walk.dim,
-                        head_pairs=walk.kernel.js)
+                        head_pairs=walk.js)
 
 
 def default_workers() -> int:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cocyred.gf2 import (as_bits, bit_rows, gf2_rank, greedy_independent_rows,
                          in_row_space, int_rows, left_kernel, pack_rows,
-                         smith_normal_form_gf2)
+                         smith_normal_form_gf2, tagged_kernel)
 
 
 def rand_matrix(rng, rows, cols):
@@ -252,3 +252,23 @@ def test_left_kernel_random():
             assert not ((ker.astype(int) @ m.astype(int)) % 2).any()
             assert gf2_rank(ker) == ker.shape[0]
 
+
+
+def test_tagged_kernel_with_a_seed():
+    # each kept vector names rows of M, its own index the highest, whose XOR
+    # lies in the row space of S: dim {x : x @ M in span S} of them
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        m = rand_matrix(rng, rng.integers(1, 9), rng.integers(1, 12))
+        s = rand_matrix(rng, rng.integers(0, 4), m.shape[1])
+        k = len(m)
+        kept = tagged_kernel(int_rows(pack_rows(m)),
+                             [x << k for x in int_rows(pack_rows(s))])
+        assert len(kept) == k + gf2_rank(s) - gf2_rank(np.vstack([m, s]))
+        # exclusive pivots: no kept vector holds another's top bit
+        tops = [x.bit_length() - 1 for x in kept]
+        assert tops == sorted(set(tops))
+        assert all([t for t in tops if x >> t & 1] == [x.bit_length() - 1]
+                   for x in kept)
+        for x in bit_rows(kept, k):
+            assert in_row_space(s, (x.astype(int) @ m) % 2)

@@ -225,17 +225,16 @@ def cyclic1_model(**change):
     cocycle f(a, b) = ab; `change` replaces any of its fields."""
     zero = np.zeros((1, 1), dtype=np.uint8)
     fields = dict(group=build_group(GroupSpec(Family.CYCLIC, 1)), degree=2,
-                  dims={1: 1, 2: 1, 3: 1}, diff={1: zero, 2: zero},
+                  diff={1: zero, 2: zero},
                   lift_table=np.array([[0], [0], [0], [1]], dtype=np.uint8))
     return CohModel(**{**fields, **change})
 
 
 def test_model_with_no_lower_basis():
     # q = 0: d^(n-1) is a (0, r) matrix
-    m = cyclic1_model(dims={1: 0, 2: 1, 3: 1},
-                      diff={1: np.zeros((0, 1), dtype=np.uint8),
+    m = cyclic1_model(diff={1: np.zeros((0, 1), dtype=np.uint8),
                             2: np.zeros((1, 1), dtype=np.uint8)})
-    assert m.diff[1].shape == (0, 1)
+    assert m.diff[1].shape == (0, 1) and m.dims == {1: 0, 2: 1, 3: 1}
     assert m.lift([[1]]).tolist() == [[0, 0, 0, 1]]
 
 
@@ -244,22 +243,15 @@ def test_model_rejects_broken_d_squared():
     diff = {n: d.copy() for n, d in m.diff.items()}
     diff[2][0, 0] = 1  # now d1 @ d2 != 0
     with pytest.raises(ValueError, match="d∘d != 0"):
-        CohModel(group=m.group, degree=2, dims=m.dims, diff=diff,
-                 lift_table=m.lift_table)
+        CohModel(group=m.group, degree=2, diff=diff, lift_table=m.lift_table)
 
 
-@pytest.mark.parametrize("change", [
-    pytest.param({"dims": {1: 1, 2: 2, 3: 1}}, id="dims-r"),
-    pytest.param({"dims": {1: 2, 2: 1, 3: 1}}, id="dims-q"),
-    pytest.param({"dims": {1: 1, 2: 1, 3: 2}}, id="dims-s"),
-    pytest.param({"diff": {1: np.zeros((1, 1), np.uint8),
-                           2: np.zeros((1, 2), np.uint8)}}, id="diff-hi"),
-    pytest.param({"diff": {1: np.zeros((0, 1), np.uint8),
-                           2: np.zeros((1, 1), np.uint8)}}, id="diff-lo")])
-def test_model_rejects_codifferential_shapes(change):
-    with pytest.raises(ValueError,
-                       match="codifferential shapes do not match dims"):
-        cyclic1_model(**change)
+@pytest.mark.parametrize("q,r,s", [(1, 2, 1), (0, 0, 1), (2, 3, 2)])
+def test_model_rejects_codifferentials_that_do_not_compose(q, r, s):
+    # d^(n-1) is (q, r) and d^n is (r + 1, s): no product, so no model
+    diff = {1: np.zeros((q, r), np.uint8), 2: np.zeros((r + 1, s), np.uint8)}
+    with pytest.raises(ValueError, match=r"^d\^\(n-1\) and d\^n do not compose$"):
+        cyclic1_model(diff=diff)
 
 
 @pytest.mark.parametrize("rows,cols", [(3, 1), (5, 1), (4, 2), (1, 4)])

@@ -2,19 +2,36 @@
 the families or models are written down cannot change what they are.
 
 `MUL_PINS` covers the multiplication table of every family at t = 1..8
-(keyed family:t), `MODEL_PINS` the dims, codifferentials, lift table and
-tabulated (l, k, hdim) of every built-in model at t = 1..4 (keyed
-family:t/degree).
+(keyed family:t), `MODEL_PINS` the dims, codifferentials and lift table
+of every built-in model at t = 1..4, with the paper's printed (l, k, hdim)
+for it (keyed family:t/degree).  `K_PINS` covers the rows of K, the
+separable masks that a full walk is taken modulo, in the order that
+`search._separable_masks` gives them: dim K and the sha256 of the JSON
+list of rows, for every built-in model at t = 1..4 and degree 2 or 3 in
+mode "all" (keyed family:t/degree); in mode "normalized" K is 0.
+
+The benchmark pins, in `bench/pinned.json`, the status of every `verify`
+check on each of its `oracle-verify` cases, and counts any other status
+map as a failed job; `test_verify_matches_bench_pins` reads that file, so
+that a change to the checks shows here first.
 """
 
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cocyred.groups import Family, GroupSpec, build_group
-from cocyred.model import builtin_model
+from cocyred import search
+from cocyred.groups import Family, GroupSpec, build_group, parse_group_spec
+from cocyred.model import PRINTED, builtin_model
+from cocyred.reduction import full_cocycle_basis
+from cocyred.verify import run_verify
+
+BENCH_PINS = json.loads((Path(__file__).resolve().parents[1]
+                         / "bench" / "pinned.json").read_text())
 
 MUL_PINS = {
     "g1:1": "cd18db5001222f5aa2e67a2e1ec7bedb6c97259bc407ac0536383a96da99ee0d",
@@ -78,6 +95,39 @@ MODEL_PINS = {
     "cyclic:4/3": "69e5654efaf6b1003222f6c61e84751c550f1dfed9232de15cbff3effd40f441",
 }
 
+EMPTY = hashlib.sha256(b"[]").hexdigest()
+
+K_PINS = {
+    "g1:1/2": (1, "501376e57c8da536b2be29ebdc7dbeacbd7b9520b4f2250e65b0fc60e72365ec"),
+    "g1:2/2": (1, "04f200f1e2407fd6d986dfa2027e8fe3606ee6c41ae6c7c45d26331416b69308"),
+    "g1:3/2": (1, "1859712ce052c531aa213fbb7ee23db5e7bdb1feae063f36b5c167676477993f"),
+    "g1:4/2": (1, "c37c81c58cb9f07804ae24a0c2046065b47e367f28ab904565af2bdfa842631a"),
+    "g1:1/3": (4, "24898423600b0403a494016e7a3f5bcd7a73c425c3b24cc2886bdd32d4a43db6"),
+    "g1:2/3": (4, "5685842ff05bc6d0345ac05e55392b5ed225eb8795c8385f7bb8787b1334ac2f"),
+    "g1:3/3": (4, "a8e72bdc8c09306e7f68ca8af4e0a594575163205f3904809a7040b2ab622226"),
+    "g1:4/3": (4, "2c2c4764174bb95991b813d5f564f0726c8f19770d353a178e5ebe8e517c36e7"),
+    "g2:1/2": (1, "501376e57c8da536b2be29ebdc7dbeacbd7b9520b4f2250e65b0fc60e72365ec"),
+    "g2:2/2": (1, "c238db8036789ed94cd64981164901c79808225d2b3a60d5fbb8be1ef0f5498a"),
+    "g2:3/2": (1, "1859712ce052c531aa213fbb7ee23db5e7bdb1feae063f36b5c167676477993f"),
+    "g2:4/2": (1, "371e8c95806e2dbf01dcde88328f8d5dd535e9e3f3e65a6ac04c07c909a65f2e"),
+    "g2:1/3": (4, "24898423600b0403a494016e7a3f5bcd7a73c425c3b24cc2886bdd32d4a43db6"),
+    "g2:2/3": (6, "afade0c57c792fefd2874e0a048f931cd0d0aa1f35c79bb267fc6847b63fd923"),
+    "g2:3/3": (4, "a8e72bdc8c09306e7f68ca8af4e0a594575163205f3904809a7040b2ab622226"),
+    "g2:4/3": (6, "455d759bb01b4d22a5adfdc2be59216e3bf40a8d803e3de7643f5b2c6a4b6559"),
+    "d4t:1/2": (1, "501376e57c8da536b2be29ebdc7dbeacbd7b9520b4f2250e65b0fc60e72365ec"),
+    "d4t:2/2": (1, "b344603b272cddd6307249d2d9c2fd5e7e93f8fa2a622d38fde392402c235a5a"),
+    "d4t:3/2": (1, "f103fb247b1b619a66e1fca1c8bc70f0b428470bc44faef2f062844d04d9bbf5"),
+    "d4t:4/2": (1, "3e14cc84667f929cdf7dfc1cd9ff97b7991a32eab2df1dca6c5c257474018b5f"),
+    "cyclic:1/2": (1, "038966de9f6b9a901b20b4c6ca8b2a46009feebe031babc842d43690c0bc222b"),
+    "cyclic:2/2": (1, "41164c427f4cf681cc1b50eaf1a175e3574a1d015c6c90fbdaf77aea39d24086"),
+    "cyclic:3/2": (1, "b86b1ea11b28136fe5224b9d1e3017b7efb68d4fae0b90c4940e0c0f89b3907a"),
+    "cyclic:4/2": (1, "d76e4c0bc9e7734f1434be2290edb40208eb6e898a8b3aede34f3eaa42fdabec"),
+    "cyclic:1/3": (2, "2d2b1c3992e04e1469b96b426a1504d50e277cfe274887bc764152d00b86edfb"),
+    "cyclic:2/3": (2, "3590816e4a341fa31ca8c5eb994897f9b2db993ecf17d59a3a1470a4efe32380"),
+    "cyclic:3/3": (2, "839e5b42929915ca3df0ca352023bdfc8d9d81245033801d0d673941fb09ff85"),
+    "cyclic:4/3": (2, "accc33f455025895a4213f303450726e12b34ea31a811b306604275732dc82c7"),
+}
+
 
 def mul_fingerprint(spec: GroupSpec) -> str:
     mul = np.ascontiguousarray(build_group(spec).mul, dtype=np.int64)
@@ -89,7 +139,8 @@ def model_fingerprint(spec: GroupSpec, degree: int) -> str:
     n = m.degree
     head = json.dumps([[m.dims[n - 1], m.dims[n], m.dims[n + 1]],
                        [m.diff[n - 1].tolist(), m.diff[n].tolist()],
-                       list(m.lift_table.shape), list(m.tabulated)])
+                       list(m.lift_table.shape),
+                       list(PRINTED[(spec.family, n)][spec.t % 2])])
     lift = np.ascontiguousarray(m.lift_table, dtype=np.uint8)
     return hashlib.sha256(head.encode() + lift.tobytes()).hexdigest()
 
@@ -108,3 +159,26 @@ def test_multiplication_table_pinned(key):
 def test_builtin_model_pinned(key):
     spec, degree = key.split("/")
     assert model_fingerprint(_spec(spec), int(degree)) == MODEL_PINS[key]
+
+
+@pytest.mark.parametrize("mode", ("all", "normalized"))
+@pytest.mark.parametrize("key", sorted(K_PINS))
+def test_separable_masks_pinned(key, mode):
+    spec, degree = key.split("/")
+    out = full_cocycle_basis(builtin_model(_spec(spec), int(degree)),
+                             int(degree), mode=mode)
+    rows = search._separable_masks(search.SearchSpace.from_reduction(out))
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert (len(rows), digest) == (K_PINS[key] if mode == "all" else (0, EMPTY))
+
+
+@pytest.mark.parametrize("key", sorted(k for k in BENCH_PINS
+                                       if k.startswith("verify ")))
+def test_verify_matches_bench_pins(key):
+    # the key is "verify <group> deg<n>"
+    _, group, degree = key.split()
+    checks = run_verify(parse_group_spec(group), int(degree.removeprefix("deg")))
+    hdims = {int(x) for c in checks
+             for x in re.findall(r"dim H\^\d+ = (\d+)", c.detail)}
+    assert {c.name: c.status for c in checks} == BENCH_PINS[key]["statuses"]
+    assert hdims == {BENCH_PINS[key]["hdim"]}

@@ -140,13 +140,13 @@ def test_gray_state_equals_from_scratch_product(monkeypatch):
     # all have L/2 ones, each equal to the mask's from-scratch product.  A
     # Gray walk forms no head from digits but one per mask from its block's
     # low table; at a small budget its blocks are a few masks each.  Each
-    # space is built after its budget is patched, and its walk's kernel,
-    # with the probe that picks the head, before the spies record
+    # space is built after its budget is patched, and its walk, with the
+    # probe that picks the head, before the spies record
     default = search_mod.SCAN_BYTES
     snapshots = []
     heads = []
-    orig_products = search_mod._Kernel.products
-    orig_passing = search_mod._Kernel.passing
+    orig_products = search_mod._Walk.products
+    orig_passing = search_mod._Walk.passing
 
     def products(self, raw, table):
         prod = orig_products(self, raw, table)
@@ -163,8 +163,8 @@ def test_gray_state_equals_from_scratch_product(monkeypatch):
     def spied(space, *args, **kwargs):
         """`enumerate_span` with the spies recording."""
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(search_mod._Kernel, "products", products)
-            mp.setattr(search_mod._Kernel, "passing", passing)
+            mp.setattr(search_mod._Walk, "products", products)
+            mp.setattr(search_mod._Walk, "passing", passing)
             return enumerate_span(space, *args, **kwargs)
 
     def survivors(space, masks, js):
@@ -193,7 +193,7 @@ def test_gray_state_equals_from_scratch_product(monkeypatch):
         # over the free rows: each product equals the product of its lifted
         # original mask
         assert len(quotient.free) == 4
-        assert (quotient.kernel.js, quotient.kernel.block) == ((1,), block)
+        assert (quotient.js, quotient.block) == ((1,), block)
         free = SearchSpace(v=space.v, n=space.n,
                            labels=[space.labels[i] for i in quotient.free],
                            bits=space.bits[quotient.free])
@@ -213,9 +213,9 @@ def test_gray_state_equals_from_scratch_product(monkeypatch):
                  (space_for(Family.G1, 2, 2, mode="normalized"),
                   ("hadamard2d",), 300, (3, 2))]
         for (space, predicates, count, js), block in zip(plain, blocks):
-            kernel = space._plain_walk.kernel
+            walk = space._plain_walk
             assert space._full_walk is space._plain_walk
-            assert (kernel.js, kernel.block) == (js, block)
+            assert (walk.js, walk.block) == (js, block)
             rng = random.Random(4)
             for sample_count, masks in (
                     (None, [i ^ (i >> 1) for i in range(2 ** space.m)]),
@@ -522,19 +522,19 @@ def test_packed_sections_give_exact_dot_products(v, n):
     pm = rng.choice(np.array([-1, 1]), size=(v,) * n)
     bits = ((1 - pm) // 2).reshape(1, -1).astype(np.uint8)
     space = SearchSpace(v=v, n=n, labels=["t"], bits=bits)
-    kernel = space._plain_walk.kernel
-    prod = kernel.products(np.array([[1]], dtype=np.uint8), kernel.tables)
-    assert (kernel.bits(prod) == bits).all()
+    walk = space._plain_walk
+    prod = walk.products(np.array([[1]], dtype=np.uint8), walk.tables)
+    assert (walk.bits(prod) == bits).all()
     # axis 0 from the packed product, the later axes from the unpacked
     # bits that the survivor pass reshapes
-    sections = prod.reshape(v, kernel.words)
-    cube = kernel.bits(prod).reshape((v,) * n)
+    sections = prod.reshape(v, walk.words)
+    cube = walk.bits(prod).reshape((v,) * n)
     length = v ** (n - 1)
     for axis in range(n):
         s = np.moveaxis(pm, axis, 0).reshape(v, -1).astype(np.int64)
         gram = s @ s.T
         if axis == 0:
-            ones = [[int(kernel._ones(sections[i] ^ sections[j]))
+            ones = [[int(walk._ones(sections[i] ^ sections[j]))
                      for j in range(v)] for i in range(v)]
         else:
             rows = np.moveaxis(cube, axis, 0).reshape(v, length)
@@ -615,14 +615,14 @@ def test_equal_sections_fail_in_the_survivor_pass(v, n, i, j):
             np.random.default_rng(n).integers(0, 2, size=v ** n)]
     space = SearchSpace(v=v, n=n, labels=["t", "s", "r"],
                         bits=np.array(rows, dtype=np.uint8))
-    kernel = space._plain_walk.kernel
+    walk = space._plain_walk
     raw = np.array([[1]], dtype=np.uint8)
-    planted = kernel.products(raw, kernel.tables)
-    assert kernel._orthogonal(planted, kernel.stages[0]).tolist() == [True]
-    assert kernel._orthogonal(planted, kernel.stages[1]).tolist() == [True]
-    heads = kernel.products(raw, kernel.head).T
-    assert kernel.passing(heads).tolist() == [0]
-    where, reached = kernel.verdicts(heads, raw.__getitem__, len(kernel.tests))
+    planted = walk.products(raw, walk.tables)
+    assert walk._orthogonal(planted, walk.stages[0]).tolist() == [True]
+    assert walk._orthogonal(planted, walk.stages[1]).tolist() == [True]
+    heads = walk.products(raw, walk.head).T
+    assert walk.passing(heads).tolist() == [0]
+    where, reached = walk.verdicts(heads, raw.__getitem__, len(walk.tests))
     assert not len(where) and not len(reached)
     ten = space.combo_tensor(1)
     assert not is_improper_hadamard(ten)
@@ -643,7 +643,7 @@ def test_degree2_hadamard_walks_never_unpack(monkeypatch):
         raise AssertionError("a degree-2 walk unpacked its products")
 
     space = space_for(Family.D4T, 3, 2, mode="normalized")
-    monkeypatch.setattr(search_mod._Kernel, "bits", refuse)
+    monkeypatch.setattr(search_mod._Walk, "bits", refuse)
     for predicates in [("hadamard2d",), ("improper", "proper"), ("proper",)]:
         expect = assert_walk_matches_referees(space, predicates)
         assert len(expect) == 72, predicates
@@ -654,14 +654,14 @@ def test_unpacked_products_have_orthogonal_axis0_sections(monkeypatch):
     # orthogonal, by the tensor.py Gram, are unpacked for the later axes
     space = space_for(Family.G1, 1, 3)
     unpacked = []
-    orig = search_mod._Kernel.bits
+    orig = search_mod._Walk.bits
 
     def spy(self, prod):
         bits = orig(self, prod)
         unpacked.extend(bits)
         return bits
 
-    monkeypatch.setattr(search_mod._Kernel, "bits", spy)
+    monkeypatch.setattr(search_mod._Walk, "bits", spy)
     expect = assert_walk_matches_referees(space, ("improper", "proper"))
     assert len(expect) == 64 and unpacked
     for bits in unpacked:
@@ -684,7 +684,7 @@ def test_unpacked_products_have_orthogonal_axis0_sections(monkeypatch):
        seed=st.integers(0, 2 ** 32 - 1), data=st.data())
 def test_staged_verdicts_equal_referees(v, n, kind, heads, share, budget,
                                         seed, data):
-    # one batch through a kernel staged on a head of 1 to 3 drawn pairs
+    # one batch through a walk staged on a head of 1 to 3 drawn pairs
     # (0, j), forced in place of the probe's, against the tensor.py
     # referees; in it no head section, every head section or any share of
     # them has L/2 ones.  A budget of 0 forms one full product at a time,
@@ -710,15 +710,15 @@ def test_staged_verdicts_equal_referees(v, n, kind, heads, share, budget,
     with pytest.MonkeyPatch.context() as mp:
         if budget is not None:
             mp.setattr(search_mod, "SCAN_BYTES", budget)
-        mp.setattr(search_mod, "_probe_head", lambda kernel, size: (js, share))
-        kernel = search_mod._Kernel(space.v, space.n, space.bits)
-    assert kernel.js == js and kernel.share == share
-    assert budget is None or kernel.full == 1 \
-        or kernel.full * 24 * kernel.width <= budget
-    heads_of = kernel.products(raw, kernel.head)
-    head = kernel._ones(heads_of.reshape(
-        len(masks), len(js), kernel.words)) == kernel.half
-    assert kernel.passing(heads_of.T).tolist() == \
+        mp.setattr(search_mod, "_probe_head", lambda walk, size: (js, share))
+        walk = search_mod._Walk(space.v, space.n, space.bits, [])
+    assert walk.js == js and walk.share == share
+    assert budget is None or walk.full == 1 \
+        or walk.full * 24 * walk.width <= budget
+    heads_of = walk.products(raw, walk.head)
+    head = walk._ones(heads_of.reshape(
+        len(masks), len(js), walk.words)) == walk.half
+    assert walk.passing(heads_of.T).tolist() == \
         np.flatnonzero(head.all(axis=1)).tolist()
     assert heads != "none" or not head.any()
     assert heads != "all" or head.all()
@@ -731,8 +731,8 @@ def test_staged_verdicts_equal_referees(v, n, kind, heads, share, budget,
     # a verdict is the depth reached in the one test list: the positions
     # are the masks whose axis-0 sections are pairwise orthogonal, by the
     # tensor.py Gram, and predicate p holds iff reached >= ends[p]
-    depth = max(kernel.ends[p] for p in predicates)
-    where, reached = kernel.verdicts(heads_of.T, raw.__getitem__, depth)
+    depth = max(walk.ends[p] for p in predicates)
+    where, reached = walk.verdicts(heads_of.T, raw.__getitem__, depth)
     assert reached.dtype == np.int8 and len(reached) == len(where)
     assert ((0 <= reached) & (reached <= depth)).all()
     length = v ** (n - 1)
@@ -746,7 +746,7 @@ def test_staged_verdicts_equal_referees(v, n, kind, heads, share, budget,
     for p in predicates:
         expect = [k for k, mask in enumerate(masks)
                   if REFEREES[p](space.combo_tensor(mask))]
-        assert where[reached >= kernel.ends[p]].tolist() == expect
+        assert where[reached >= walk.ends[p]].tolist() == expect
     if heads == "all" and kind == "proper":
         assert len(where) == len(masks) and (reached == depth).all()
 
@@ -794,14 +794,14 @@ def test_head_is_the_greedy_probe_choice(family, t, degree, head):
         alive &= passes[:, j - 1]
     # the next pair would not cut enough
     assert (alive.sum() - passes[alive].sum(axis=0).min()) * v <= draws
-    kernel = space._plain_walk.kernel
-    assert (kernel.js, kernel.share) == (head, alive.sum() / draws)
+    walk = space._plain_walk
+    assert (walk.js, walk.share) == (head, alive.sum() / draws)
 
 
 def test_walk_staged_on_a_later_pair_equals_referees():
     # g1:3 at degree 2 is staged on the head (0, 5), (0, 4), (0, 1)
     space = space_for(Family.G1, 3, 2, mode="normalized")
-    assert space._plain_walk.kernel.js == (5, 4, 1)
+    assert space._plain_walk.js == (5, 4, 1)
     expect = assert_walk_matches_referees(space, ("hadamard2d", "improper"))
     assert len(expect) == 24
     assert enumerate_span(space, ("hadamard2d",)).head_pairs == (5, 4, 1)
@@ -814,16 +814,16 @@ def test_walks_are_staged_from_order_8(v):
     space = SearchSpace(v=v, n=2, labels=[f"e{k}" for k in range(v * v)],
                         bits=np.eye(v * v, dtype=np.uint8))
     report = enumerate_span(space, ("hadamard2d",), sample_count=64)
-    kernel = space._plain_walk.kernel
-    js = kernel.js
+    walk = space._plain_walk
+    js = walk.js
     assert report.head_pairs == js
     assert len(set(js)) == len(js) and all(1 <= j < v for j in js)
-    assert kernel.head.shape == (len(kernel.tables), 16, len(js) * kernel.words)
+    assert walk.head.shape == (len(walk.tables), 16, len(js) * walk.words)
 
 
-def stage_pairs(kernel):
-    """The pairs (i, j) of the kernel's packed stages, in test order."""
-    return [(int(i), int(j)) for x, y in kernel.stages for i, j in zip(x, y)]
+def stage_pairs(walk):
+    """The pairs (i, j) of the walk's packed stages, in test order."""
+    return [(int(i), int(j)) for x, y in walk.stages for i, j in zip(x, y)]
 
 
 @pytest.mark.parametrize("v,js", [(2, (1,)), (4, (2,)), (4, (3, 1, 2)),
@@ -834,12 +834,12 @@ def test_stages_test_only_the_pairs_outside_the_head(monkeypatch, v, js):
     # packed stages, tested on full products, are disjoint and together
     # every pair i < j; the first stage holds one pair (0, j) outside the
     # head, or none when the head covers every (0, j)
-    monkeypatch.setattr(search_mod, "_probe_head", lambda kernel, size: (js, 0.5))
+    monkeypatch.setattr(search_mod, "_probe_head", lambda walk, size: (js, 0.5))
     bits = np.random.default_rng(v).integers(0, 2, size=(3, v * v),
                                              dtype=np.uint8)
-    kernel = search_mod._Kernel(v, 2, bits)
-    staged, head = stage_pairs(kernel), [(0, j) for j in js]
-    assert len(kernel.stages[0][1]) == min(1, v - 1 - len(js))
+    walk = search_mod._Walk(v, 2, bits, [])
+    staged, head = stage_pairs(walk), [(0, j) for j in js]
+    assert len(walk.stages[0][1]) == min(1, v - 1 - len(js))
     assert not set(staged) & set(head) and len(set(staged)) == len(staged)
     assert sorted(staged + head) == [(i, j) for i in range(v)
                                      for j in range(i + 1, v)]
@@ -851,11 +851,11 @@ def test_head_of_every_first_pair_equals_referees(monkeypatch, v, n, kind):
     # a head of every pair (0, j) leaves both (0, j) stages empty: they pass
     # every full product, and the pairs (i >= 1, j) decide the rest
     monkeypatch.setattr(search_mod, "_probe_head",
-                        lambda kernel, size: (tuple(range(1, v)), 0.5))
+                        lambda walk, size: (tuple(range(1, v)), 0.5))
     space = with_indicator_rows(
         planted_tensor(v, n, kind, np.random.default_rng(v + n)))
-    assert not len(space._plain_walk.kernel.stages[0][1])
-    assert stage_pairs(space._plain_walk.kernel) == [
+    assert not len(space._plain_walk.stages[0][1])
+    assert stage_pairs(space._plain_walk) == [
         (i, j) for i in range(1, v) for j in range(i + 1, v)]
     expect = assert_walk_matches_referees(space, ("improper", "proper"))
     assert kind == "random" or expect
@@ -885,8 +885,8 @@ def test_batch_edges_keep_counts_and_witnesses(monkeypatch, budget):
     if budget is not None:
         monkeypatch.setattr(search_mod, "SCAN_BYTES", budget)
     space = space_for(*case, mode=mode)
-    assert space._plain_walk.kernel.block == block
-    assert space._full_walk.kernel.block == full_block
+    assert space._plain_walk.block == block
+    assert space._full_walk.block == full_block
     assert 3 * block + 7 < 2 ** space.m
     for limit in (1, block - 1, block + 1, 3 * block + 7, None):
         walked = 2 ** space.m if limit is None else limit
@@ -920,8 +920,8 @@ def test_survivor_chunks_split_batches(monkeypatch):
         planted_tensor(4, 3, "proper", np.random.default_rng(4)))
     monkeypatch.setattr(search_mod, "SCAN_BYTES", 6000)
     predicates = ("improper", "proper")
-    kernel = space._plain_walk.kernel
-    assert 2 < 2 * kernel.chunk < kernel.full
+    walk = space._plain_walk
+    assert 2 < 2 * walk.chunk < walk.full
     # a prefix is walked mask by mask, not modulo the separable rows
     walked = 2 ** space.m - 1
     expect = []
@@ -940,7 +940,7 @@ def test_worker_ranges_split_batches(monkeypatch):
     # multiple of the block; without a pool the walk is one range
     monkeypatch.setattr(search_mod, "POOL_MIN_COMBOS", 1)
     space = space_for(Family.G1, 1, 3)
-    block = space._plain_walk.kernel.block
+    block = space._plain_walk.block
     assert 10000 % block and 10001 % block
     for limit in (None, 20001):
         r1 = enumerate_span(space, ("improper", "proper"), limit=limit)
@@ -960,7 +960,7 @@ def test_unaligned_gray_ranges_equal_referees(monkeypatch):
     monkeypatch.setattr(search_mod, "SCAN_BYTES", 40_000)
     monkeypatch.setattr(search_mod, "POOL_MIN_COMBOS", 1)
     space = space_for(Family.CYCLIC, 2, 3)  # m = 13
-    size = space._plain_walk.kernel.block
+    size = space._plain_walk.block
     assert size == 256 and 3 * size + 7 < 2 ** space.m
     passed = {}
     for i in range(2 ** space.m):
@@ -1285,26 +1285,26 @@ def test_quotient_walk_equals_plain_walk(monkeypatch, family, t, degree, mode,
 
 def test_each_walk_kind_builds_one_kernel(monkeypatch):
     # repeated full, prefix and sampled walks of one space build two
-    # kernels, the walk modulo K over the free rows and the plain walk, and
-    # probe each once; a two-worker walk sends its workers the kernel that
+    # walks, the walk modulo K over the free rows and the plain walk, and
+    # probe each once; a two-worker walk sends its workers the walk that
     # the parent holds and builds none there
-    kernels, probes, started = [], [], []
-    init, probe = search_mod._Kernel.__init__, search_mod._probe_head
+    built, probes, started = [], [], []
+    init, probe = search_mod._Walk.__init__, search_mod._probe_head
 
-    def spy_init(self, v, n, rows):
-        kernels.append(len(rows))
-        init(self, v, n, rows)
+    def spy_init(self, v, n, bits, kernel_rows):
+        built.append(len(bits) - len(kernel_rows))
+        init(self, v, n, bits, kernel_rows)
 
-    def spy_probe(kernel, size):
-        probes.append(kernel.m)
-        return probe(kernel, size)
+    def spy_probe(walk, size):
+        probes.append(walk.m)
+        return probe(walk, size)
 
     class Pool(search_mod.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             started.append(kwargs["max_workers"])
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(search_mod._Kernel, "__init__", spy_init)
+    monkeypatch.setattr(search_mod._Walk, "__init__", spy_init)
     monkeypatch.setattr(search_mod, "_probe_head", spy_probe)
     monkeypatch.setattr(search_mod, "ProcessPoolExecutor", Pool)
     # two CPUs on any host, so that the pool starts one process per range
@@ -1315,11 +1315,11 @@ def test_each_walk_kind_builds_one_kernel(monkeypatch):
     inline = [[fingerprint(enumerate_span(space, predicates, **kw))
                for kw in walks] for _ in range(2)]
     assert inline[0] == inline[1]
-    assert kernels == probes == [11, 15]
+    assert built == probes == [11, 15]
     monkeypatch.setattr(search_mod, "POOL_MIN_COMBOS", 1)
     pooled = [fingerprint(enumerate_span(space, predicates, workers=2, **kw))
               for kw in walks[:2]]
-    assert started == [2, 2] and kernels == [11, 15]
+    assert started == [2, 2] and built == [11, 15]
     assert pooled == inline[0][:2]
 
 
