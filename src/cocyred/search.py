@@ -46,11 +46,13 @@ product, the sections s_0 ^ s_j for the h pairs (0, j) of the head, and
 forms the full products, a survivor chunk at a time, only of the masks
 whose head sections all have L/2 ones, as every predicate requires; they
 are tested on the other pairs only.  A sampled batch forms its heads from
-a head table, one entry per 4-bit digit of each mask.  A Gray block forms
-them with no digit at all: for a block aligned to 2^k, g(a + t) = g(a) ^
-g(t) for every t < 2^k, and a head is linear in its mask, so the block's
-heads are one low table, the heads of g(0 .. 2^k - 1) built once per
-range, XOR the head of g(a).  2^k is the largest power of two, at most
+a head table, one entry per digit of each mask: a mask byte when the
+walk's tables at 8 bits a digit fit in a quarter of `SCAN_BYTES`, else a
+4-bit half of one (see `_digit_bits`).  A Gray block forms them with no
+digit at all: for a block aligned to 2^k, g(a + t) = g(a) ^ g(t) for
+every t < 2^k, and a head is linear in its mask, so the block's heads are
+one low table, the heads of g(0 .. 2^k - 1) built once per range, XOR the
+head of g(a).  2^k is the largest power of two, at most
 2^m, whose rows leave room in `SCAN_BYTES` (2 MiB) for the full products
 of the block's expected survivors.  The pairs are picked when the walk is
 built, greedily on its own products of at most PROBE_MASKS seeded draws:
@@ -84,16 +86,18 @@ MAX_EXHAUSTIVE_BITS = 62
 # Bytes a walk may hold in its XOR tables and head table (h/v of their
 # size, for a head of h pairs) plus what one batch of a `_scan` holds,
 # which sets the batch, Gray block and survivor chunk sizes when the walk
-# is built, on its space's first use of it.  A Gray block of 2^k masks
-# holds its low table and heads, 16 h bytes per word of a section per
-# mask, and the popcounts and positions of its survivors, beside one
-# survivor chunk.  A batch or block gets at least a quarter of it, so the
-# bound is max(SCAN_BYTES, tables + head table + quarter).  The probe that
-# picks the walk's head runs between its tables and its head table,
-# within the same bound.  It does not cover the witness dict, which holds
-# at most 2 `max_witnesses` masks plus the hits of one batch, each with
-# its coset.  2 MiB is one core's L2 cache on common x86 hosts.  It is
-# fixed, not read from the machine, so that the sizes, and the memory a
+# is built, on its space's first use of it.  The tables take one digit per
+# mask byte, 256 entries per 8 rows, when they fit in a quarter of it, and
+# else one per 4 bits, 8 times smaller (`_digit_bits`).  A Gray block of
+# 2^k masks holds its low table and heads, 16 h bytes per word of a
+# section per mask, and the popcounts and positions of its survivors,
+# beside one survivor chunk.  A batch or block gets at least a quarter of
+# it, so the bound is max(SCAN_BYTES, tables + head table + quarter).  The
+# probe that picks the walk's head runs between its tables and its head
+# table, within the same bound.  It does not cover the witness dict, which
+# holds at most 2 `max_witnesses` masks plus the hits of one batch, each
+# with its coset.  2 MiB is one core's L2 cache on common x86 hosts.  It
+# is fixed, not read from the machine, so that the sizes, and the memory a
 # walk holds, do not depend on the host.  A batch or block costs about a
 # hundred numpy calls whatever its size, so larger ones spread that cost
 # over more masks.
@@ -224,7 +228,9 @@ class _Walk:
     A product is the cochain's v sections along axis 0, each of `words` =
     ceil(v^(n-1)/64) uint64 words: section i holds, in row-major order and
     zero padded, the bits whose first coordinate is i, and is the XOR of
-    one four-Russians table entry per 4-bit digit of its mask.  Two ±1
+    one four-Russians table entry per digit of its mask: per byte, from 256
+    entries per 8 rows, when those tables fit in a quarter of `SCAN_BYTES`,
+    else per 4 bits, from 16 entries per 4 rows (`_digit_bits`).  Two ±1
     vectors of length L are orthogonal iff they differ in exactly L/2
     places, so axis 0 is tested entirely on packed words, with popcounts,
     and one pair test serves every list of pairs i < j.
@@ -279,15 +285,16 @@ class _Walk:
         # ±1 vectors of odd length have odd dot products: no count is half;
         # at v = 1 the head s_0 ^ s_0 has 0 = L // 2 ones
         self.half = self.length // 2 if self.length % 2 == 0 or v == 1 else -1
-        groups = -(-self.m // 4)
-        packed = np.zeros((4 * groups, width), dtype=np.uint64)
+        per = _digit_bits(self.m, width)
+        groups = -(-self.m // per)
+        packed = np.zeros((per * groups, width), dtype=np.uint64)
         packed[:self.m] = pack_rows(rows.reshape(
             self.m * v, self.length)).reshape(self.m, width)
         # four-Russians tables: entry d of group g is the XOR of the rows
-        # 4g + b over the set bits b of d
-        self.tables = np.zeros((groups, 16, width), dtype=np.uint64)
-        for b in range(4):
-            np.bitwise_xor(self.tables[:, :1 << b], packed[b::4, None],
+        # per * g + b over the set bits b of d, for per bits a digit
+        self.tables = np.zeros((groups, 1 << per, width), dtype=np.uint64)
+        for b in range(per):
+            np.bitwise_xor(self.tables[:, :1 << b], packed[b::per, None],
                            out=self.tables[:, 1 << b:2 << b])
         # tables past the budget (spans far beyond exhaustive reach) still
         # leave a quarter of it to the probe, a batch or a block
@@ -299,10 +306,10 @@ class _Walk:
         self.js, self.share = js, share = _probe_head(
             self, max(1, room // per_mask))
         self.h = h = len(js)
-        sections = self.tables.reshape(groups, 16, v, self.words)
+        sections = self.tables.reshape(groups, 1 << per, v, self.words)
         table = sections.take(js, axis=2)
         table ^= sections[:, :, :1]
-        self.head = table.reshape(groups, 16, h * self.words)
+        self.head = table.reshape(groups, 1 << per, h * self.words)
         room = max(room - self.head.nbytes, SCAN_BYTES // 4)
         r = np.arange(v)
         # every pair i < j, row-major, so the pair (0, j) is at j - 1; past
@@ -365,23 +372,28 @@ class _Walk:
     def products(self, raw: np.ndarray, table: np.ndarray) -> np.ndarray:
         """Packed products of a batch of masks, given as rows of
         little-endian mask bytes, from `table` (the tables or the head
-        table): one table entry per 4-bit digit.
+        table): one table entry per digit, a mask byte for tables of 256
+        entries a group and half of one for tables of 16.
 
         A digit that is the same throughout the batch (the high digits of
         a run of Gray codes) adds one fixed entry instead of a gather.
         """
-        groups = min(len(table), 2 * raw.shape[1])
-        used = np.ascontiguousarray(raw[:, :(groups + 1) // 2].T)
+        per = table.shape[1].bit_length() - 1  # bits per digit
+        groups = min(len(table), 8 * raw.shape[1] // per)
+        used = np.ascontiguousarray(raw[:, :-(-groups * per // 8)].T)
         spread = np.bitwise_or.reduce(used ^ used[:, :1], axis=1).tolist()
-        digits = np.empty((2 * len(used), len(raw)), dtype=np.uint8)
-        np.bitwise_and(used, 15, out=digits[0::2])
-        np.right_shift(used, 4, out=digits[1::2])
+        digits = used
+        if per == 4:
+            digits = np.empty((2 * len(used), len(raw)), dtype=np.uint8)
+            np.bitwise_and(used, 15, out=digits[0::2])
+            np.right_shift(used, 4, out=digits[1::2])
         prod = np.zeros((len(raw), table.shape[2]), dtype=np.uint64)
         entry = np.empty_like(prod)
         fixed = np.zeros_like(prod[0])
         for g in range(groups):
-            if spread[g // 2] >> 4 * (g % 2) & 15:
-                # digits are below 16, so "clip" only skips the bounds check
+            if spread[g * per // 8] >> g * per % 8 & (1 << per) - 1:
+                # digits are below 2^per (16 or 256), the table's entries,
+                # so "clip" only skips the bounds check
                 np.take(table[g], digits[g], axis=0, out=entry, mode="clip")
                 prod ^= entry
             else:
@@ -482,6 +494,14 @@ class _Walk:
         return alive, reached
 
 
+def _digit_bits(m: int, width: int) -> int:
+    """Bits per digit of the four-Russians tables of m rows of `width`
+    words: 8, so that each mask byte is a digit, when those tables, 256
+    entries per 8 rows, fit in a quarter of `SCAN_BYTES`; otherwise 4, with
+    16 entries per 4 rows."""
+    return 8 if -(-m // 8) * 256 * width * 8 <= SCAN_BYTES // 4 else 4
+
+
 def _separable_masks(space: SearchSpace) -> list[int]:
     """A basis of K, the masks whose combination is separable (a sum over
     the axes of functions of one coordinate), in highest-bit echelon form
@@ -543,7 +563,8 @@ def _gray_blocks(start: int, stop: int, walk: _Walk):
     - t) for t < 2^b.  A block is cut to [start, stop) at the ends."""
     size = walk.block
     bits = np.arange(walk.m)
-    rows = walk.head[bits // 4, 1 << bits % 4].T  # a column per row's head
+    per = walk.head.shape[1].bit_length() - 1  # bits per digit
+    rows = walk.head[bits // per, 1 << bits % per].T  # a column per row's head
     low = np.zeros((len(rows), size), dtype=np.uint64)
     for b in range(size.bit_length() - 1):
         np.bitwise_xor(low[:, (1 << b) - 1::-1], rows[:, b:b + 1],
@@ -565,8 +586,9 @@ def _gray_bytes(first: int, positions: np.ndarray) -> np.ndarray:
 
 def _digit_heads(batches, walk: _Walk):
     """The heads of each batch of `batches(walk.batch)`, rows of mask
-    bytes, formed from the head table one 4-bit digit at a time, each with
-    its batch's row lookup."""
+    bytes, formed from the head table one digit (a mask byte or half of
+    one, as the walk's tables are sized) at a time, each with its batch's
+    row lookup."""
     for raw in batches(walk.batch):
         yield walk.products(raw, walk.head).T, raw.__getitem__
 

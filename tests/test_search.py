@@ -818,7 +818,8 @@ def test_walks_are_staged_from_order_8(v):
     js = walk.js
     assert report.head_pairs == js
     assert len(set(js)) == len(js) and all(1 <= j < v for j in js)
-    assert walk.head.shape == (len(walk.tables), 16, len(js) * walk.words)
+    assert walk.head.shape == (len(walk.tables), walk.tables.shape[1],
+                               len(js) * walk.words)
 
 
 def stage_pairs(walk):
@@ -951,6 +952,60 @@ def test_worker_ranges_split_batches(monkeypatch):
         assert [w.mask for w in r1.witnesses] == [w.mask for w in r2.witnesses]
 
 
+@pytest.mark.parametrize("family,t,degree,run", [
+    (Family.G1, 1, 3, {}),                       # full walk modulo K
+    (Family.CYCLIC, 2, 3, {}),
+    (Family.G1, 2, 3, {"limit": 2 ** 15}),       # Gray prefix, m = 59
+    (Family.D4T, 4, 2, {}),
+    (Family.G1, 4, 2, {}),
+    (Family.CYCLIC, 5, 3, {"sample_count": 4096, "seed": 2})],  # m = 91
+    ids=["g1:1-3", "cyclic:2-3", "g1:2-3-prefix", "d4t:4-2", "g1:4-2",
+         "cyclic:5-3-sampled"])
+def test_byte_and_nibble_tables_agree(monkeypatch, family, t, degree, run):
+    # the same space walked on tables of one mask byte per digit and, with
+    # the digit forced to 4 bits, of one nibble per digit: the same products
+    # and heads of seeded draws, of the draws with each byte's low nibble
+    # cleared, and of a run of Gray codes whose high digits are fixed, and
+    # the same counts, witnesses and head at 1 and 2 workers; every witness
+    # passes exactly its predicates' tensor.py tests
+    monkeypatch.setattr(search_mod, "POOL_MIN_COMBOS", 1)
+    predicates = ("hadamard2d",) if degree == 2 else ("improper", "proper")
+    found = []
+    for per in (8, 4):
+        with pytest.MonkeyPatch.context() as mp:
+            if per == 4:
+                mp.setattr(search_mod, "_digit_bits", lambda m, width: 4)
+            space = space_for(family, t, degree, default_mode(degree))
+            walk = space._plain_walk if run else space._full_walk
+        assert walk.tables.shape[1] == walk.head.shape[1] == 1 << per
+        draws = next(search_mod._sampled_batches(random.Random(7), walk.m,
+                                                 256, 256))
+        count = min(256, 2 ** walk.m)
+        gray = search_mod._gray_bytes(2 ** min(walk.m, 62) - count,
+                                      np.arange(count))
+        batches = draws, draws & 240, gray
+        products = [walk.products(raw, table) for raw in batches
+                    for table in (walk.tables, walk.head)]
+        for raw in batches:
+            raw = raw[:16]
+            for mask, bits in zip(search_mod._ints(raw),
+                                  walk.bits(walk.products(raw, walk.tables))):
+                assert (bits == space.combo_bits(walk.expand(mask)[0])).all()
+        reports = [enumerate_span(space, predicates, workers=w, **run)
+                   for w in (1, 2)]
+        found.append((products, [
+            (r.examined, r.hits, r.head_pairs, r.quotient_dim,
+             [(w.mask, w.passed) for w in r.witnesses]) for r in reports]))
+    (byte_products, byte_reports), (nibble_products, nibble_reports) = found
+    for a, b in zip(byte_products, nibble_products):
+        assert a.dtype == b.dtype and (a == b).all()
+    assert byte_reports[0] == byte_reports[1] == nibble_reports[0] \
+        == nibble_reports[1]
+    for mask, passed in byte_reports[0][-1]:
+        ten = space.combo_tensor(mask)
+        assert passed == [p for p in predicates if REFEREES[p](ten)]
+
+
 def test_unaligned_gray_ranges_equal_referees(monkeypatch):
     # prefixes and worker ranges that start or stop inside a block of 2^k
     # indices: their first and last blocks are cut, and every head is a
@@ -1004,8 +1059,9 @@ def with_row_0(stream):
 
 
 @pytest.mark.parametrize("family,t,degree,stream", [
-    (Family.CYCLIC, 5, 3, "sampled"),  # m = 91, v = 10
-    (Family.G1, 4, 3, "sampled"),      # m = 243, v = 16
+    # m = 91, v = 10: byte tables of 491,520 B, the largest built-in ones
+    (Family.CYCLIC, 5, 3, "sampled"),
+    (Family.G1, 4, 3, "sampled"),      # m = 243, v = 16: nibble tables
     (Family.D4T, 4, 2, "gray"),        # m = 16, v = 16
     (Family.G1, 1, 3, "gray"),         # m = 15, v = 4
     pytest.param(None, 16, 3, "survivors", id="axis0-survivors"),  # m = 31
