@@ -980,9 +980,8 @@ def test_byte_and_nibble_tables_agree(monkeypatch, family, t, degree, run):
         assert walk.tables.shape[1] == walk.head.shape[1] == 1 << per
         draws = next(search_mod._sampled_batches(random.Random(7), walk.m,
                                                  256, 256))
-        count = min(256, 2 ** walk.m)
-        gray = search_mod._gray_bytes(2 ** min(walk.m, 62) - count,
-                                      np.arange(count))
+        gray = search_mod._gray_bytes(2 ** min(walk.m, 62) - 256,
+                                      np.arange(256))
         batches = draws, draws & 240, gray
         products = [walk.products(raw, table) for raw in batches
                     for table in (walk.tables, walk.head)]
