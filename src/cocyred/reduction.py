@@ -16,7 +16,8 @@ indexed by n-tuples.  `codifferential_words` XORs them, for
 `count_non_cocycles`, `verify` and the one-cochain `bar_codifferential`;
 `_codifferential_rows` applies them to the tuple indices to build the rows
 of the matrix of d (row T is the generator above), for the coboundary
-bases, `coboundary_matrix` and the oracle alike.  The tests judge both
+bases, `coboundary_matrix` and the oracle alike; it keeps only the columns
+from a given one on, the slice the oracle ranks.  The tests judge both
 against the formula evaluated tuple by tuple.
 
 A basis is stored once, as one matrix whose rows are its cochains; `reps`
@@ -104,36 +105,42 @@ def _face_terms(g: FiniteGroup, n: int, x: np.ndarray):
         yield np.take(blocks, g.mul, axis=1).reshape((v ** (n + 1),) + tail)
 
 
+_BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)  # bit b of a byte
+
+
 def _codifferential_rows(g: FiniteGroup, n: int, low: int = 0):
     """Rows of d on degree-n cochains (v**n rows, v**(n+1) columns) as
     ints, bit c - low being column c >= low, built ORACLE_CHUNK_BYTES at a
-    time.  Columns below `low` land in one dump byte per row, first.
+    time; columns below `low` are never touched.
 
-    Each term of the formula reads every n-tuple at exactly v columns, so
-    the argsort of its index term, reshaped (v**n, v), lists in row r the
-    columns where that term reads row r.
+    Term i of the formula, applied to the tuple indices, names at column c
+    the row r it reads there.  Each entry (r, c) of the n+2 terms with
+    c >= low is keyed by its bit r*8*width + c - low in the packed rows,
+    and the keys are sorted once: each chunk of rows is then one run of
+    keys, XORed into a zeroed packed buffer (a bit read twice cancels).
     """
-    nrows, dump = g.order ** n, 8 if low else 0
-    width = -(-(g.order ** (n + 1) - low + dump) // 8)
-    index = np.arange(nrows, dtype=np.int32)
-    tables = [np.argsort(term, kind="stable").astype(np.int32).reshape(nrows, -1)
-              for term in _face_terms(g, n, index)]
-    if low:
-        # column c >= low goes to bit c - low + 8, past the dump byte, and
-        # every lower column into the dump byte
-        tables = [np.maximum(table - (low - dump), 0) for table in tables]
+    nrows, cols = g.order ** n, g.order ** (n + 1) - low
+    width = -(-cols // 8)
+    key, at = np.empty((n + 2) * cols, dtype=np.int64), 0
+    for term in _face_terms(g, n, np.arange(nrows, dtype=np.int32)):
+        part = key[at:at + cols]
+        part[:] = term[low:]
+        del term  # free it before the next term is built
+        part *= 8 * width
+        part += np.arange(cols)
+        at += cols
+    key.sort()
     step = max(1, min(nrows, ORACLE_CHUNK_BYTES // width))
+    cuts = np.searchsorted(key, np.arange(0, nrows + step, step) * (8 * width))
     buf = np.empty(step * width, dtype=np.uint8)
-    for r0 in range(0, nrows, step):
-        r1 = min(r0 + step, nrows)
-        chunk = buf[:(r1 - r0) * width]
+    for r0, e0, e1 in zip(range(0, nrows, step), cuts, cuts[1:]):
+        chunk = buf[:(min(r0 + step, nrows) - r0) * width]
         chunk.fill(0)
-        at = np.arange(r1 - r0)[:, None] * width
-        for table in tables:
-            cols = table[r0:r1]
-            np.bitwise_xor.at(chunk, at + (cols >> 3),
-                              np.left_shift(1, cols & 7).astype(np.uint8))
-        yield from int_rows(chunk.reshape(r1 - r0, width)[:, dump // 8:])
+        bits = key[e0:e1]
+        np.bitwise_xor.at(chunk, (bits >> 3) - r0 * width, _BIT[bits & 7])
+        view = memoryview(chunk)
+        for b in range(0, len(chunk), width):
+            yield int.from_bytes(view[b:b + width], "little")
 
 
 def bar_codifferential(g: FiniteGroup, n: int, f: Cochain) -> Cochain:
@@ -302,9 +309,9 @@ def full_cocycle_basis(model: CohModel, n: int,
 # -- brute-force oracle ----------------------------------------------------
 
 # Budget for what the oracle holds at its largest (`oracle_bytes`): the
-# basis of d^n, one chunk of its rows and the arrays that pick the chunk.
-# g1:7 at degree 3 (v=28, a two-element generating suffix, about 152 MB)
-# fits, g1:8 (v=32, about 325 MB) does not.  `full_cocycle_basis` and
+# basis of d^n, one chunk of its rows and the sorted keys that fill it.
+# g1:7 at degree 3 (v=28, a two-element generating suffix, about 134 MB)
+# fits, g1:8 (v=32, about 295 MB) does not.  `full_cocycle_basis` and
 # `builtin_model` refuse past the same budget.
 ORACLE_BYTES = 2 ** 28
 
@@ -323,19 +330,22 @@ class BruteForceResult:
 def oracle_bytes(v: int, n: int, a: int = 0) -> int:
     """Upper bound on the bytes `brute_force_cohomology` holds at degree n
     and order v, while it ranks d^n (v**n rows of v**(n+1) bits) on the
-    columns of the generating suffix a, ..., v-1: a basis of at most v**n
-    ints and one row chunk, both at the slice width (v - a)*v**n bits plus
-    the dump byte, and the column tables of the n+2 terms, which index all
-    v**(n+1) columns.  At a = 0 the slice is the full width."""
-    rows, cols = v ** n, v ** (n + 1)
-    width = (v - a) * rows + (8 if a else 0)
-    digits = -(-width // sys.int_info.bits_per_digit)
+    `cols` = (v - a)*v**n columns of the generating suffix a, ..., v-1: a
+    basis of at most v**n ints and one row chunk, both `cols` bits wide,
+    and what `_codifferential_rows` holds besides.  At a = 0 the slice is
+    the full width."""
+    rows, cols = v ** n, (v - a) * v ** n
+    digits = -(-cols // sys.int_info.bits_per_digit)
     basis = rows * digits * sys.int_info.sizeof_digit
-    chunk = max(ORACLE_CHUNK_BYTES, -(-width // 8))
-    # n+2 int32 column tables; while one is built, its int32 index term,
-    # the int64 argsort and its int32 cast, and while a chunk is filled, an
-    # int64 position and two int32 bit arrays per column it takes
-    select = (n + 2) * cols * 4 + cols * 16
+    width = -(-cols // 8)
+    chunk = max(ORACLE_CHUNK_BYTES, width)
+    # the int64 keys of the (n+2)*cols entries; while they are filled, one
+    # int32 term at the full width v**(n+1) and an int64 column range, and
+    # while a chunk is filled, an int64 byte and bit index and a uint8 bit
+    # for each of its entries, at most (n+2)*v a row
+    entries, step = (n + 2) * cols, max(1, min(rows, ORACLE_CHUNK_BYTES // width))
+    select = 8 * entries + max(4 * v ** (n + 1) + 8 * cols,
+                               17 * min(entries, step * (n + 2) * v))
     return basis + chunk + select
 
 

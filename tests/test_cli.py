@@ -203,7 +203,7 @@ def test_oversized_reduction_refused(capsys):
     finally:
         tracemalloc.stop()
     assert code == 1 and out == ""
-    assert err == "error: degree-5 cocycle basis needs 5860295680 bytes at " \
+    assert err == "error: degree-5 cocycle basis needs 5865272320 bytes at " \
         "v = 12, over the 268435456-byte budget\n"
     assert peak < 1 << 24
     code, out, _ = run(capsys, "cohomology", "--group", "g1:2", "--degree", "5")
@@ -241,7 +241,7 @@ def test_oversized_basis_refused_before_model(capsys, command, extra):
     finally:
         tracemalloc.stop()
     assert code == 1 and out == ""
-    assert err == "error: degree-6 cocycle basis needs 842229686272 bytes " \
+    assert err == "error: degree-6 cocycle basis needs 842301349888 bytes " \
         "at v = 12, over the 268435456-byte budget\n"
     assert peak < 4 << 20
 

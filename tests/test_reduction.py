@@ -192,11 +192,42 @@ def test_sliced_rows_are_full_rows_shifted(monkeypatch, rows_per_chunk):
         v = g.order
         cols = v ** (n + 1)
         for low in sorted({1, 7, 8, 13, cols // 2, (v - 1) * v ** n, cols - 1}):
-            width = 1 + -(-(cols - low) // 8)  # the dump byte and the slice
+            width = -(-(cols - low) // 8)  # bytes of one row of the slice
             monkeypatch.setattr(reduction, "ORACLE_CHUNK_BYTES",
                                 rows_per_chunk * width)
             got = list(reduction._codifferential_rows(g, n, low))
             assert got == [row >> low for row in rows], (g, n, low)
+
+
+@pytest.mark.parametrize("n", (1, 2))
+def test_sliced_rows_equal_tuple_formula(n):
+    # row T on the slice is the textbook d(δ_T) on the columns c >= low,
+    # at the generating suffix's first column and at one that is not
+    # byte-aligned; d4t:2 and S_3 are non-abelian
+    for g in (build_group(GroupSpec(Family.D4T, 2)), _permutation_group(3),
+              build_group(GroupSpec(Family.G1, 2))):
+        v = g.order
+        want = [_textbook_d(g, n, delta(v, n, T).bits) for T in range(v ** n)]
+        a = reduction._generating_suffix(g)
+        assert a > 0
+        for low in (a * v ** n, 13):
+            got = list(reduction._codifferential_rows(g, n, low))
+            assert got == [int("".join(map(str, row[low:][::-1])), 2)
+                           for row in want], (v, n, low)
+
+
+@pytest.mark.parametrize("t,n", [(4, 2), (2, 4)])
+def test_full_width_rank_peak_within_the_oracle_estimate(t, n):
+    # `basis_bytes` bounds the rank of d^(n-1) at the full width (a = 0)
+    # by `oracle_bytes(v, n - 1)`; on g1:2 at n = 4 the basis dominates
+    g = build_group(GroupSpec(Family.G1, t))
+    tracemalloc.start()
+    try:
+        reduction._codifferential_rank(g, n, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < oracle_bytes(g.order, n)
 
 
 def test_run_verify_retains_nothing():
