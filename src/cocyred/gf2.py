@@ -10,10 +10,13 @@ until it is zero or its top bit is new, and then enlarges the basis.  A
 row enlarges the basis iff it lies outside the span of the rows offered
 before it, whatever the pivot rule, so greedy selection is the
 lexicographically first maximal independent subset.  The highest-bit
-pivot is chosen for fill-in: every row of the bar complex's d^n has a bit
-in its top column block (from the drop-first face), so most rows bring a
-new top bit and need few XORs, where lowest-bit pivots XOR long runs of
-zero words.
+pivot is chosen for speed, as measured on the rows the oracle ranks (d^n
+at degree 3 through its suffix quotient, best of 3): a row's top bit is
+one `bit_length()`, where its lowest bit takes `x & -x`, a full-width
+big-int operation a step.  Highest-bit pivots took 1.8 ms and 5,073 XORs
+on `g1:4` (lowest-bit: 7.1 ms, 6,657) and 19 ms and 26,617 XORs on
+`g1:7` (122 ms, 37,815); on `d4t:4` they took more XORs (2,369 against
+1,879) but still less time (0.8 against 1.8 ms).
 
 The Smith normal form, which also needs its transforms, is a separate
 elimination on unpacked matrices; the tests use it as the independent

@@ -16,9 +16,11 @@ indexed by n-tuples.  `codifferential_words` XORs them, for
 `count_non_cocycles`, `verify` and the one-cochain `bar_codifferential`;
 `_codifferential_rows` applies them to the tuple indices to build the rows
 of the matrix of d (row T is the generator above), for the coboundary
-bases, `coboundary_matrix` and the oracle alike; it keeps only the columns
-from a given one on, the slice the oracle ranks.  The tests judge both
-against the formula evaluated tuple by tuple.
+bases, `coboundary_matrix` and the oracle alike.  For the oracle it keeps
+only the block that block elimination leaves to rank (the rows and columns
+whose first coordinate lies in a suffix of the elements), mapped through
+the quotient by the rows it eliminates in closed form.  The tests judge
+both against the formula evaluated tuple by tuple.
 
 A basis is stored once, as one matrix whose rows are its cochains; `reps`
 and `cobs` are row views of the reduction's basis.
@@ -108,36 +110,129 @@ def _face_terms(g: FiniteGroup, n: int, x: np.ndarray):
 _BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)  # bit b of a byte
 
 
-def _codifferential_rows(g: FiniteGroup, n: int, low: int = 0):
-    """Rows of d on degree-n cochains (v**n rows, v**(n+1) columns) as
-    ints, bit c - low being column c >= low, built ORACLE_CHUNK_BYTES at a
-    time; columns below `low` are never touched.
+def _easy_block(g: FiniteGroup, a: int) -> list[int]:
+    """E for the suffix S = a, ..., v-1, as int rows: the rows x < a of d^1
+    on its columns (s, z), s in S, bit (s - a)*v + z being column (s, z).
+    Row x has a 1 at (s, x) from the drop-first term and one at
+    (s, s^-1 x) from the merge, for each s in S (the drop-last term reads
+    s there, never x)."""
+    v, rows = g.order, [0] * a
+    for term in _face_terms(g, 1, np.arange(v)):
+        for c, x in enumerate(term[a * v:].tolist()):
+            if x < a:
+                rows[x] ^= 1 << c
+    return rows
+
+
+def _suffix_quotient(g: FiniteGroup, a: int) -> np.ndarray:
+    """Q for the suffix a, ..., v-1: a ((v - a)*v, q) 0/1 matrix, q being
+    (v - a)*v - rank E (E = `_easy_block(g, a)`), whose row k is the unit
+    vector e_k reduced modulo the reduced echelon rows of E and read on
+    E's non-pivot coordinates.  So u @ Q = 0 iff u is in the row space of
+    E.  At a = 0, E is empty and Q is the identity."""
+    cols = (g.order - a) * g.order
+    basis = Basis()
+    for x in _easy_block(g, a):
+        basis.add(x)
+    echelon: dict[int, int] = {}  # pivot -> its row, on no other pivot
+    for top in sorted(basis.rows):
+        x = basis.rows[top]
+        for p, row in echelon.items():
+            if x >> p & 1:
+                x ^= row
+        echelon[top - 1] = x
+    free = [k for k in range(cols) if k not in echelon]
+    quotient = np.zeros((cols, len(free)), dtype=np.uint8)
+    quotient[free, range(len(free))] = 1
+    if echelon:
+        quotient[list(echelon)] = bit_rows(list(echelon.values()), cols)[:, free]
+    return quotient
+
+
+def _codifferential_rows(g: FiniteGroup, n: int,
+                         quotient: np.ndarray | None = None):
+    """Rows of d on degree-n cochains as ints, built ORACLE_CHUNK_BYTES at
+    a time.  With no `quotient`, all v**n rows, bit c being column c.
+    With Q = `_suffix_quotient(g, a)`, the rows left to rank on the
+    suffix S = a, ..., v-1: the rows x = (x1, r) with x1 in S, on the
+    columns (s, z, r') with s in S, mapped through Q (x) I.  Column
+    (k, r'), for k = (s - a)*v + z, goes to the bits j*v**(n-1) + r'
+    with Q[k, j] = 1.
+
+    This is block elimination.  On those columns a row with x1 outside S
+    has only the drop-first entry (s, x1, r) and the first-merge entry
+    (s, s^-1 x1, r), for each s in S: every other term reads the first
+    coordinate s there.  So these rows are v**(n-1) copies of
+    E = `_easy_block(g, a)`, one for each r, and the rank on the columns
+    is v**(n-1) * rank E plus the rank of the rows built here.  Each row
+    built has n*v + 2|S| entries there: v from each term that keeps x1
+    first, |S| from each of the other two.
 
     Term i of the formula, applied to the tuple indices, names at column c
-    the row r it reads there.  Each entry (r, c) of the n+2 terms with
-    c >= low is keyed by its bit r*8*width + c - low in the packed rows,
-    and the keys are sorted once: each chunk of rows is then one run of
-    keys, XORed into a zeroed packed buffer (a bit read twice cancels).
+    the row it reads there.  Each entry (row, c) in the block is keyed by
+    row * stride + c and the keys are sorted once, so that each chunk of
+    rows is one run of keys.  The run's bits are XORed into a zeroed
+    packed buffer (a bit read twice cancels): one bit an entry, or,
+    through Q, one for each 1 in row k of Q, the w-th 1 of every row in
+    layer w.
     """
-    nrows, cols = g.order ** n, g.order ** (n + 1) - low
-    width = -(-cols // 8)
-    key, at = np.empty((n + 2) * cols, dtype=np.int64), 0
-    for term in _face_terms(g, n, np.arange(nrows, dtype=np.int32)):
-        part = key[at:at + cols]
-        part[:] = term[low:]
+    v = g.order
+    m = v ** (n - 1)
+    if quotient is None:
+        a, q, targets = 0, v * v, None
+    else:
+        a, q = v - len(quotient) // v, quotient.shape[1]
+        weight = quotient.sum(axis=1, dtype=np.min_scalar_type(q))
+        k, j = np.nonzero(quotient)
+        # targets[w, k]: column j*m of the w-th 1 in row k of Q
+        targets = np.zeros((weight.max(initial=0), len(quotient)), np.int64)
+        targets[np.arange(len(k)) - np.searchsorted(k, k), k] = j * m
+    first, low = a * m, a * v * m  # first row and column of the block
+    nrows, cols = v ** n - first, v ** (n + 1) - low
+    width = -(-q * m // 8)
+    stride = 8 * width if targets is None else cols
+    key, at = np.empty(nrows * (n * v + 2 * (v - a)), dtype=np.int64), 0
+    for term in _face_terms(g, n, np.arange(v ** n, dtype=np.int32)):
+        if a:
+            col = np.flatnonzero(term[low:] >= first)
+            rows = term[low:][col]
+        else:
+            col, rows = np.arange(cols), term
         del term  # free it before the next term is built
-        part *= 8 * width
-        part += np.arange(cols)
-        at += cols
+        part = key[at:at + len(col)]
+        part[:] = rows
+        del rows
+        part *= stride
+        part += col
+        at += len(col)
     key.sort()
     step = max(1, min(nrows, ORACLE_CHUNK_BYTES // width))
-    cuts = np.searchsorted(key, np.arange(0, nrows + step, step) * (8 * width))
+    cuts = np.searchsorted(key, np.arange(first, v ** n + step, step) * stride)
     buf = np.empty(step * width, dtype=np.uint8)
-    for r0, e0, e1 in zip(range(0, nrows, step), cuts, cuts[1:]):
-        chunk = buf[:(min(r0 + step, nrows) - r0) * width]
+    for r0, e0, e1 in zip(range(first, v ** n, step), cuts, cuts[1:]):
+        chunk = buf[:(min(r0 + step, v ** n) - r0) * width]
         chunk.fill(0)
-        bits = key[e0:e1]
-        np.bitwise_xor.at(chunk, (bits >> 3) - r0 * width, _BIT[bits & 7])
+        if targets is None:
+            bits = key[e0:e1]
+            np.bitwise_xor.at(chunk, (bits >> 3) - r0 * width, _BIT[bits & 7])
+        else:
+            base, c = np.divmod(key[e0:e1], stride)
+            k, c = np.divmod(c, m)
+            base -= r0
+            base *= 8 * width
+            base += c
+            del c
+            # heaviest rows of Q first, so that each layer is a prefix
+            order = np.argsort(weight.take(k), kind="stable")[::-1]
+            k, base = k.take(order), base.take(order)
+            del order
+            held = np.cumsum(np.bincount(weight.take(k))[::-1])[::-1]
+            for layer, count in zip(targets, held[1:]):
+                bits = layer.take(k[:count])
+                bits += base[:count]
+                bit = _BIT.take(bits & 7)
+                bits >>= 3
+                np.bitwise_xor.at(chunk, bits, bit)
         view = memoryview(chunk)
         for b in range(0, len(chunk), width):
             yield int.from_bytes(view[b:b + width], "little")
@@ -309,10 +404,12 @@ def full_cocycle_basis(model: CohModel, n: int,
 # -- brute-force oracle ----------------------------------------------------
 
 # Budget for what the oracle holds at its largest (`oracle_bytes`): the
-# basis of d^n, one chunk of its rows and the sorted keys that fill it.
-# g1:7 at degree 3 (v=28, a two-element generating suffix, about 134 MB)
-# fits, g1:8 (v=32, about 295 MB) does not.  `full_cocycle_basis` and
-# `builtin_model` refuse past the same budget.
+# basis of the rows of d^n it ranks, one chunk of them, the sorted keys
+# that fill it and one face term at the full width.  At degree 3, g1:14
+# (v=56, a two-element generating suffix, about 196 MiB) fits and g1:15
+# (v=60, about 270 MiB) does not; the cyclic groups, with a one-element
+# suffix, fit up to cyclic:43 (v=86), where the face term dominates.
+# `full_cocycle_basis` and `builtin_model` refuse past the same budget.
 ORACLE_BYTES = 2 ** 28
 
 
@@ -327,26 +424,38 @@ class BruteForceResult:
     im_rank: int  # rank d^{n-1} = dim Im d^{n-1}
 
 
-def oracle_bytes(v: int, n: int, a: int = 0) -> int:
-    """Upper bound on the bytes `brute_force_cohomology` holds at degree n
-    and order v, while it ranks d^n (v**n rows of v**(n+1) bits) on the
-    `cols` = (v - a)*v**n columns of the generating suffix a, ..., v-1: a
-    basis of at most v**n ints and one row chunk, both `cols` bits wide,
-    and what `_codifferential_rows` holds besides.  At a = 0 the slice is
-    the full width."""
-    rows, cols = v ** n, (v - a) * v ** n
-    digits = -(-cols // sys.int_info.bits_per_digit)
+def oracle_bytes(v: int, n: int, a: int = 0, q: int | None = None) -> int:
+    """Upper bound on the bytes `_codifferential_rank` holds while it
+    ranks d^n (v**n rows, v**(n+1) columns) at order v on the suffix
+    a, ..., v-1 through a Q of q columns (at most (v - a)*v, the
+    default).  By block elimination it ranks only the (v - a)*v**(n-1)
+    rows whose first coordinate lies in the suffix, q*v**(n-1) bits
+    wide, and counts the others as v**(n-1) copies of E
+    (`_codifferential_rows`).  At a = 0 there is no Q: all v**n rows, at
+    the full width.
+
+    It holds a basis of at most one int a row and one packed chunk of
+    rows, both that wide, and the builder's arrays: the int64 keys of the
+    n*v + 2(v - a) entries of each row; while they are filled, one int32
+    term at the full width v**(n+1) and, per column of the slice, an
+    int64 column index (and a bool mask and an int32 row, at a > 0);
+    while a chunk is filled, per entry an int64 byte index and a uint8
+    bit (at a = 0), or five int64 arrays and a byte (at a > 0); and, at
+    a > 0, Q and its tables of targets, at most 25 bytes an entry of Q."""
+    m, suffix = v ** (n - 1), v - a
+    q = suffix * v if q is None else q
+    rows, cols, bits = suffix * m, suffix * v ** n, q * m
+    digits = -(-bits // sys.int_info.bits_per_digit)
     basis = rows * digits * sys.int_info.sizeof_digit
-    width = -(-cols // 8)
+    width = -(-bits // 8)
     chunk = max(ORACLE_CHUNK_BYTES, width)
-    # the int64 keys of the (n+2)*cols entries; while they are filled, one
-    # int32 term at the full width v**(n+1) and an int64 column range, and
-    # while a chunk is filled, an int64 byte and bit index and a uint8 bit
-    # for each of its entries, at most (n+2)*v a row
-    entries, step = (n + 2) * cols, max(1, min(rows, ORACLE_CHUNK_BYTES // width))
-    select = 8 * entries + max(4 * v ** (n + 1) + 8 * cols,
-                               17 * min(entries, step * (n + 2) * v))
-    return basis + chunk + select
+    entries = rows * (n * v + 2 * suffix)
+    step = max(1, min(rows, ORACLE_CHUNK_BYTES // width))
+    per_column, per_entry = (13, 41) if a else (8, 17)
+    select = 8 * entries + max(4 * v ** (n + 1) + per_column * cols,
+                               per_entry * min(entries, step * (n * v + 2 * suffix)))
+    quotient = 25 * suffix * v * q if a else 0
+    return basis + chunk + select + quotient
 
 
 def _generating_suffix(g: FiniteGroup) -> int:
@@ -369,11 +478,16 @@ def _generating_suffix(g: FiniteGroup) -> int:
     return 0
 
 
-def _codifferential_rank(g: FiniteGroup, n: int, low: int) -> int:
+def _codifferential_rank(g: FiniteGroup, n: int,
+                         quotient: np.ndarray | None = None) -> int:
+    """Rank of d^n, on the columns of the suffix a, ..., v-1 when given its
+    Q = `_suffix_quotient(g, a)`: v**(n-1) * rank E plus the rank of the
+    rows `_codifferential_rows` builds through Q."""
     basis = Basis()
-    for row in _codifferential_rows(g, n, low):
+    for row in _codifferential_rows(g, n, quotient):
         basis.add(row)
-    return len(basis)
+    easy = 0 if quotient is None else len(quotient) - quotient.shape[1]
+    return g.order ** (n - 1) * easy + len(basis)
 
 
 def brute_force_cohomology(g: FiniteGroup, n: int) -> BruteForceResult:
@@ -382,26 +496,36 @@ def brute_force_cohomology(g: FiniteGroup, n: int) -> BruteForceResult:
     Independent of the model path: ranks the actual coboundary matrices on
     v**(n-1) and v**n tuples by feeding their rows, a chunk at a time, to
     the GF(2) basis engine.  Refuses before allocating when
-    `oracle_bytes(v, n, a)`, the bound at the slice ranked, exceeds
+    `oracle_bytes(v, n, a, q)`, the bound for the rows ranked, exceeds
     ORACLE_BYTES.
 
     Each matrix is ranked on its columns whose first coordinate lies in
-    the generating suffix a, ..., v-1 (`_generating_suffix`), the top
+    the generating suffix S = a, ..., v-1 (`_generating_suffix`), the top
     (v - a) / v of its width.  The rank is the same: for y = dx, the set
-    S of a with y(a, ...) = 0 is closed under products, since d(y) = 0 at
-    (a, b, h) reads y(b, h) + y(ab, h) plus terms whose first argument is
-    a; so S is a subgroup, and it is G as soon as it holds the suffix.
+    of s with y(s, ...) = 0 is closed under products, since d(y) = 0 at
+    (s, b, h) reads y(b, h) + y(sb, h) plus terms whose first argument is
+    s; so it is a subgroup, and it is G as soon as it holds the suffix.
     Hence x @ d = 0 iff x @ d vanishes on the slice.
+
+    On the slice, the rows whose first coordinate x1 lies outside S are
+    eliminated in closed form.  Each has just two entries per block s in
+    S, at (s, x1, r) and (s, s^-1 x1, r), so they are v**(n-1) copies of
+    one small matrix E that depends only on the table.  With Q the map
+    that reduces modulo the rows of E onto E's non-pivot coordinates
+    (`_suffix_quotient`), rank = v**(n-1) * rank E + rank of (Q (x) I)
+    applied to the rows with x1 in S, which are all that is ranked.
     """
     if n < 2:
         raise ValueError("oracle supports degree >= 2")
     v, a = g.order, _generating_suffix(g)
-    need = oracle_bytes(v, n, a)
+    quotient = _suffix_quotient(g, a) if a else None
+    q = None if quotient is None else quotient.shape[1]
+    need = oracle_bytes(v, n, a, q)
     if need > ORACLE_BYTES:
         raise OracleSizeError(
             f"packed d^{n} needs {need} bytes at v = {v}, over the "
             f"{ORACLE_BYTES}-byte oracle budget")
-    im_rank = _codifferential_rank(g, n - 1, a * v ** (n - 1))
-    ker_dim = v ** n - _codifferential_rank(g, n, a * v ** n)
+    im_rank = _codifferential_rank(g, n - 1, quotient)
+    ker_dim = v ** n - _codifferential_rank(g, n, quotient)
     return BruteForceResult(hdim=ker_dim - im_rank, ker_dim=ker_dim,
                             im_rank=im_rank)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import gf2_rank, pack_rows
+from .gf2 import Basis, gf2_rank, int_rows, pack_rows
 from .groups import Family, GroupSpec, group_axioms_hold
 from .model import PRINTED, CohModel, builtin_model
 from .reduction import (Cochain, OracleSizeError, bar_codifferential,
@@ -250,7 +250,10 @@ def run_verify(spec: GroupSpec, degree: int) -> list[CheckResult]:
     ok("rep-count", len(out.reps) == r - k - l,
        f"{len(out.reps)} representatives = r-k-l = {r - k - l}")
 
-    joint_rank = gf2_rank(out.basis.bits)
+    # one elimination: the coboundaries, then the representatives
+    span, rows = Basis(), int_rows(pack_rows(out.basis.bits))
+    cobs_rank = sum(1 for x in rows[out.hdim:] if span.add(x))
+    joint_rank = cobs_rank + sum(1 for x in rows[:out.hdim] if span.add(x))
     ok("joint-independence", joint_rank == len(out.basis),
        f"reps ∪ cobs has full rank {joint_rank}")
 
@@ -259,7 +262,7 @@ def run_verify(spec: GroupSpec, degree: int) -> list[CheckResult]:
        f"all {len(out.basis)} emitted basis elements pass the cocycle condition")
 
     ok("reps-independent-mod-cobs",
-       joint_rank == len(out.reps) + gf2_rank(out.cobs.bits),
+       joint_rank == len(out.reps) + cobs_rank,
        "no representative lies in the span of the others plus coboundaries")
 
     mode = default_mode(n)

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocyred import reduction, verify
-from cocyred.gf2 import (Basis, gf2_rank, greedy_independent_rows,
-                         in_row_space, pack_rows, smith_normal_form_gf2)
+from cocyred.gf2 import (Basis, bit_rows, gf2_rank, greedy_independent_rows,
+                         in_row_space, int_rows, pack_rows,
+                         smith_normal_form_gf2)
 from cocyred.groups import Family, FiniteGroup, GroupSpec, build_group
 from cocyred.model import builtin_model
 from cocyred.reduction import (ORACLE_BYTES, Cochain, OracleSizeError,
@@ -178,11 +179,24 @@ def test_coboundary_matrix_rows_are_generators(monkeypatch, rows_per_chunk):
                         (spec, n, mode, T)
 
 
+def _through_quotient(rows, v, n, a, quotient):
+    """The rows x with x1 >= a of a (v**n, v**(n+1)) 0/1 matrix of d^n,
+    on the columns c >= a*v**n, mapped through Q (x) I by a dense mod-2
+    product, as ints: the referee of `_codifferential_rows` at a > 0."""
+    m = v ** (n - 1)
+    block = np.asarray(rows, dtype=np.int64)[a * m:, a * v * m:]
+    block = block.reshape(len(block), (v - a) * v, m)
+    mapped = np.einsum("kj,xkr->xjr", quotient.astype(np.int64), block) % 2
+    return int_rows(np.packbits(mapped.reshape(len(block), -1).astype(np.uint8),
+                                axis=1, bitorder="little"))
+
+
 @pytest.mark.parametrize("rows_per_chunk", [1, 3])
 def test_sliced_rows_are_full_rows_shifted(monkeypatch, rows_per_chunk):
-    # with low > 0 each row is the full row shifted right by low, with
-    # chunks of one row and of three rows of the slice (the last chunk is
-    # then ragged: 4, 8, 16, 64 and 512 rows are not multiples of 3)
+    # at a > 0 the rows are the full rows with x1 >= a, shifted right by
+    # a*v**n and mapped through Q (x) I, with chunks of one row and of
+    # three rows of the projected width (the last chunk is then ragged
+    # whenever (v - a)*v**(n-1) is not a multiple of 3), for every a
     cases = [(build_group(spec), n)
              for spec in (GroupSpec(Family.G1, 1), GroupSpec(Family.D4T, 2),
                           GroupSpec(Family.G1, 2))
@@ -190,30 +204,38 @@ def test_sliced_rows_are_full_rows_shifted(monkeypatch, rows_per_chunk):
     full = [list(reduction._codifferential_rows(g, n)) for g, n in cases]
     for (g, n), rows in zip(cases, full):
         v = g.order
-        cols = v ** (n + 1)
-        for low in sorted({1, 7, 8, 13, cols // 2, (v - 1) * v ** n, cols - 1}):
-            width = -(-(cols - low) // 8)  # bytes of one row of the slice
+        dense = bit_rows(rows, v ** (n + 1))
+        for a in range(1, v):
+            quotient = reduction._suffix_quotient(g, a)
+            width = -(-quotient.shape[1] * v ** (n - 1) // 8)
             monkeypatch.setattr(reduction, "ORACLE_CHUNK_BYTES",
                                 rows_per_chunk * width)
-            got = list(reduction._codifferential_rows(g, n, low))
-            assert got == [row >> low for row in rows], (g, n, low)
+            got = list(reduction._codifferential_rows(g, n, quotient))
+            assert got == _through_quotient(dense, v, n, a, quotient), \
+                (g, n, a)
 
 
 @pytest.mark.parametrize("n", (1, 2))
 def test_sliced_rows_equal_tuple_formula(n):
-    # row T on the slice is the textbook d(δ_T) on the columns c >= low,
-    # at the generating suffix's first column and at one that is not
-    # byte-aligned; d4t:2 and S_3 are non-abelian
+    # rows at a > 0 are the textbook d(δ_T), T with first coordinate
+    # >= a, on the columns c >= a*v**n, mapped through Q (x) I; the rows
+    # with first coordinate < a are, there, copies of E (x) I, so the
+    # rank is v**(n-1) rank E plus theirs.  At the generating suffix and
+    # at a = 1; d4t:2 and S_3 are non-abelian
     for g in (build_group(GroupSpec(Family.D4T, 2)), _permutation_group(3),
               build_group(GroupSpec(Family.G1, 2))):
-        v = g.order
+        v, m = g.order, g.order ** (n - 1)
         want = [_textbook_d(g, n, delta(v, n, T).bits) for T in range(v ** n)]
-        a = reduction._generating_suffix(g)
-        assert a > 0
-        for low in (a * v ** n, 13):
-            got = list(reduction._codifferential_rows(g, n, low))
-            assert got == [int("".join(map(str, row[low:][::-1])), 2)
-                           for row in want], (v, n, low)
+        for a in sorted({reduction._generating_suffix(g), 1}):
+            easy = bit_rows(reduction._easy_block(g, a), (v - a) * v)
+            assert (np.array(want)[:a * m, a * v * m:] ==
+                    np.kron(easy, np.eye(m, dtype=np.uint8))).all(), (v, n, a)
+            quotient = reduction._suffix_quotient(g, a)
+            got = list(reduction._codifferential_rows(g, n, quotient))
+            assert got == _through_quotient(want, v, n, a, quotient), (v, n, a)
+            assert gf2_rank(np.array(want)[:, a * v * m:]) == \
+                m * (len(quotient) - quotient.shape[1]) + \
+                gf2_rank(bit_rows(got, quotient.shape[1] * m))
 
 
 @pytest.mark.parametrize("t,n", [(4, 2), (2, 4)])
@@ -223,7 +245,7 @@ def test_full_width_rank_peak_within_the_oracle_estimate(t, n):
     g = build_group(GroupSpec(Family.G1, t))
     tracemalloc.start()
     try:
-        reduction._codifferential_rank(g, n, 0)
+        reduction._codifferential_rank(g, n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -344,9 +366,11 @@ def test_brute_force_known_dimensions():
 
 
 def test_brute_force_guard():
-    # the sliced d^3 needs about 640 MB at v=40 and 325 MB at v=32: both
-    # are refused before anything of that size is allocated
-    for spec in (GroupSpec(Family.CYCLIC, 20), GroupSpec(Family.G1, 8)):
+    # d^3 needs about 366 MiB at v=64 (g1:16, mostly the basis of its
+    # 8192 ranked rows) and 367 MiB at v=96 (cyclic:48, mostly one face
+    # term of 96**4 int32, 324 MiB): both are refused before anything of
+    # that size is allocated
+    for spec in (GroupSpec(Family.CYCLIC, 48), GroupSpec(Family.G1, 16)):
         g = build_group(spec)
         tracemalloc.start()
         try:
@@ -380,15 +404,20 @@ def test_oracle_ranks_equal_snf_ranks(spec, n):
 
 
 def test_oracle_guard_admits_v20_degree3():
-    # at the full width v=20 at degree 3 fits and v=32 does not; at the
-    # slice of a generating suffix, g1:6 (v=24, a=22) is admitted and g1:8
-    # (v=32, a=30) is refused
+    # at the full width v=20 at degree 3 fits and v=32 does not; through
+    # the quotient of a generating suffix, g1:6 (v=24, a=22) fits in less
+    # than at the full width, g1:14 (v=56, a=54) is admitted and g1:15
+    # (v=60, a=58) is refused
     assert oracle_bytes(20, 3) <= ORACLE_BYTES < oracle_bytes(32, 3)
     assert oracle_bytes(32, 3) < oracle_bytes(40, 3)
-    g6, g8 = (build_group(GroupSpec(Family.G1, t)) for t in (6, 8))
+    g6, g14, g15 = (build_group(GroupSpec(Family.G1, t)) for t in (6, 14, 15))
     assert reduction._generating_suffix(g6) == 22
-    assert reduction._generating_suffix(g8) == 30
-    assert oracle_bytes(24, 3, 22) <= ORACLE_BYTES < oracle_bytes(32, 3, 30)
+    assert reduction._generating_suffix(g14) == 54
+    assert reduction._generating_suffix(g15) == 58
+    q14, q15 = (reduction._suffix_quotient(g, a).shape[1]
+                for g, a in ((g14, 54), (g15, 58)))
+    assert oracle_bytes(56, 3, 54, q14) <= ORACLE_BYTES < \
+        oracle_bytes(60, 3, 58, q15)
     assert oracle_bytes(24, 3, 22) < oracle_bytes(24, 3)
 
 
@@ -402,6 +431,24 @@ def test_oracle_peak_within_its_estimate():
         tracemalloc.stop()
     assert bf.hdim == 4
     assert peak < oracle_bytes(16, 3, reduction._generating_suffix(g))
+
+
+def test_oracle_peak_within_its_estimate_where_the_face_term_dominates():
+    # cyclic:20 at degree 3 (v=40, a=39, Q of one column): one int32 face
+    # term at the full width, 10.24 MB, is most of the bound, so a builder
+    # that kept all five terms alive would exceed it
+    g = build_group(GroupSpec(Family.CYCLIC, 20))
+    a = reduction._generating_suffix(g)
+    bound = oracle_bytes(40, 3, a, reduction._suffix_quotient(g, a).shape[1])
+    assert 4 * 40 ** 4 > bound // 2
+    tracemalloc.start()
+    try:
+        bf = brute_force_cohomology(g, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bf.hdim == 1
+    assert peak < bound
 
 
 def _full_rank(g, n):
@@ -461,9 +508,9 @@ def test_generating_suffix_slice_keeps_the_rank(spec):
     # the columns of d^n whose first coordinate lies in a generating set
     # have the left kernel of all of d^n, so the same rank
     g = build_group(spec)
-    v, a = g.order, reduction._generating_suffix(g)
+    quotient = reduction._suffix_quotient(g, reduction._generating_suffix(g))
     for n in (1, 2, 3):
-        assert reduction._codifferential_rank(g, n, a * v ** n) == \
+        assert reduction._codifferential_rank(g, n, quotient) == \
             _full_rank(g, n), (spec, n)
 
 
@@ -473,8 +520,9 @@ def test_slice_outside_a_generating_set_loses_rank():
     g = build_group(GroupSpec(Family.G2, 2))
     assert reduction._generating_suffix(g) == 5
     assert _full_rank(g, 3) == 449
-    assert reduction._codifferential_rank(g, 3, 6 * 8 ** 3) == 396
-    assert reduction._codifferential_rank(g, 3, 5 * 8 ** 3) == 449
+    for a, rank in ((6, 396), (5, 449)):
+        quotient = reduction._suffix_quotient(g, a)
+        assert reduction._codifferential_rank(g, 3, quotient) == rank
 
 
 @settings(max_examples=20, deadline=None)
@@ -486,11 +534,34 @@ def test_slice_rank_on_relabelled_tables(data):
     h = _relabelled(g, data.draw(st.permutations(range(1, g.order))))
     v, a = h.order, reduction._generating_suffix(h)
     assert _closure(h.mul, range(a, v)).all()
+    quotient = reduction._suffix_quotient(h, a)
     for n in (1, 2, 3):
-        assert reduction._codifferential_rank(h, n, a * v ** n) == \
+        assert reduction._codifferential_rank(h, n, quotient) == \
             _full_rank(h, n), (spec, n)
     for n in (2, 3):
         assert brute_force_cohomology(h, n) == brute_force_cohomology(g, n)
+
+
+@pytest.mark.parametrize("g", [
+    pytest.param(build_group(GroupSpec(f, t)), id=f"{f.value}:{t}")
+    for f in Family for t in (1, 2, 3)] + [
+    pytest.param(_permutation_group(3), id="S3"),
+    pytest.param(_permutation_group(4), id="S4"),
+    pytest.param(_relabelled(build_group(GroupSpec(Family.D4T, 3)),
+                             range(11, 0, -1)), id="d4t:3-relabelled")])
+def test_suffix_quotient_kills_exactly_the_easy_rows(g):
+    # for every suffix a: E Q = 0 (so u @ Q = 0 on the row space of E)
+    # and rank Q = q = (v - a)*v - rank E (so on nothing more); E is
+    # ranked by the Smith form, independently of `Basis`
+    v = g.order
+    for a in range(1, v):
+        easy = bit_rows(reduction._easy_block(g, a), (v - a) * v)
+        quotient = reduction._suffix_quotient(g, a)
+        q = quotient.shape[1]
+        assert quotient.shape[0] == (v - a) * v
+        assert not ((easy.astype(np.int64) @ quotient) % 2).any(), (g, a)
+        assert q == (v - a) * v - smith_normal_form_gf2(easy).rank, (g, a)
+        assert gf2_rank(quotient) == q, (g, a)
 
 
 def test_snf_ranks_match_tabulated_g2_odd():
